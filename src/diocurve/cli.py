@@ -78,11 +78,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {n}")
+    return n
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--output", help="write to this path instead of stdout")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1)
     parser.add_argument(
         "--dump-gnuplot",
         metavar="PREFIX",
@@ -304,9 +311,7 @@ def _cmd_scan(args) -> None:
     d, a_d = poly.degree, poly.lead_negated
     flags = HitFlags(args.primitive, args.coprime, args.omega_max)
     alpha = AlphaValue.user(args.alpha)
-    hits = find_hits(
-        alpha, d, a_d, args.tau, args.band, args.qmax, flags, threads=args.threads
-    )
+    hits = find_hits(alpha, d, a_d, args.tau, args.band, args.qmax, flags)
     echo = _echo_lines(
         args,
         poly=poly.format(),
@@ -393,7 +398,7 @@ def _cmd_experiment(args) -> None:
         plot_key = None
         plot_cols = None
     else:
-        if not args.qlo or not args.qhi:
+        if args.qlo is None or args.qhi is None:
             raise PreconditionError("stabilization needs --qlo and --qhi")
         report = stabilization_experiment(cfg, args.qlo, args.qhi)
         plot_key = None

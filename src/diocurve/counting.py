@@ -7,16 +7,23 @@ scanned q can produce a boundary tie), and comparisons against q^(u/v)
 use the integer power rule.  The scan tests only the one or two integers
 b nearest q^d alpha whenever the approximation radius is below 1/2, and
 falls back to a full neighbourhood walk otherwise (q = 1, or tau <= d).
+
+In the narrow regime tau > d, when alpha's denominator is a power of two
+and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
+discards the q whose q^d alpha lies provably too far from every integer;
+the exact scan then runs on the survivors only.  Every other input is
+scanned exactly at every q.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .arithmetic import Rational, factorize, iroot
 from .covers import GcdBand
@@ -91,22 +98,22 @@ class HitFlags:
         return "|".join(parts) if parts else "none"
 
 
-def _hits_for_range(
+def _exact_hits(
     alpha: Fraction,
     d: int,
     a_d: int,
     tau: Fraction,
     band: GcdBand,
-    qlo: int,
-    qhi: int,
+    qs: Iterable[int],
     flags: HitFlags,
     p_witness_limit: int,
 ) -> list[ConstrainedHit]:
+    """All hits at the moduli qs (increasing), each decided exactly."""
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
     hits: list[ConstrainedHit] = []
-    for q in range(qlo, qhi + 1):
+    for q in qs:
         if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
             continue
         if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
@@ -168,6 +175,69 @@ def _hits_for_range(
     return hits
 
 
+# q per prefilter block, so the prefilter's arrays stay a few hundred kB
+# whatever qmax is
+_PREFILTER_BLOCK = 4096
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[int]:
+    """Increasing q <= qmax: a superset of the q with an integer b such that
+    |q^d alpha - b| < q^(d - tau), for alpha = n/2^m in [0, 1], tau > d and
+    qmax^d < 2^63.
+
+    Proof of the superset property.  Let t = q^d < 2^63, count in units of
+    2^-64, and let ||x|| = min(x mod 2^64, 2^64 - x mod 2^64) be the
+    distance from x to the nearest multiple of 2^64; it is 1-Lipschitz.  A
+    candidate b exists at q exactly when D = ||2^64 t alpha|| < 2^64 q^(d-tau).
+
+    * Truncating alpha to 128 bits.  A = floor(2^128 alpha) = n 2^128 >> m
+      gives 2^128 alpha = A + delta with 0 <= delta < 1, so
+      2^64 t alpha = t A / 2^64 + t delta / 2^64, and the last term lies in
+      [0, t 2^-64), within [0, 1/2): below 1 unit.
+    * The wrap at alpha = 1.  There A = 2^128, which is taken mod 2^128 as
+      0.  Adding 2^128 to A adds t 2^64 to t A / 2^64, a multiple of 2^64,
+      so ||.|| does not change.  The same holds for every A mod 2^128.
+    * The floor in mulhi.  Write A mod 2^128 = H 2^64 + L with H, L < 2^64.
+      Then t A / 2^64 = t H + mulhi(t, L) + phi, where
+      mulhi(t, L) = floor(t L / 2^64) is exact from 32-bit limbs and
+      0 <= phi < 1: below 1 unit.
+    * So F = (t H + mulhi(t, L)) mod 2^64, computed in wrapping uint64,
+      satisfies 2^64 t alpha = F + eps (mod 2^64) with 0 <= eps < 2, and
+      ||F|| <= D + eps < D + 2.  Slack 2 is the sum of the two
+      below-1-unit terms.
+    * The octave bound.  For q in [2^k, 2^(k+1)), tau = u/v > d gives
+      q^(d-tau) <= 2^(k(d-tau)), so 2^64 q^(d-tau) <= 2^(E/v) with
+      E = 64v + k(dv - u).  T_k = iroot(2^E, v) + 1 > 2^(E/v) for E >= 0,
+      and T_k = 1 > 2^(E/v) for E < 0.
+
+    A candidate at q therefore gives ||F|| < T_k + 2, both sides integers,
+    and that is the keep test.  No float enters it.
+    """
+    m = alpha.denominator.bit_length() - 1
+    a = alpha.numerator << 128 >> m  # A = floor(2^128 alpha)
+    hi = np.uint64(a >> 64 & _MASK64)  # H of A mod 2^128 (alpha = 1 gives 0)
+    lo1 = np.uint64(a >> 32 & _MASK32)  # L = lo1 2^32 + lo0
+    lo0 = np.uint64(a & _MASK32)
+    u, v = tau.numerator, tau.denominator
+    for k in range(qmax.bit_length()):
+        e = 64 * v + k * (d * v - u)
+        bound = iroot(1 << e, v) + 1 if e >= 0 else 1
+        # ||F|| <= 2^63, so a bound past 2^64 - 1 keeps the whole octave
+        keep_below = np.uint64(min(bound + 2, _MASK64))
+        top = min(2 << k, qmax + 1)
+        for start in range(1 << k, top, _PREFILTER_BLOCK):
+            q = np.arange(start, min(start + _PREFILTER_BLOCK, top), dtype=np.uint64)
+            t = q**d
+            t1, t0 = t >> 32, t & _MASK32
+            p00, p01, p10 = t0 * lo0, t0 * lo1, t1 * lo0
+            mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+            mulhi = t1 * lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+            frac = t * hi + mulhi  # wraps mod 2^64
+            yield from q[np.minimum(frac, -frac) < keep_below].tolist()
+
+
 def find_hits(
     alpha: AlphaValue,
     d: int,
@@ -177,14 +247,15 @@ def find_hits(
     qmax: int,
     flags: HitFlags = HitFlags(),
     *,
-    threads: int = 1,
     p_witness_limit: int = 2000,
 ) -> list[ConstrainedHit]:
     """All (q, b) with q <= qmax, |alpha - b/q^d| < q^-tau, b in the scaled
-    residue class set, gcd(b, q) in the band, and all flags satisfied.
+    residue class set, gcd(b, q) in the band, and all flags satisfied, in
+    increasing (q, b).
 
-    Deterministic for fixed inputs regardless of thread count: the q-range
-    splits into disjoint chunks whose results are concatenated in order.
+    For a dyadic alpha with tau > d and qmax^d < 2^63, only the survivors of
+    the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
+    hit, so the result is that of the exact scan over every q <= qmax.
     """
     value = alpha.value
     if not 0 <= value <= 1:
@@ -194,23 +265,12 @@ def find_hits(
     if a_d == 0:
         raise ValueError("a_d must be nonzero")
     tau = Fraction(tau)
-    if threads <= 1 or qmax < 64:
-        return _hits_for_range(
-            value, d, a_d, tau, band, 1, qmax, flags, p_witness_limit
-        )
-    chunk = max(32, qmax // (threads * 4))
-    ranges = [(lo, min(lo + chunk - 1, qmax)) for lo in range(1, qmax + 1, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda r: _hits_for_range(
-                value, d, a_d, tau, band, r[0], r[1], flags, p_witness_limit
-            ),
-            ranges,
-        )
-        out: list[ConstrainedHit] = []
-        for part in parts:
-            out.extend(part)
-    return out
+    ad = value.denominator
+    if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:
+        qs: Iterable[int] = _dyadic_survivors(value, d, tau, qmax)
+    else:
+        qs = range(1, qmax + 1)
+    return _exact_hits(value, d, a_d, tau, band, qs, flags, p_witness_limit)
 
 
 def counting_function(
@@ -223,7 +283,6 @@ def counting_function(
     flags: HitFlags = HitFlags(),
     *,
     count_denominators: bool = False,
-    threads: int = 1,
 ) -> int:
     """N(Q): number of moduli q with q^d <= Q (default reading) admitting at
     least one hit.  ``count_denominators=True`` switches to counting q <= Q
@@ -235,7 +294,7 @@ def counting_function(
     qmax = Q if count_denominators else iroot(Q, d)
     if qmax < 1:
         return 0
-    hits = find_hits(alpha, d, a_d, tau, band, qmax, flags, threads=threads)
+    hits = find_hits(alpha, d, a_d, tau, band, qmax, flags)
     return len({h.q for h in hits})
 
 

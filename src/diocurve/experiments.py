@@ -491,6 +491,10 @@ def stabilization_experiment(
 ) -> Report:
     """Fraction of seeded alphas with no hit at all for q in [q_lo, q_hi]
     (emptiness witness for the regime above the convergence threshold)."""
+    if not 1 <= q_lo <= q_hi:
+        raise ValueError(
+            f"stabilization window needs 1 <= q_lo <= q_hi, got [{q_lo}, {q_hi}]"
+        )
     alphas = cfg.alphas(q_hi)
 
     def run(alpha: AlphaValue) -> int:

@@ -126,6 +126,26 @@ def test_exit_codes():
     run_cli("frobnicate", expect=2)
 
 
+def test_stabilization_window_validation(capsys):
+    base = ["experiment", "--kind", "stabilization", "--alpha-count", "2"]
+    for window, message in (
+        (["--qlo", "500", "--qhi", "100"], "1 <= q_lo <= q_hi, got [500, 100]"),
+        (["--qlo", "0", "--qhi", "100"], "1 <= q_lo <= q_hi, got [0, 100]"),
+        (["--qhi", "100"], "needs --qlo and --qhi"),
+    ):
+        assert main(base + window) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_threads_below_one_rejected(capsys):
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3",
+                  "--qmax", "4", "--threads", bad])
+        assert exc.value.code == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+
+
 def test_experiment_subcommand_and_output(tmp_path):
     out_path = tmp_path / "report.csv"
     run_cli(

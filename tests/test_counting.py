@@ -3,11 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diocurve.arithmetic import iroot
 from diocurve.counting import (
     AlphaValue,
     CountCurve,
     HitFlags,
+    _dyadic_survivors,
+    _exact_hits,
     counting_function,
     find_hits,
     phi_psi_sums,
@@ -216,11 +221,89 @@ def test_counting_monotonicity():
     )
 
 
-def test_thread_determinism():
+def test_repeat_run_determinism():
     alpha = AlphaValue.dyadic_random(3, 160, 2)
-    base = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400, threads=1)
-    for threads in (2, 3, 5):
-        assert find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400, threads=threads) == base
+    base = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400)
+    for _ in range(3):
+        assert find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400) == base
+
+
+def has_candidate(alpha, d, tau, q):
+    """Exact: some integer b has |q^d alpha - b| < q^(d - tau)."""
+    an, ad = alpha.numerator, alpha.denominator
+    u, v = tau.numerator, tau.denominator
+    t = q**d
+    rem = t * an % ad
+    return min(rem, ad - rem) ** v * q**u < (ad * t) ** v
+
+
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    excess=st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1), Fraction(7, 2)]),
+    bits=st.integers(min_value=64, max_value=200),
+    q0=st.integers(min_value=1, max_value=1 << 16)
+    | st.sampled_from([1 << k for k in range(17)]),
+    b_seed=st.integers(min_value=0, max_value=1 << 64),
+    sign=st.sampled_from([-1, 1]),
+    offset=st.integers(min_value=-2, max_value=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_prefilter_keeps_every_q_with_a_candidate(d, excess, bits, q0, b_seed, sign, offset):
+    # alpha sits within a few 2^-bits of the edge b0/q0^d +- q0^-tau,
+    # on either side of it; octave starts 2^k are where the bound is tightest
+    tau = d + excess
+    u, v = tau.numerator, tau.denominator
+    q0 = min(q0, iroot((1 << 63) - 1, d))
+    t0 = q0**d
+    b0 = b_seed % (t0 + 1)
+    radius = iroot((1 << bits * v) // q0**u, v)  # floor(2^bits q0^-tau)
+    num = (b0 << bits) // t0 + sign * (radius + offset)
+    alpha = Fraction(min(max(num, 0), 1 << bits), 1 << bits)
+    qmax = min(q0 + 3, iroot((1 << 63) - 1, d))
+    survivors = list(_dyadic_survivors(alpha, d, tau, qmax))
+    assert survivors == sorted(set(survivors))
+    kept = set(survivors)
+    for q in {*range(1, min(qmax, 64) + 1), *range(max(1, q0 - 3), qmax + 1)}:
+        if has_candidate(alpha, d, tau, q):
+            assert q in kept, (q, alpha, d, tau)
+
+
+def test_find_hits_matches_exact_scan_on_prefilter_cases():
+    # every input property the prefilter keys on, each compared with the
+    # exact scan over every q <= qmax under every flag combination
+    rng = random.Random(20131305)
+    cases = []  # (alpha, d, a_d, tau, qmax)
+    for d, qmax in ((2, 1500), (3, 400)):
+        for a_d in (1, -1, 2, -6):
+            for bits in (64, 128, 200):
+                alpha = Fraction(rng.getrandbits(bits) | 1, 1 << bits)
+                cases.append((alpha, d, a_d, d + Fraction(1, 4), qmax))
+    for alpha in (Fraction(0), Fraction(1)):
+        cases.append((alpha, 2, 1, Fraction(9, 4), 300))
+    cases.append((Fraction(5741, 9973), 2, 1, Fraction(9, 4), 1500))  # not dyadic
+    combos = [
+        HitFlags(p, c, m)
+        for p in (False, True)
+        for c in (False, True)
+        for m in (None, 2)
+    ]
+    band = GcdBand(Fraction(0), Fraction(1, 2))
+    for i, (alpha, d, a_d, tau, qmax) in enumerate(cases):
+        for flags in combos:
+            b = (FULL, band)[i % 2]
+            got = find_hits(AlphaValue.user(alpha), d, a_d, tau, b, qmax, flags)
+            expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags, 2000)
+            assert got == expected, (alpha, d, a_d, flags)
+    # qmax^4 just below 2^63 takes the prefilter, just above the exact path;
+    # d = 4 puts that edge near q = 55108, where scanning every q stays cheap
+    top = iroot((1 << 63) - 1, 4)
+    alpha = Fraction(rng.getrandbits(128) | 1, 1 << 128)
+    for qmax in (top, top + 1):
+        got = find_hits(AlphaValue.user(alpha), 4, 1, Fraction(17, 4), FULL, qmax)
+        expected = _exact_hits(
+            alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags(), 2000
+        )
+        assert got == expected, qmax
 
 
 def test_corollary_search_statistic():
