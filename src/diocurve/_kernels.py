@@ -1,12 +1,8 @@
-"""Enumeration kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Enumeration kernels, vectorised with numpy.
 
 The hot inner loops of this package (smallest-prime-factor sieve, brute
 enumeration of d-th power residue sets, omega tables) are integer-only
-and fit in int64 for every modulus the library accepts, so they compile
-cleanly under numba.  Set ``DIOCURVE_NO_NUMBA=1`` in the environment to
-skip JIT and use the vectorised numpy implementations instead; the two
-paths return identical arrays and both are exercised by the test suite.
-``benchmarks/bench_kernels.py`` times one against the other.
+and fit in int64 for every modulus the library accepts.
 
 Everything exact and big-integer (rational scans, Hensel lifts, certified
 interval sums) lives outside this module in plain Python.
@@ -15,47 +11,21 @@ interval sums) lives outside this module in plain Python.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("DIOCURVE_NO_NUMBA", "").strip()
-FORCE_NUMPY = _env not in ("", "0")
-
-if not FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-JIT_ENABLED = HAVE_NUMBA
-
 
 def backend_name() -> str:
-    return "numba" if JIT_ENABLED else "numpy"
+    """Name of the kernel implementation, stamped on benchmark records."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # smallest prime factor sieve
 
 
-def _spf_sieve_loop(limit):
-    spf = np.arange(limit + 1, dtype=np.int32)
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    return spf
-
-
-def spf_sieve_numpy(limit: int) -> np.ndarray:
+def spf_sieve(limit: int) -> np.ndarray:
+    """spf[n] = smallest prime factor of n (spf[0]=0, spf[1]=1)."""
     spf = np.arange(limit + 1, dtype=np.int32)
     # ascending primes + minimum keeps the first (smallest) hit
     for i in range(2, math.isqrt(limit) + 1):
@@ -68,76 +38,7 @@ def spf_sieve_numpy(limit: int) -> np.ndarray:
 # d-th power residue enumeration (oracle side of every closed-form count)
 
 
-def _residue_profiles_loop(qlo, qhi, d):
-    n = qhi - qlo + 1
-    u = np.zeros(n, dtype=np.int64)
-    e = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        q = qlo + idx
-        power = np.zeros(q, dtype=np.uint8)
-        unit_power = np.zeros(q, dtype=np.uint8)
-        one = 1 % q
-        uu = 0
-        for m in range(q):
-            x = 1 % q
-            base = m
-            exp = d
-            while exp:
-                if exp & 1:
-                    x = x * base % q
-                base = base * base % q
-                exp >>= 1
-            power[x] = 1
-            if math.gcd(m, q) == 1:
-                unit_power[x] = 1
-                if x == one:
-                    uu += 1
-        u[idx] = uu
-        e[idx] = int(unit_power.sum())
-        r[idx] = int(power.sum())
-    return u, e, r
-
-
-def _residue_set_loop(q, d, ad):
-    seen = np.zeros(q, dtype=np.uint8)
-    a = ad % q
-    for m in range(q):
-        x = 1 % q
-        base = m
-        exp = d
-        while exp:
-            if exp & 1:
-                x = x * base % q
-            base = base * base % q
-            exp >>= 1
-        seen[a * x % q] = 1
-    out = np.nonzero(seen)[0]
-    return out.astype(np.int64)
-
-
-def _scaled_counts_loop(qlo, qhi, d, ad):
-    n = qhi - qlo + 1
-    counts = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        q = qlo + idx
-        seen = np.zeros(q, dtype=np.uint8)
-        a = ad % q
-        for m in range(q):
-            x = 1 % q
-            base = m
-            exp = d
-            while exp:
-                if exp & 1:
-                    x = x * base % q
-                base = base * base % q
-                exp >>= 1
-            seen[a * x % q] = 1
-        counts[idx] = int(seen.sum())
-    return counts
-
-
-def _powmod_numpy(base: np.ndarray, exp: int, q: int) -> np.ndarray:
+def _powmod(base: np.ndarray, exp: int, q: int) -> np.ndarray:
     x = np.full(base.shape, 1 % q, dtype=np.int64)
     b = base % q
     while exp:
@@ -148,7 +49,12 @@ def _powmod_numpy(base: np.ndarray, exp: int, q: int) -> np.ndarray:
     return x
 
 
-def residue_profiles_numpy(qlo: int, qhi: int, d: int):
+def residue_profiles(qlo: int, qhi: int, d: int):
+    """Brute-force (u, e, r) triples for every modulus in [qlo, qhi].
+
+    u counts solutions of m^d = 1, e counts distinct d-th powers of
+    units, r counts distinct d-th powers, all modulo q.
+    """
     n = qhi - qlo + 1
     u = np.zeros(n, dtype=np.int64)
     e = np.zeros(n, dtype=np.int64)
@@ -156,7 +62,7 @@ def residue_profiles_numpy(qlo: int, qhi: int, d: int):
     for idx in range(n):
         q = qlo + idx
         m = np.arange(q, dtype=np.int64)
-        x = _powmod_numpy(m, d, q)
+        x = _powmod(m, d, q)
         r[idx] = np.unique(x).size
         xu = x[np.gcd(m, np.int64(q)) == 1]
         e[idx] = np.unique(xu).size
@@ -164,15 +70,17 @@ def residue_profiles_numpy(qlo: int, qhi: int, d: int):
     return u, e, r
 
 
-def residue_set_numpy(q: int, d: int, ad: int = 1) -> np.ndarray:
+def residue_set(q: int, d: int, ad: int = 1) -> np.ndarray:
+    """Sorted array of {ad * m^d mod q : m in Z/qZ}, by enumeration."""
     m = np.arange(q, dtype=np.int64)
-    x = _powmod_numpy(m, d, q)
+    x = _powmod(m, d, q)
     return np.unique((ad % q) * x % q)
 
 
-def scaled_counts_numpy(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
+def scaled_counts(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
+    """|{ad * m^d mod q}| for every q in [qlo, qhi], by enumeration."""
     return np.array(
-        [residue_set_numpy(q, d, ad).size for q in range(qlo, qhi + 1)],
+        [residue_set(q, d, ad).size for q in range(qlo, qhi + 1)],
         dtype=np.int64,
     )
 
@@ -181,93 +89,11 @@ def scaled_counts_numpy(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
 # omega table (number of distinct prime factors for every n up to a limit)
 
 
-def _omega_loop(spf, limit):
+def omega_table(limit: int) -> np.ndarray:
+    """omega[n] = number of distinct prime factors of n, for n <= limit."""
     w = np.zeros(limit + 1, dtype=np.uint8)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        while m % p == 0:
-            m //= p
-        w[n] = w[m] + 1
-    return w
-
-
-def omega_table_numpy(limit: int) -> np.ndarray:
-    w = np.zeros(limit + 1, dtype=np.uint8)
-    spf = spf_sieve_numpy(limit)
+    spf = spf_sieve(limit)
     primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.int32))[0][2:]
     for p in primes:
         w[p::p] += 1
     return w
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-if JIT_ENABLED:
-    _spf_sieve_nb = njit(cache=True)(_spf_sieve_loop)
-    _residue_profiles_nb = njit(cache=True)(_residue_profiles_loop)
-    _residue_set_nb = njit(cache=True)(_residue_set_loop)
-    _scaled_counts_nb = njit(cache=True)(_scaled_counts_loop)
-    _omega_nb = njit(cache=True)(_omega_loop)
-
-    def spf_sieve_numba(limit: int) -> np.ndarray:
-        return _spf_sieve_nb(limit)
-
-    def residue_profiles_numba(qlo: int, qhi: int, d: int):
-        return _residue_profiles_nb(qlo, qhi, d)
-
-    def residue_set_numba(q: int, d: int, ad: int = 1) -> np.ndarray:
-        return _residue_set_nb(q, d, ad)
-
-    def scaled_counts_numba(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
-        return _scaled_counts_nb(qlo, qhi, d, ad)
-
-    def omega_table_numba(limit: int) -> np.ndarray:
-        return _omega_nb(spf_sieve_numba(limit), limit)
-
-else:
-    spf_sieve_numba = None
-    residue_profiles_numba = None
-    residue_set_numba = None
-    scaled_counts_numba = None
-    omega_table_numba = None
-
-
-def spf_sieve(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (spf[0]=0, spf[1]=1)."""
-    if JIT_ENABLED:
-        return spf_sieve_numba(limit)
-    return spf_sieve_numpy(limit)
-
-
-def residue_profiles(qlo: int, qhi: int, d: int):
-    """Brute-force (u, e, r) triples for every modulus in [qlo, qhi].
-
-    u counts solutions of m^d = 1, e counts distinct d-th powers of
-    units, r counts distinct d-th powers, all modulo q.
-    """
-    if JIT_ENABLED:
-        return residue_profiles_numba(qlo, qhi, d)
-    return residue_profiles_numpy(qlo, qhi, d)
-
-
-def residue_set(q: int, d: int, ad: int = 1) -> np.ndarray:
-    """Sorted array of {ad * m^d mod q : m in Z/qZ}, by enumeration."""
-    if JIT_ENABLED:
-        return residue_set_numba(q, d, ad)
-    return residue_set_numpy(q, d, ad)
-
-
-def scaled_counts(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
-    """|{ad * m^d mod q}| for every q in [qlo, qhi], by enumeration."""
-    if JIT_ENABLED:
-        return scaled_counts_numba(qlo, qhi, d, ad)
-    return scaled_counts_numpy(qlo, qhi, d, ad)
-
-
-def omega_table(limit: int) -> np.ndarray:
-    """omega[n] = number of distinct prime factors of n, for n <= limit."""
-    if JIT_ENABLED:
-        return omega_table_numba(limit)
-    return omega_table_numpy(limit)

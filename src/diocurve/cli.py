@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ._kernels import backend_name
 from ._version import __version__
 from .arithmetic import PreconditionError
 from .counting import AlphaValue, CountCurve, HitFlags, find_hits
@@ -42,11 +41,11 @@ from .experiments import (
 )
 from .residues import PowerResidueProfile, hensel_lift, power_residues
 
-_ECHO_KEYS = ("seed", "format")  # threads omitted: outputs are thread-invariant
+_ECHO_KEYS = ("seed", "format")  # --threads has no effect, so it is not echoed
 
 
 def _echo_lines(args, **extra) -> list[str]:
-    items = {"library": f"diocurve {__version__}", "backend": backend_name()}
+    items = {"library": f"diocurve {__version__}"}
     for key in _ECHO_KEYS:
         if hasattr(args, key):
             items[key] = getattr(args, key)
@@ -89,7 +88,13 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--output", help="write to this path instead of stdout")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=_thread_count, default=1)
+    parser.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="accepted for compatibility; has no effect (reports are "
+        "identical for every value)",
+    )
     parser.add_argument(
         "--dump-gnuplot",
         metavar="PREFIX",
@@ -191,10 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _moduli(args) -> list[int]:
+    """The single --q, or every q in [--qlo, --qhi]."""
+    if args.q is not None:
+        return [args.q]
+    if args.qlo is None or args.qhi is None:
+        raise PreconditionError("need --q or both --qlo and --qhi")
+    return list(range(args.qlo, args.qhi + 1))
+
+
 def _cmd_residues(args) -> None:
-    if args.q is None and args.qlo is None:
-        raise PreconditionError("need --q or --qlo/--qhi")
-    qs = [args.q] if args.q is not None else list(range(args.qlo, args.qhi + 1))
+    qs = _moduli(args)
     header = ["q", "u", "e", "r"]
     rows = []
     for q in qs:
@@ -280,9 +292,7 @@ def _cmd_cover(args) -> None:
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
         _emit(args, ["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo_lines(args))
         return
-    if args.q is None and args.qlo is None:
-        raise PreconditionError("need --q or --qlo/--qhi")
-    qs = [args.q] if args.q is not None else list(range(args.qlo, args.qhi + 1))
+    qs = _moduli(args)
     rows = []
     for q in qs:
         if args.band.is_full:
@@ -353,8 +363,10 @@ def _cmd_scan(args) -> None:
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    lo, hi = text.split(":")
-    return geometric_schedule(int(lo), int(hi))
+    lo, hi = (int(x) for x in text.split(":"))
+    if lo > hi:
+        raise ValueError(f"schedule LOEXP:HIEXP needs LOEXP <= HIEXP, got {text}")
+    return geometric_schedule(lo, hi)
 
 
 def _cmd_experiment(args) -> None:
@@ -367,7 +379,6 @@ def _cmd_experiment(args) -> None:
         alpha_bits=args.alpha_bits,
         seed=args.seed,
         q_schedule=_parse_schedule(args.schedule) if args.schedule else (),
-        threads=args.threads,
     )
     if args.kind == "threshold":
         taus = (
@@ -387,7 +398,7 @@ def _cmd_experiment(args) -> None:
         plot_key = None
         plot_cols = None
     elif args.kind == "svolume":
-        if not args.qmax:
+        if args.qmax is None:
             raise PreconditionError("svolume needs --qmax")
         grid = (
             [Fraction(s) for s in args.s_grid.split(";")]

@@ -16,6 +16,11 @@ here and echoed into every report:
   the schedule only, always reported with residual and window;
 * almost-everywhere claims are checked as supermajorities over seeded
   random alphas, never as universals.
+
+Each experiment visits its alphas one after another in seed order.  The
+per-alpha work is pure-Python big-integer arithmetic that holds the GIL,
+so a thread pool measured slower than this loop, and on the stabilization
+scan one alpha costs less than starting a worker process.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ import io
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._kernels import backend_name
 from ._version import __version__
 from .arithmetic import Rational, iroot
 from .counting import AlphaValue, CountCurve, HitFlags, find_hits, required_alpha_bits
@@ -62,8 +65,6 @@ class ExperimentConfig:
     alpha_bits: int = 0  # 0 = derive from (d, tau, qmax) with a 128-bit floor
     seed: int = 0
     q_schedule: tuple[int, ...] = ()
-    threads: int = 1
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     rules: VerdictRules = field(default_factory=VerdictRules)
 
     def __post_init__(self):
@@ -103,17 +104,14 @@ class ExperimentConfig:
         """Config echo block for report files."""
         items = {
             "library": f"diocurve {__version__}",
-            "backend": backend_name(),
             "poly": self.polynomial.format(),
             "tau": str(self.tau),
             "band": self.band.format(),
             "alpha_count": self.alpha_count,
             "alpha_bits": self.alpha_bits or "auto",
             "seed": self.seed,
-            # thread count deliberately omitted: reports are byte-identical
-            # for any --threads value
-            "oracle_limit": self.oracle_limit,
-            "count_source_policy": f"oracle for q <= {self.oracle_limit}, formula above",
+            "oracle_limit": DEFAULT_ORACLE_LIMIT,
+            "count_source_policy": f"oracle for q <= {DEFAULT_ORACLE_LIMIT}, formula above",
             **extra,
         }
         return [f"# {k} = {v}" for k, v in items.items()]
@@ -274,15 +272,7 @@ def threshold_experiment(
         sums = []
         prev_q = 0
         for Q in schedule:
-            lo, hi = tail_sum(
-                tau,
-                cfg.d,
-                cfg.a_d,
-                prev_q + 1,
-                Q,
-                cfg.band,
-                oracle_limit=cfg.oracle_limit,
-            )
+            lo, hi = tail_sum(tau, cfg.d, cfg.a_d, prev_q + 1, Q, cfg.band)
             lo_acc += lo
             hi_acc += hi
             prev_q = Q
@@ -329,15 +319,7 @@ def _per_alpha_fits(
     qmax = iroot(schedule[-1], cfg.d)
     alphas = cfg.alphas(qmax)
     window = top_half_window(schedule)
-
-    def run(alpha: AlphaValue) -> CountCurve:
-        return _count_samples(cfg, alpha, band, schedule)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            curves = list(pool.map(run, alphas))
-    else:
-        curves = [run(a) for a in alphas]
+    curves = [_count_samples(cfg, alpha, band, schedule) for alpha in alphas]
     fits = [
         fit_loglog([(Q, float(n)) for Q, n in c.samples], window) for c in curves
     ]
@@ -495,17 +477,14 @@ def stabilization_experiment(
         raise ValueError(
             f"stabilization window needs 1 <= q_lo <= q_hi, got [{q_lo}, {q_hi}]"
         )
-    alphas = cfg.alphas(q_hi)
-
-    def run(alpha: AlphaValue) -> int:
-        hits = find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, q_hi)
-        return sum(1 for h in hits if h.q >= q_lo)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            counts = list(pool.map(run, alphas))
-    else:
-        counts = [run(a) for a in alphas]
+    counts = [
+        sum(
+            1
+            for h in find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, q_hi)
+            if h.q >= q_lo
+        )
+        for alpha in cfg.alphas(q_hi)
+    ]
     rows = [
         (i, q_lo, q_hi, c, "stable" if c == 0 else "new-hits")
         for i, c in enumerate(counts)

@@ -137,6 +137,18 @@ def test_stabilization_window_validation(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_precondition_errors_exit_2(capsys):
+    for argv, message in (
+        (["residues", "--qlo", "5", "--d", "2"], "need --q or both --qlo and --qhi"),
+        (["cover", "--tau", "3", "--d", "2", "--qlo", "5"], "need --q or both --qlo and --qhi"),
+        (["experiment", "--kind", "threshold", "--taus", "3", "--schedule", "9:4"],
+         "needs LOEXP <= HIEXP, got 9:4"),
+        (["experiment", "--kind", "svolume", "--qmax", "0"], "qmax must be >= 1"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_threads_below_one_rejected(capsys):
     for bad in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:

