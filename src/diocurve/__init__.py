@@ -19,7 +19,6 @@ from .arithmetic import (
     iroot,
 )
 from .covers import (
-    BandedCenterCount,
     CoverRecord,
     GcdBand,
     banded_center_count,

@@ -17,13 +17,7 @@ from pathlib import Path
 from ._version import __version__
 from .arithmetic import PreconditionError
 from .counting import AlphaValue, CountCurve, HitFlags, find_hits
-from .covers import (
-    GcdBand,
-    banded_cover_record,
-    cover_measure,
-    restricted_series_partial,
-    tail_sum,
-)
+from .covers import GcdBand, cover_measure, restricted_series_partial, tail_sum
 from .curve import (
     IntPolynomial,
     derivative_sup_bound,
@@ -202,6 +196,8 @@ def _moduli(args) -> list[int]:
         return [args.q]
     if args.qlo is None or args.qhi is None:
         raise PreconditionError("need --q or both --qlo and --qhi")
+    if args.qlo > args.qhi:
+        raise PreconditionError(f"need --qlo <= --qhi, got {args.qlo} > {args.qhi}")
     return list(range(args.qlo, args.qhi + 1))
 
 
@@ -295,22 +291,18 @@ def _cmd_cover(args) -> None:
     qs = _moduli(args)
     rows = []
     for q in qs:
-        if args.band.is_full:
-            rec = cover_measure(q, args.tau, args.d, args.ad)
-        else:
-            rec = banded_cover_record(q, args.tau, args.d, args.ad, args.band)
+        rec = cover_measure(q, args.tau, args.d, args.ad, args.band)
         rows.append(
             (
                 rec.q,
                 rec.center_count,
-                rec.count_source,
                 f"{rec.measure_lo.numerator}/{rec.measure_lo.denominator}",
                 f"{rec.measure_hi.numerator}/{rec.measure_hi.denominator}",
             )
         )
     _emit(
         args,
-        ["q", "center_count", "count_source", "measure_lo", "measure_hi"],
+        ["q", "center_count", "measure_lo", "measure_hi"],
         rows,
         _echo_lines(args, tau=args.tau, d=args.d, ad=args.ad, band=args.band.format()),
     )
@@ -363,9 +355,14 @@ def _cmd_scan(args) -> None:
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    lo, hi = (int(x) for x in text.split(":"))
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--schedule takes LOEXP:HIEXP, two integers, got {text}") from None
+    if lo < 0:
+        raise ValueError(f"--schedule LOEXP:HIEXP needs LOEXP >= 0, got {text}")
     if lo > hi:
-        raise ValueError(f"schedule LOEXP:HIEXP needs LOEXP <= HIEXP, got {text}")
+        raise ValueError(f"--schedule LOEXP:HIEXP needs LOEXP <= HIEXP, got {text}")
     return geometric_schedule(lo, hi)
 
 

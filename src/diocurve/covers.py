@@ -1,6 +1,11 @@
 """Cover measures for the limsup interval families, gcd-banded center
 counts, certified tail sums, and the omega-weighted restricted series.
 
+Banded center counts come from one exact multiplicative closed form at
+every q (``banded_center_count``); enumeration stays in the test suite as
+its oracle.  The divisor-sum form, an upper bound that over-counts, is
+kept only as the documented reference ``divisor_sum_center_bound``.
+
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
 certifiably contains the true sum while denominators stay bounded (exact
@@ -23,9 +28,15 @@ from .arithmetic import (
     iroot,
     root_enclosure,
 )
-from .residues import power_residue_count, scaled_power_residue_count
+from .residues import (
+    _check_qd,
+    _phi_pp,
+    _u_pp,
+    _v_p,
+    power_residue_count,
+    scaled_power_residue_count,
+)
 
-DEFAULT_ORACLE_LIMIT = 10**4
 SUM_BITS = 96
 
 
@@ -97,16 +108,15 @@ class GcdBand:
 class CoverRecord:
     """Per-q cover data: center count and a certified measure enclosure.
 
-    measure_lo == measure_hi whenever tau is an integer.  count_source
-    records whether the center count came from enumeration ('oracle') or
-    from the closed-form/divisor-sum path ('formula').
+    center_count is the exact number of centers b/q^d in [0, 1) whose
+    numerator lies in a_d G_d(q) modulo q with gcd in the band.
+    measure_lo == measure_hi whenever tau is an integer.
     """
 
     q: int
     center_count: int
     measure_lo: Fraction
     measure_hi: Fraction
-    count_source: str
 
     def __post_init__(self):
         if self.measure_lo > self.measure_hi:
@@ -119,9 +129,16 @@ def _measure_enclosure(count: int, q: int, tau: Fraction, bits: int) -> tuple[Fr
 
 
 def cover_measure(
-    q: int, tau: Rational, d: int, a_d: int, *, bits: int = SUM_BITS
+    q: int,
+    tau: Rational,
+    d: int,
+    a_d: int,
+    band: GcdBand = GcdBand.full(),
+    *,
+    bits: int = SUM_BITS,
 ) -> CoverRecord:
-    """Formula measure 2 * r_d(q~) * q^(d-1) / q^tau of the q-th cover layer.
+    """Formula measure 2 * c * q^(d-1) / q^tau of the q-th cover layer, where
+    c = banded_center_count(q, band, d, a_d) (r_d(q~) for the full band).
 
     Requires tau > d (below that the layers stop being unions of short
     intervals).  For small q the intervals may overlap or spill out of
@@ -131,13 +148,13 @@ def cover_measure(
     tau = Fraction(tau)
     if tau <= d:
         raise ValueError(f"cover measure needs tau > d, got tau={tau}, d={d}")
-    count = scaled_power_residue_count(q, d, a_d) * q ** (d - 1)
+    count = banded_center_count(q, band, d, a_d) * q ** (d - 1)
     lo, hi = _measure_enclosure(count, q, tau, bits)
-    return CoverRecord(q, count, lo, hi, "formula")
+    return CoverRecord(q, count, lo, hi)
 
 
 def exact_union_measure(
-    q: int, tau: int, d: int, a_d: int, *, limit: int = DEFAULT_ORACLE_LIMIT
+    q: int, tau: int, d: int, a_d: int, *, limit: int = 10**4
 ) -> tuple[Fraction, bool]:
     """True Lebesgue measure of the union of intervals of radius q^-tau
     around the admissible centers b/q^d, plus an overlap flag.
@@ -182,70 +199,44 @@ def exact_union_measure(
     return Fraction(total, q**tau), overlap
 
 
-@dataclass(frozen=True)
-class BandedCenterCount:
-    """Enumerated vs divisor-sum center counts for one modulus.
+def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
+    """#{b in a_d G_d(q) : gcd(b, q) in the band}, exactly, at every q.
 
-    The two disagree in general (q=12, d=2, a_d=1, band {2,3}: oracle 1,
-    formula 6); the oracle is ground truth, the formula is the upper
-    bound the series estimates use.  oracle is None above the
-    enumeration threshold.
+    Multiplicative per divisor: the residues with gcd(b, q) = g number
+    prod over p^k || q of N_p(v_p(g)), where N_p(k) = 1 (b = 0 mod p^k)
+    and, for s < k, N_p(s) = e_d(p^(k-s)) when s >= beta = min(v_p(a_d), k)
+    and d | s - beta, else 0.  Summed over the divisors g in the band;
+    divisors with a zero count are never tested for band membership.
+    The full band is r_d(q / gcd(q, a_d)).  Checked against enumeration
+    in the test suite.
     """
-
-    q: int
-    oracle: Optional[int]
-    formula: int
-
-
-def banded_center_count(
-    q: int,
-    band: GcdBand,
-    d: int,
-    a_d: int,
-    *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-) -> BandedCenterCount:
-    """Count residues b in a_d G_d(q) with gcd(b, q) in the band, two ways."""
     if band.is_full:
-        formula = scaled_power_residue_count(q, d, a_d)
-    else:
-        formula = sum(power_residue_count(q // a, d) for a in band.divisors_in(q))
-    oracle = None
-    if q <= oracle_limit:
-        arr = _kernels.residue_set(q, d, a_d)
-        oracle = sum(
-            1 for b in map(int, arr) if band.contains(math.gcd(b, q) if b else q, q)
-        )
-    return BandedCenterCount(q, oracle, formula)
+        return scaled_power_residue_count(q, d, a_d)  # validates as below
+    _check_qd(q, d)
+    if a_d == 0:
+        raise ValueError("a_d must be nonzero")
+    terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
+    for p, k in factorize(q).factors:
+        beta = min(_v_p(abs(a_d), p), k)
+        counts = [
+            _phi_pp(p, k - s) // _u_pp(p, k - s, d)
+            if s >= beta and (s - beta) % d == 0
+            else 0
+            for s in range(k)
+        ] + [1]
+        terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
+    return sum(t for g, t in terms if band.contains(g, q))
 
 
-def banded_cover_record(
-    q: int,
-    tau: Rational,
-    d: int,
-    a_d: int,
-    band: GcdBand,
-    *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    bits: int = SUM_BITS,
-) -> CoverRecord:
-    """Cover record for the gcd-banded layer; oracle counts below the
-    threshold, divisor-sum formula above (source recorded)."""
-    tau = Fraction(tau)
-    if tau <= d:
-        raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
-    if band.is_full:
-        counts = banded_center_count(q, band, d, a_d, oracle_limit=0)
-        per_residue, source = counts.formula, "formula"
-    else:
-        counts = banded_center_count(q, band, d, a_d, oracle_limit=oracle_limit)
-        if counts.oracle is not None:
-            per_residue, source = counts.oracle, "oracle"
-        else:
-            per_residue, source = counts.formula, "formula"
-    count = per_residue * q ** (d - 1)
-    lo, hi = _measure_enclosure(count, q, tau, bits)
-    return CoverRecord(q, count, lo, hi, source)
+def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
+    """The divisor-sum count sum_{a | q in band} r_d(q / a) for a_d = 1.
+
+    Over-counts the banded centers: at q=12, d=2 and divisors {2, 3} in
+    the band it gives r_2(6) + r_2(4) = 6 where enumeration (and
+    banded_center_count) give 1.  Only an upper bound; kept as a
+    regression reference, with no production caller.
+    """
+    return sum(power_residue_count(q // a, d) for a in band.divisors_in(q))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +286,10 @@ def tail_sum(
     Q: int,
     band: GcdBand,
     *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     bits: int = SUM_BITS,
 ) -> tuple[Fraction, Fraction]:
     """Certified interval containing sum_{q=N..Q} of the per-q layer measure
-    2 * count(q) * q^(d-1) / q^tau under the band's count source policy.
+    2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...).
 
     Empty range (N > Q) sums to zero.  Monotone nondecreasing in Q.
     """
@@ -309,11 +299,7 @@ def tail_sum(
     u, v = tau.numerator, tau.denominator
     acc = IntervalSum(bits)
     for q in range(N, Q + 1):
-        if band.is_full:
-            per_residue = scaled_power_residue_count(q, d, a_d)
-        else:
-            rec = banded_center_count(q, band, d, a_d, oracle_limit=oracle_limit)
-            per_residue = rec.oracle if rec.oracle is not None else rec.formula
+        per_residue = banded_center_count(q, band, d, a_d)
         if per_residue == 0:
             continue
         acc.add_ratio_with_root(2 * per_residue * q ** (d - 1), q, u, v)

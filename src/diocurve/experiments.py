@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .arithmetic import Rational, iroot
 from .counting import AlphaValue, CountCurve, HitFlags, find_hits, required_alpha_bits
-from .covers import DEFAULT_ORACLE_LIMIT, GcdBand, IntervalSum, tail_sum
+from .covers import GcdBand, IntervalSum, tail_sum
 from .curve import IntPolynomial
 from .residues import count_solutions
 
@@ -110,8 +110,6 @@ class ExperimentConfig:
             "alpha_count": self.alpha_count,
             "alpha_bits": self.alpha_bits or "auto",
             "seed": self.seed,
-            "oracle_limit": DEFAULT_ORACLE_LIMIT,
-            "count_source_policy": f"oracle for q <= {DEFAULT_ORACLE_LIMIT}, formula above",
             **extra,
         }
         return [f"# {k} = {v}" for k, v in items.items()]

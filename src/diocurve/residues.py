@@ -7,7 +7,9 @@ Every closed-form count here ships with a brute-force enumeration twin in
 the test suite checks them against exhaustive enumeration below a large
 threshold.  Enumeration is authoritative throughout: one classical-looking
 count fails it (kept as ``zero_class_count_alt`` for regression), as does
-the divisor-sum banded count in ``covers``.
+the divisor-sum banded count (``covers.divisor_sum_center_bound``).  The
+per-prime-power helpers below also give ``covers.banded_center_count``
+its e_d factors.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from diocurve.arithmetic import (
     frac_lt_qpow,
 )
 from diocurve.counting import AlphaValue, find_hits
-from diocurve.covers import GcdBand, banded_center_count
+from diocurve.covers import GcdBand, banded_center_count, divisor_sum_center_bound
 from diocurve.curve import (
     IntPolynomial,
     derivative_sup_bound,
@@ -331,8 +331,12 @@ def test_criterion_10_emptiness_above_threshold():
 def test_criterion_11_documented_discrepancies():
     t0 = time.time()
     band = GcdBand(Fraction(1, 4), Fraction(1, 5))  # divisors {2, 3} of 12
-    rec = banded_center_count(12, band, 2, 1)
-    count_ok = rec.oracle == 1 and rec.formula == 6
+    enumerated = sum(
+        1 for b in _kernels.residue_set(12, 2, 1).tolist() if band.contains(math.gcd(b, 12), 12)
+    )
+    closed = banded_center_count(12, band, 2, 1)
+    divisor_sum = divisor_sum_center_bound(12, band, 2)
+    count_ok = enumerated == closed == 1 and divisor_sum == 6
     zero_enum = count_solutions(0, 8, 2, 1)
     zero_alt = zero_class_count_alt(2, 3, 2, 1)
     zero_ok = zero_enum == 2 and zero_alt == 4
@@ -340,7 +344,8 @@ def test_criterion_11_documented_discrepancies():
         11,
         count_ok and zero_ok and time.time() - t0 <= 1,
         "documented discrepancies reproduced",
-        f"banded q=12: oracle={rec.oracle} vs formula={rec.formula}; "
+        f"banded q=12: enumeration={enumerated} = closed form={closed} "
+        f"vs divisor sum={divisor_sum}; "
         f"zero class q=8: enumeration={zero_enum} vs displayed form={zero_alt}",
     )
 

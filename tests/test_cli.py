@@ -70,8 +70,8 @@ def test_cover_example(capsys):
     assert main(["cover", "--tau", "3", "--d", "2", "--ad", "1", "--q", "5"]) == 0
     lines = body(capsys.readouterr().out)
     assert lines == [
-        "q,center_count,count_source,measure_lo,measure_hi",
-        "5,15,formula,6/25,6/25",
+        "q,center_count,measure_lo,measure_hi",
+        "5,15,6/25,6/25",
     ]
 
 
@@ -143,10 +143,31 @@ def test_precondition_errors_exit_2(capsys):
         (["cover", "--tau", "3", "--d", "2", "--qlo", "5"], "need --q or both --qlo and --qhi"),
         (["experiment", "--kind", "threshold", "--taus", "3", "--schedule", "9:4"],
          "needs LOEXP <= HIEXP, got 9:4"),
+        (["experiment", "--kind", "threshold", "--taus", "3", "--schedule", "9"],
+         "--schedule takes LOEXP:HIEXP, two integers, got 9"),
+        (["experiment", "--kind", "threshold", "--taus", "3", "--schedule=-1:3"],
+         "--schedule LOEXP:HIEXP needs LOEXP >= 0, got -1:3"),
         (["experiment", "--kind", "svolume", "--qmax", "0"], "qmax must be >= 1"),
+        (["residues", "--qlo", "6", "--qhi", "5", "--d", "2"], "need --qlo <= --qhi, got 6 > 5"),
+        (["cover", "--tau", "3", "--d", "2", "--qlo", "6", "--qhi", "5"],
+         "need --qlo <= --qhi, got 6 > 5"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+def test_banded_cover_validates_like_full(capsys):
+    for band in ("1/4,1/4", "full"):
+        base = ["cover", "--tau", "3", "--band", band]
+        for extra, message in (
+            (["--d", "2", "--q", "12", "--ad", "0"], "a_d must be nonzero"),
+            (["--d", "2", "--q", "0"], "modulus must be >= 1"),
+            (["--d", "1", "--q", "12"], "power degree must be >= 2"),
+        ):
+            assert main(base + extra) == 2
+            assert message in capsys.readouterr().err
+    assert main(["cover", "--tau", "3", "--d", "2", "--q", "12", "--band", "1/4,1/4"]) == 0
+    assert body(capsys.readouterr().out)[1] == "12,12,1/72,1/72"  # 1 class x 12
 
 
 def test_threads_below_one_rejected(capsys):

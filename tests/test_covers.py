@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from diocurve import _kernels
 from diocurve.arithmetic import (
     cmp_frac_qpow,
     divisor_count,
@@ -13,8 +15,8 @@ from diocurve.covers import (
     GcdBand,
     IntervalSum,
     banded_center_count,
-    banded_cover_record,
     cover_measure,
+    divisor_sum_center_bound,
     euler_product_partial,
     exact_union_measure,
     restricted_series_partial,
@@ -95,26 +97,57 @@ def test_exact_union_detects_overlap_below_threshold():
         assert exact < formula
 
 
+def _gcd_classes(q, d, a_d):
+    """Brute-force oracle: (g, #{b in a_d G_d(q) : gcd(b, q) = g}) pairs."""
+    gcds, counts = np.unique(np.gcd(_kernels.residue_set(q, d, a_d), q), return_counts=True)
+    return list(zip(gcds.tolist(), counts.tolist()))
+
+
+def test_banded_center_count_matches_enumeration():
+    bands = [GcdBand.full()] + [
+        GcdBand.parse(t) for t in ("0,1/2", "1/4,1/4", "1/4,1/5", "1/2,1/4", "1/2,1/2")
+    ]
+    cases = [(q, 2, 1) for q in range(1, 3001)] + [
+        (q, d, a_d)
+        for q in range(1, 401)
+        for d in (2, 3, 4)
+        for a_d in (1, -1, 2, -6, 12)
+        if (d, a_d) != (2, 1)
+    ]
+    in_band = {}  # (band index, q, g) -> band.contains(g, q), one call each
+    for q, d, a_d in cases:
+        classes = _gcd_classes(q, d, a_d)
+        for i, band in enumerate(bands):
+            expected = 0
+            for g, n in classes:
+                if (i, q, g) not in in_band:
+                    in_band[i, q, g] = band.contains(g, q)
+                expected += n * in_band[i, q, g]
+            count = banded_center_count(q, band, d, a_d)
+            assert type(count) is int
+            assert count == expected, (q, band.format(), d, a_d)
+
+
 def test_banded_center_count_examples():
     band = GcdBand(Fraction(1, 4), Fraction(1, 5))  # divisors {2,3} of 12
-    rec = banded_center_count(12, band, 2, 1)
-    assert rec.oracle == 1  # only b = 9 (gcd 3)
-    assert rec.formula == 6  # r_2(6) + r_2(4) = 4 + 2
-    full = banded_center_count(7, GcdBand.full(), 2, 1)
-    assert full.oracle == full.formula == 4
+    in_band = [(g, n) for g, n in _gcd_classes(12, 2, 1) if band.contains(g, 12)]
+    assert in_band == [(3, 1)]  # only b = 9
+    assert banded_center_count(12, band, 2, 1) == 1
+    assert divisor_sum_center_bound(12, band, 2) == 6  # r_2(6) + r_2(4) = 4 + 2
+    assert banded_center_count(7, GcdBand.full(), 2, 1) == 4
     b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))  # divisor {2} of 4
-    rec4 = banded_center_count(4, b2, 2, 1)
-    assert rec4.oracle == 0  # squares mod 4 = {0,1}: gcds 4 and 1
-    assert rec4.formula == power_residue_count(2, 2)
+    assert banded_center_count(4, b2, 2, 1) == 0  # squares mod 4 = {0,1}: gcds 4 and 1
+    assert divisor_sum_center_bound(4, b2, 2) == power_residue_count(2, 2)
 
 
-def test_banded_cover_record_source_switch():
+def test_banded_center_count_validates():
     band = GcdBand(Fraction(1, 4), Fraction(1, 4))
-    rec_small = banded_cover_record(12, 3, 2, 1, band, oracle_limit=100)
-    assert rec_small.count_source == "oracle"
-    rec_big = banded_cover_record(12, 3, 2, 1, band, oracle_limit=5)
-    assert rec_big.count_source == "formula"
-    assert rec_big.center_count >= rec_small.center_count  # formula over-counts
+    for q, d, a_d in ((12, 2, 0), (0, 2, 1), (12, 1, 1)):
+        for b in (band, GcdBand.full()):
+            with pytest.raises(ValueError):
+                banded_center_count(q, b, d, a_d)
+    with pytest.raises(ValueError):
+        cover_measure(12, 3, 2, 0, band)
 
 
 def test_tail_sum_single_term_and_empty():
@@ -145,12 +178,10 @@ def test_tail_sum_monotone_in_Q():
 
 def test_tail_sum_banded_uses_oracle_truth():
     band = GcdBand(Fraction(1, 4), Fraction(1, 5))
-    lo, hi = tail_sum(3, 2, 1, 12, 12, band, oracle_limit=100)
-    # oracle count 1 center-class: measure 2 * 1 * 12 / 12^3
+    lo, hi = tail_sum(3, 2, 1, 12, 12, band)
+    # exact count 1 center-class: measure 2 * 1 * 12 / 12^3
     expected = Fraction(2 * 12, 12**3)
     assert lo <= expected <= hi
-    lof, hif = tail_sum(3, 2, 1, 12, 12, band, oracle_limit=5)
-    assert lof >= 5 * lo  # formula path (6 classes) visibly over-counts
 
 
 def test_banded_sum_bound_chain():
@@ -191,7 +222,7 @@ def test_banded_lower_bound_counterexample():
     # and the lower-bound side of the chain cannot hold there
     band = GcdBand(Fraction(1, 4), Fraction(1, 4))
     assert band.divisors_in(7) == []
-    assert banded_center_count(7, band, 2, 1).formula == 0
+    assert divisor_sum_center_bound(7, band, 2) == 0
     assert cmp_frac_qpow(Fraction(0), 7, Fraction(1, 2)) < 0  # 0 < 7^(1/2)
 
 

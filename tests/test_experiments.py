@@ -77,7 +77,11 @@ def test_threshold_experiment_verdicts():
     assert "# experiment = threshold" in csv
     assert "# seed = 0" in csv
     assert "# library = diocurve" in csv
-    assert "# count_source_policy" in csv
+    # the config echo carries no count-policy lines: banded counts have one source
+    keys = [line[2:].split(" = ")[0] for line in csv.splitlines() if line.startswith("# ")]
+    assert keys[:8] == [
+        "library", "poly", "tau", "band", "alpha_count", "alpha_bits", "seed", "experiment",
+    ]
 
 
 def test_growth_experiment_median_slope():
