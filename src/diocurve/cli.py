@@ -190,14 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_qrange(args) -> None:
+    if args.qlo > args.qhi:
+        raise PreconditionError(f"need --qlo <= --qhi, got {args.qlo} > {args.qhi}")
+
+
 def _moduli(args) -> list[int]:
     """The single --q, or every q in [--qlo, --qhi]."""
     if args.q is not None:
         return [args.q]
     if args.qlo is None or args.qhi is None:
         raise PreconditionError("need --q or both --qlo and --qhi")
-    if args.qlo > args.qhi:
-        raise PreconditionError(f"need --qlo <= --qhi, got {args.qlo} > {args.qhi}")
+    _check_qrange(args)
     return list(range(args.qlo, args.qhi + 1))
 
 
@@ -284,6 +288,7 @@ def _cmd_cover(args) -> None:
     if args.mode == "tail":
         if args.qlo is None or args.qhi is None:
             raise PreconditionError("tail mode needs --qlo and --qhi")
+        _check_qrange(args)
         lo, hi = tail_sum(args.tau, args.d, args.ad, args.qlo, args.qhi, args.band)
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
         _emit(args, ["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo_lines(args))

@@ -5,8 +5,10 @@ Every hit predicate is decided in exact integer arithmetic: alpha is an
 exact rational (dyadic when randomly drawn, with enough bits that no
 scanned q can produce a boundary tie), and comparisons against q^(u/v)
 use the integer power rule.  The scan tests only the one or two integers
-b nearest q^d alpha whenever the approximation radius is below 1/2, and
-falls back to a full neighbourhood walk otherwise (q = 1, or tau <= d).
+b nearest q^d alpha whenever the approximation radius is below 1/2.
+Otherwise (q = 1, or tau <= d) one integer root gives the exact window of
+admissible b.  Band membership of each candidate's gcd is two integer
+comparisons against ``GcdBand.cuts(q)``.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -108,7 +110,22 @@ def _exact_hits(
     flags: HitFlags,
     p_witness_limit: int,
 ) -> list[ConstrainedHit]:
-    """All hits at the moduli qs (increasing), each decided exactly."""
+    """All hits at the moduli qs (increasing), each decided exactly.
+
+    With alpha = an/ad, t = q^d and tau = u/v, a numerator b is admissible
+    when D = |t an - b ad| satisfies D^v qu < rhs, where qu = q^max(u, 0)
+    and rhs = (ad t)^v q^max(-u, 0).  Below radius 1/2 only the two b
+    nearest t alpha can be admissible, and each is tested.  Otherwise (the
+    wide regime: q = 1, or tau <= d) the admissible b form one window.
+    dmax = iroot((rhs - 1) // qu, v) is the largest integer D with
+    D^v qu < rhs, because D^v qu < rhs <=> D^v qu <= rhs - 1 <=>
+    D^v <= (rhs - 1) // qu.  So b is admissible exactly when
+    t an - dmax <= b ad <= t an + dmax, that is when b lies in
+    [ceil((t an - dmax) / ad), floor((t an + dmax) / ad)].
+
+    Each admissible b is kept when gcd(b, q) lies between the cuts of
+    ``band.cuts(q)``; FULL's cuts admit every gcd.
+    """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
@@ -120,41 +137,24 @@ def _exact_hits(
             continue
         t = q**d
         num = t * an
-        b0, rem = divmod(num, ad)
         rhs = (ad * t) ** v * q ** max(0, -u)
         qu = q ** max(0, u)
-
-        def admissible(dist_num: int) -> bool:
-            # |alpha - b/t| < q^(-u/v)  <=>  dist^v q^u < (ad t)^v
-            return dist_num**v * qu < rhs
-
-        # radius >= 1/2 forces a widening walk; detected exactly:
+        # radius >= 1/2 can admit more than b0 and b0 + 1; decided exactly:
         # q^(d - tau) >= 1/2  <=>  2^v q^(dv - u) >= 1
-        wide = q == 1 or (
-            2**v * q ** (d * v - u) >= 1 if d * v >= u else 2**v >= q ** (u - d * v)
-        )
-        candidates: list[tuple[int, int]] = []
-        if wide:
-            b = b0
-            dist = rem
-            while admissible(dist):
-                candidates.append((b, dist))
-                b -= 1
-                dist += ad
-            b = b0 + 1
-            dist = ad - rem
-            while admissible(dist):
-                candidates.append((b, dist))
-                b += 1
-                dist += ad
+        if d * v >= u or 2**v >= q ** (u - d * v):
+            dmax = iroot((rhs - 1) // qu, v)
+            candidates = range(-((dmax - num) // ad), (num + dmax) // ad + 1)
         else:
-            if admissible(rem):
-                candidates.append((b0, rem))
-            if admissible(ad - rem):
-                candidates.append((b0 + 1, ad - rem))
-        for b, dist in sorted(candidates):
+            b0, rem = divmod(num, ad)
+            candidates = [
+                b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs
+            ]
+        if not candidates:
+            continue
+        lo, hi = band.cuts(q)
+        for b in candidates:
             g = math.gcd(b, q)  # gcd(0, q) = q by convention
-            if not band.contains(g, q):
+            if not lo <= g < hi:
                 continue
             if not residue_test(b % q, q, d, a_d):
                 continue
@@ -171,7 +171,7 @@ def _exact_hits(
                         ),
                         None,
                     )
-            hits.append(ConstrainedHit(q, b, p, Fraction(dist, ad * t), g))
+            hits.append(ConstrainedHit(q, b, p, Fraction(abs(num - b * ad), ad * t), g))
     return hits
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import _kernels
 from .arithmetic import (
     Rational,
-    cmp_frac_qpow,
     divisors,
     factorize,
     iroot,
@@ -40,12 +40,23 @@ from .residues import (
 SUM_BITS = 96
 
 
+def _ceil_qpow(q: int, x: Fraction) -> int:
+    """ceil(q^x) for q >= 1 and x >= 0: one integer root and an exactness
+    check."""
+    n, v = q**x.numerator, x.denominator
+    r = iroot(n, v)
+    return r if r**v == n else r + 1
+
+
 @dataclass(frozen=True)
 class GcdBand:
     """The constraint q^eps <= gcd(b, q) < q^(eps+delta), or FULL (none).
 
-    Band membership is decided exactly via the integer power rule; the
-    exponents are rationals in [0, 1] with eps + delta <= 1.
+    The exponents are rationals in [0, 1] with eps + delta <= 1.  Band
+    membership is decided in integers through the cuts of ``cuts(q)``:
+    for an integer g, q^eps <= g < q^(eps+delta) holds exactly when
+    ceil(q^eps) <= g < ceil(q^(eps+delta)).  The hit scan and the banded
+    center count compare each gcd against the cuts.
     """
 
     eps: Optional[Fraction]
@@ -87,21 +98,38 @@ class GcdBand:
     def is_full(self) -> bool:
         return self.eps is None
 
+    @cached_property
+    def _upper(self) -> Fraction:
+        # eps + delta, worked out once per band
+        return self.eps + self.delta
+
+    def cuts(self, q: int) -> tuple[int, int]:
+        """(lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) for q >= 1, so that
+        an integer g is in the band exactly when lo <= g < hi.
+
+        g >= q^eps holds for an integer g exactly when g >= ceil(q^eps).
+        g < x holds exactly when g < ceil(x): if x is an integer the two
+        are the same, otherwise g < x means g <= floor(x) = ceil(x) - 1.
+        FULL gives (1, q + 1), which holds every gcd(b, q) in [1, q].
+        """
+        if self.is_full:
+            return 1, q + 1
+        return _ceil_qpow(q, self.eps), _ceil_qpow(q, self._upper)
+
     def contains(self, g: int, q: int) -> bool:
         """Is gcd value g admissible for modulus q?"""
         if self.is_full:
             return True
-        return (
-            cmp_frac_qpow(Fraction(g), q, self.eps) >= 0
-            and cmp_frac_qpow(Fraction(g), q, self.eps + self.delta) < 0
-        )
+        lo, hi = self.cuts(q)
+        return lo <= g < hi
 
     def divisors_in(self, q: int) -> list[int]:
         """Divisors a of q with q^eps <= a < q^(eps+delta); all of them if FULL."""
         ds = divisors(factorize(q))
         if self.is_full:
             return ds
-        return [a for a in ds if self.contains(a, q)]
+        lo, hi = self.cuts(q)
+        return [a for a in ds if lo <= a < hi]
 
 
 @dataclass(frozen=True)
@@ -225,7 +253,8 @@ def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
             for s in range(k)
         ] + [1]
         terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
-    return sum(t for g, t in terms if band.contains(g, q))
+    lo, hi = band.cuts(q)
+    return sum(t for g, t in terms if lo <= g < hi)
 
 
 def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:

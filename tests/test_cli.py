@@ -151,6 +151,8 @@ def test_precondition_errors_exit_2(capsys):
         (["residues", "--qlo", "6", "--qhi", "5", "--d", "2"], "need --qlo <= --qhi, got 6 > 5"),
         (["cover", "--tau", "3", "--d", "2", "--qlo", "6", "--qhi", "5"],
          "need --qlo <= --qhi, got 6 > 5"),
+        (["cover", "--mode", "tail", "--tau", "3", "--d", "2", "--qlo", "6", "--qhi", "5"],
+         "need --qlo <= --qhi, got 6 > 5"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

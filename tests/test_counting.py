@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -304,6 +305,84 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
             alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags(), 2000
         )
         assert got == expected, qmax
+
+
+def cmp_band(band):
+    """Band membership by two cmp_frac_qpow tests, one pair per (g, q)."""
+    from diocurve.arithmetic import cmp_frac_qpow
+
+    if band.is_full:
+        return lambda g, q: True
+    upper = band.eps + band.delta
+
+    @functools.lru_cache(maxsize=None)
+    def inside(g, q):
+        return cmp_frac_qpow(g, q, band.eps) >= 0 and cmp_frac_qpow(g, q, upper) < 0
+
+    return inside
+
+
+def walk_hits(alpha, d, a_d, tau, inside, qmax, flags):
+    """Oracle: the neighbourhood walk, stepping b down from floor(q^d alpha)
+    and up from the next integer while |alpha - b/q^d| < q^-tau, with the
+    band decided by inside(g, q); no solution witnesses (p is None)."""
+    from diocurve.arithmetic import distinct_prime_count, factorize
+    from diocurve.curve import ConstrainedHit
+
+    test = is_primitive_power_residue if flags.primitive_only else is_power_residue
+    an, ad = alpha.numerator, alpha.denominator
+    u, v = tau.numerator, tau.denominator
+    hits = []
+    for q in range(1, qmax + 1):
+        if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
+            continue
+        if flags.omega_max is not None and distinct_prime_count(factorize(q)) > flags.omega_max:
+            continue
+        t = q**d
+        b0, rem = divmod(t * an, ad)
+        rhs = (ad * t) ** v
+        candidates = []
+        for b, dist, step in ((b0, rem, -1), (b0 + 1, ad - rem, 1)):
+            while dist**v * q**u < rhs:
+                candidates.append((b, dist))
+                b += step
+                dist += ad
+        for b, dist in sorted(candidates):
+            g = math.gcd(b, q)
+            if inside(g, q) and test(b % q, q, d, a_d):
+                hits.append(ConstrainedHit(q, b, None, Fraction(dist, ad * t), g))
+    return hits
+
+
+def test_exact_hits_matches_neighbourhood_walk():
+    # the exact window and the cuts filter against the old walk,
+    # every q from 1 (always wide) to qmax; tau = d sits on the regime edge
+    # and tau = 5/2 > 2 is narrow for d = 2
+    alphas = (
+        Fraction(0),
+        Fraction(1),
+        Fraction(5741, 9973),
+        Fraction(random.Random(20131306).getrandbits(128) | 1, 1 << 128),
+    )
+    bands = [FULL] + [GcdBand.parse(t) for t in ("1/4,1/4", "0,1/2", "1/3,2/3", "1/2,1/4")]
+    combos = [
+        HitFlags(p, c, m)
+        for p in (False, True)
+        for c in (False, True)
+        for m in (None, 2)
+    ]
+    for band in bands:
+        inside = cmp_band(band)
+        for d, qmax in ((2, 30), (3, 10)):
+            for tau in (Fraction(3, 2), Fraction(7, 4), d - Fraction(1, 3), Fraction(d), Fraction(5, 2)):
+                for a_d in (1, -1, 2, -6):
+                    for alpha in alphas:
+                        for flags in combos:
+                            got = _exact_hits(
+                                alpha, d, a_d, tau, band, range(1, qmax + 1), flags, 0
+                            )
+                            expected = walk_hits(alpha, d, a_d, tau, inside, qmax, flags)
+                            assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
 
 
 def test_corollary_search_statistic():

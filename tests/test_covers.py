@@ -9,6 +9,7 @@ from diocurve.arithmetic import (
     cmp_frac_qpow,
     divisor_count,
     distinct_prime_count,
+    divisors,
     factorize,
 )
 from diocurve.covers import (
@@ -50,6 +51,44 @@ def test_band_membership_exact():
     b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
     assert b2.contains(4, 16)  # 16^(1/2) = 4 exactly
     assert not b2.contains(8, 16)  # 16^(3/4) = 8 excluded
+
+
+CUT_BANDS = ("1/2,1/4", "1/4,1/5", "0,1/2", "1/3,2/3", "1/4,1/4", "0,1")
+
+
+def _old_contains(band, g, q):
+    return (
+        cmp_frac_qpow(g, q, band.eps) >= 0
+        and cmp_frac_qpow(g, q, band.eps + band.delta) < 0
+    )
+
+
+def test_band_cuts_match_cmp_frac_qpow():
+    # for every g in 0..q+1, lo <= g < hi equals the two cmp_frac_qpow tests
+    for text in CUT_BANDS:
+        band = GcdBand.parse(text)
+        upper = band.eps + band.delta
+        for q in range(1, 3001):
+            lo, hi = band.cuts(q)
+            assert 1 <= lo <= hi <= q + 1, (text, q)
+            # cmp_frac_qpow(g, q, x) is nondecreasing in g, so the sign
+            # changes at lo - 1 | lo and at hi - 1 | hi pin it at every g
+            assert cmp_frac_qpow(lo, q, band.eps) >= 0, (text, q)
+            assert cmp_frac_qpow(lo - 1, q, band.eps) < 0, (text, q)
+            assert cmp_frac_qpow(hi, q, upper) >= 0, (text, q)
+            assert cmp_frac_qpow(hi - 1, q, upper) < 0, (text, q)
+            if q <= 200:  # and every g, one by one, and divisors_in's filter
+                for g in range(q + 2):
+                    inside = lo <= g < hi
+                    assert inside == _old_contains(band, g, q) == band.contains(g, q), (
+                        text, q, g,
+                    )
+                expected = [a for a in divisors(factorize(q)) if _old_contains(band, a, q)]
+                assert band.divisors_in(q) == expected, (text, q)
+    b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
+    assert b2.cuts(16) == (4, 8)  # 16^(1/2) = 4 and 16^(3/4) = 8 exactly
+    assert b2.cuts(17) == (5, 9)
+    assert GcdBand.full().cuts(12) == (1, 13)
 
 
 def test_cover_measure_examples():
