@@ -1,8 +1,9 @@
 """Enumeration kernels, vectorised with numpy.
 
 The hot inner loops of this package (smallest-prime-factor sieve, brute
-enumeration of d-th power residue sets, omega tables) are integer-only
-and fit in int64 for every modulus the library accepts.
+enumeration of one d-th power residue set, omega tables) are integer-only
+and fit in int64 for every modulus the library accepts.  The brute-force
+count twins of the closed forms live with the tests (tests/oracles.py).
 
 Everything exact and big-integer (rational scans, Hensel lifts, certified
 interval sums) lives outside this module in plain Python.
@@ -35,7 +36,7 @@ def spf_sieve(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# d-th power residue enumeration (oracle side of every closed-form count)
+# d-th power residue enumeration
 
 
 def _powmod(base: np.ndarray, exp: int, q: int) -> np.ndarray:
@@ -49,40 +50,11 @@ def _powmod(base: np.ndarray, exp: int, q: int) -> np.ndarray:
     return x
 
 
-def residue_profiles(qlo: int, qhi: int, d: int):
-    """Brute-force (u, e, r) triples for every modulus in [qlo, qhi].
-
-    u counts solutions of m^d = 1, e counts distinct d-th powers of
-    units, r counts distinct d-th powers, all modulo q.
-    """
-    n = qhi - qlo + 1
-    u = np.zeros(n, dtype=np.int64)
-    e = np.zeros(n, dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        q = qlo + idx
-        m = np.arange(q, dtype=np.int64)
-        x = _powmod(m, d, q)
-        r[idx] = np.unique(x).size
-        xu = x[np.gcd(m, np.int64(q)) == 1]
-        e[idx] = np.unique(xu).size
-        u[idx] = int(np.count_nonzero(xu == (1 % q)))
-    return u, e, r
-
-
 def residue_set(q: int, d: int, ad: int = 1) -> np.ndarray:
     """Sorted array of {ad * m^d mod q : m in Z/qZ}, by enumeration."""
     m = np.arange(q, dtype=np.int64)
     x = _powmod(m, d, q)
     return np.unique((ad % q) * x % q)
-
-
-def scaled_counts(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
-    """|{ad * m^d mod q}| for every q in [qlo, qhi], by enumeration."""
-    return np.array(
-        [residue_set(q, d, ad).size for q in range(qlo, qhi + 1)],
-        dtype=np.int64,
-    )
 
 
 # ---------------------------------------------------------------------------

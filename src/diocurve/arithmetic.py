@@ -234,27 +234,47 @@ def divisors_in_range(
 # exact handling of rational-exponent powers
 
 
+def _root_seed(n: int, k: int) -> int:
+    """An integer near n^(1/k) for n >= 2^52, k >= 3: the float root of n's
+    top 52 bits, scaled by ldexp to keep about 45 bits before truncation."""
+    shift = n.bit_length() - 52
+    shift += (-shift) % k
+    s = shift // k
+    t = min(s, 45)
+    # + 1 keeps the float root >= 1 when k outgrows the top bits
+    return int(math.ldexp(((n >> shift) + 1) ** (1.0 / k), t)) << (s - t)
+
+
 def iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) in exact integers, n >= 0, k >= 1."""
+    """floor(n ** (1/k)) in exact integers, n >= 0, k >= 1.
+
+    Below 2^52, n is an exact float and its float root is within one of
+    the answer.  Above, the seed is the float root of n's top bits, scaled
+    by ldexp before it is truncated, so it keeps about 45 significant bits
+    (truncating first would keep only about 52/k).  That seed is only a
+    hint: one Newton step from any x >= 1 lands at or above
+    r = floor(n^(1/k)), because by AM-GM ((k-1) x + n / x^(k-1)) / k >=
+    n^(1/k), and flooring n / x^(k-1) first does not change the floor of
+    that mean.  From at or above r the integer Newton steps strictly
+    decrease until they reach r.  Either way the final loops make
+    x^k <= n < (x+1)^k hold exactly.
+    """
     if n < 0 or k < 1:
         raise ValueError("iroot requires n >= 0 and k >= 1")
     if k == 1 or n == 0:
         return n
     if k == 2:
         return math.isqrt(n)
-    bl = n.bit_length()
-    if bl <= 52:
-        x = int(n ** (1.0 / k)) + 1
+    if n.bit_length() <= 52:
+        x = int(n ** (1.0 / k))
     else:
-        shift = bl - 52
-        shift += (-shift) % k
-        x = (int(((n >> shift) + 1) ** (1.0 / k)) + 1) << (shift // k)
-    # Newton from above, then exact adjustment (float seed is only a hint)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+        x = _root_seed(n, k)
+        x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor(n^(1/k))
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
     while x**k > n:
         x -= 1
     while (x + 1) ** k <= n:

@@ -3,8 +3,11 @@ counts, certified tail sums, and the omega-weighted restricted series.
 
 Banded center counts come from one exact multiplicative closed form at
 every q (``banded_center_count``); enumeration stays in the test suite as
-its oracle.  The divisor-sum form, an upper bound that over-counts, is
-kept only as the documented reference ``divisor_sum_center_bound``.
+its oracle.  Full-band tail sums take their counts r_d(q / gcd(q, a_d))
+from a sieve-built table, one numpy block of at most 2^16 moduli at a
+time (``scaled_count_blocks``), instead of factorizing each q.  The
+divisor-sum form, an upper bound that over-counts, is kept only as the
+documented reference ``divisor_sum_center_bound``.
 
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
@@ -20,17 +23,22 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import _kernels
 from .arithmetic import (
+    DEFAULT_SIEVE_LIMIT,
     Rational,
     divisors,
     factorize,
+    get_sieve,
     iroot,
     root_enclosure,
 )
 from .residues import (
     _check_qd,
     _phi_pp,
+    _r_pp,
     _u_pp,
     _v_p,
     power_residue_count,
@@ -269,6 +277,89 @@ def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# full-band count table
+
+# Blocks are aligned to multiples of COUNT_BLOCK, so memory stays flat for
+# any range.  Below TABLE_QMAX the primes up to isqrt(q) come from a sieve
+# of at most DEFAULT_SIEVE_LIMIT, and every value the builder holds (q, its
+# cofactors, r_d(q~) <= q, the limb steps of ``_mod_each``) is below 2^63.
+COUNT_BLOCK = 1 << 16
+TABLE_QMAX = DEFAULT_SIEVE_LIMIT**2
+
+
+def _mod_each(a: int, m: np.ndarray) -> np.ndarray:
+    """a mod m elementwise for an integer a >= 0 of any size and 0 < m <
+    2^48: Horner over 15-bit limbs keeps every step below 2^63."""
+    r = np.zeros_like(m)
+    for shift in range(a.bit_length() // 15 * 15, -1, -15):
+        r = ((r << 15) | ((a >> shift) & 0x7FFF)) % m
+    return r
+
+
+def _count_block(lo: int, hi: int, d: int, a: int, primes, valuations) -> np.ndarray:
+    """r_d(q / gcd(q, a)) for q in [lo, hi]; primes ascend past isqrt(hi),
+    valuations[i] = v_p(a) at p = primes[i]."""
+    n = hi - lo + 1
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    count = np.ones(n, dtype=np.int64)
+    for p, v in zip(primes, valuations):
+        if p * p > hi:
+            break
+        start = (-lo) % p
+        if start >= n:
+            continue
+        # e[i] = v_p of the i-th multiple of p in the block, one slice per p^k
+        e = np.zeros(len(range(start, n, p)), dtype=np.int64)
+        pk, k = p, 0
+        while (s := (-lo) % pk) < n:
+            rem[s::pk] //= p
+            e[(s - start) // p :: pk // p] += 1
+            pk, k = pk * p, k + 1
+        # r_d at exponent e - min(e, v_p(a_d)), the p-part of q / gcd(q, a_d)
+        lut = np.array([_r_pp(p, max(j - v, 0), d) for j in range(k + 1)], dtype=np.int64)
+        count[start::p] *= lut[e]
+    # what is left above 1 is one prime P > isqrt(hi) to the first power
+    big = rem > 1
+    P = rem[big]
+    factor = 1 + (P - 1) // np.gcd(P - 1, d)
+    factor[_mod_each(a, P) == 0] = 1  # P | a_d: q~ loses P
+    count[big] *= factor
+    return count
+
+
+def scaled_count_blocks(N: int, Q: int, d: int, a_d: int):
+    """r_d(q / gcd(q, a_d)) for every q in [N, Q], as (first q, int64 array)
+    pairs over consecutive blocks of at most COUNT_BLOCK moduli.
+
+    Multiplicative: each prime p <= isqrt(q) of the shared sieve is divided
+    out of q with its exponent e and contributes _r_pp(p, e - min(e,
+    v_p(a_d)), d); the cofactor left is 1 or one prime P, which contributes
+    r_d(P) = 1 + (P-1)/gcd(P-1, d), or 1 when P | a_d.  Validates like
+    ``scaled_power_residue_count`` at q = N; an empty range yields nothing.
+    """
+    if N > Q:
+        return iter(())
+    _check_qd(N, d)
+    if a_d == 0:
+        raise ValueError("a_d must be nonzero")
+    if Q >= TABLE_QMAX:
+        raise ValueError(f"count table needs Q < 2^48, got {Q}")
+    return _count_blocks(N, Q, d, abs(a_d))
+
+
+def _count_blocks(N: int, Q: int, d: int, a: int):
+    root = math.isqrt(Q)
+    primes = get_sieve(root).primes
+    primes = primes[: np.searchsorted(primes, root, side="right")].tolist()
+    valuations = [_v_p(a, p) for p in primes]
+    lo = N
+    while lo <= Q:
+        hi = min(lo | (COUNT_BLOCK - 1), Q)
+        yield lo, _count_block(lo, hi, d, a, primes, valuations)
+        lo = hi + 1
+
+
+# ---------------------------------------------------------------------------
 # certified fixed-point accumulation
 
 
@@ -320,13 +411,20 @@ def tail_sum(
     """Certified interval containing sum_{q=N..Q} of the per-q layer measure
     2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...).
 
-    Empty range (N > Q) sums to zero.  Monotone nondecreasing in Q.
+    The full band takes its counts from ``scaled_count_blocks``, one table
+    per block; other bands count each q.  Empty range (N > Q) sums to
+    zero.  Monotone nondecreasing in Q.
     """
     tau = Fraction(tau)
     if tau <= d:
         raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
     u, v = tau.numerator, tau.denominator
     acc = IntervalSum(bits)
+    if band.is_full:
+        for lo, counts in scaled_count_blocks(N, Q, d, a_d):
+            for q, count in enumerate(map(int, counts), lo):
+                acc.add_ratio_with_root(2 * count * q ** (d - 1), q, u, v)
+        return acc.interval()
     for q in range(N, Q + 1):
         per_residue = banded_center_count(q, band, d, a_d)
         if per_residue == 0:
@@ -350,6 +448,8 @@ def restricted_series_partial(
         raise ValueError("z and s must be positive")
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    if n < 1:
+        raise ValueError(f"coprimality modulus n must be >= 1, got {n}")
     u, v = s.numerator, s.denominator
     omega = _kernels.omega_table(Q)
     coprime = bytearray([1]) * (Q + 1)

@@ -2,14 +2,15 @@
 and Hensel lifting for the congruence b = a_d * p^d.
 
 Closed forms are evaluated per prime power and combined multiplicatively.
-Every closed-form count here ships with a brute-force enumeration twin in
-``_kernels`` / ``power_residues``; the formulas are trusted only because
-the test suite checks them against exhaustive enumeration below a large
-threshold.  Enumeration is authoritative throughout: one classical-looking
-count fails it (kept as ``zero_class_count_alt`` for regression), as does
-the divisor-sum banded count (``covers.divisor_sum_center_bound``).  The
-per-prime-power helpers below also give ``covers.banded_center_count``
-its e_d factors.
+Every closed-form count here has a brute-force enumeration twin in the
+test suite's oracles (or ``power_residues``); the formulas are trusted
+only because the tests check them against exhaustive enumeration below a
+large threshold.  Enumeration is authoritative throughout: one
+classical-looking count fails it (kept as ``zero_class_count_alt`` for
+regression), as does the divisor-sum banded count
+(``covers.divisor_sum_center_bound``).  The per-prime-power helpers below
+also give ``covers.banded_center_count`` its e_d factors and
+``covers.scaled_count_blocks`` its r_d factors.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diocurve import _kernels
+from diocurve import _kernels, arithmetic
 from diocurve.arithmetic import (
     Factorization,
     cmp_frac_qpow,
@@ -190,6 +190,46 @@ def test_iroot_exact(n, k):
     x = iroot(n, k)
     assert x**k <= n
     assert (x + 1) ** k > n
+
+
+@given(st.integers(min_value=0, max_value=2**700), st.integers(min_value=3, max_value=9))
+@settings(max_examples=500, deadline=None)
+def test_iroot_exact_wide(n, k):
+    x = iroot(n, k)
+    assert x**k <= n < (x + 1) ** k
+
+
+def test_iroot_sum_operands():
+    # the operand shapes of the certified sums: q^u << (v * bits), v-th root
+    for u, v, bits in ((6, 5, 64), (7, 5, 64), (13, 4, 96), (10, 3, 96), (9, 7, 96)):
+        for q in range(1, 2**12 + 1):
+            n = q**u << (v * bits)
+            x = iroot(n, v)
+            assert x**v <= n < (x + 1) ** v, (q, u, v, bits)
+
+
+def test_iroot_exact_powers_and_neighbours():
+    rng = random.Random(7)
+    roots = [1, 2, 3, 2**26 - 1, 2**26, 2**45 + 1, 2**60 - 1, 3**40]
+    roots += [rng.getrandbits(b) | 1 for b in (20, 53, 90, 150, 230)]
+    for k in range(3, 10):
+        for x in roots:
+            n = x**k
+            assert iroot(n, k) == x, (x, k)
+            assert iroot(n - 1, k) == x - 1, (x, k)
+            assert iroot(n + 1, k) == x, (x, k)
+
+
+def test_iroot_from_a_seed_below_the_root(monkeypatch):
+    # one unconditional Newton step lifts any seed >= 1 to at or above the
+    # root (AM-GM), so a seed far below it still gives the exact floor
+    cases = [(q**6 << 320, 5) for q in (2, 97, 4093)] + [(3**200 + 1, 7), (10**50, 3)]
+    for below in (lambda r: 1, lambda r: max(r // 3, 1), lambda r: r - 1):
+        for n, k in cases:
+            r = iroot(n, k)
+            monkeypatch.setattr(arithmetic, "_root_seed", lambda n, k: below(r))
+            assert iroot(n, k) == r, (n, k)
+            monkeypatch.undo()
 
 
 def test_iroot_known():

@@ -153,6 +153,10 @@ def test_precondition_errors_exit_2(capsys):
          "need --qlo <= --qhi, got 6 > 5"),
         (["cover", "--mode", "tail", "--tau", "3", "--d", "2", "--qlo", "6", "--qhi", "5"],
          "need --qlo <= --qhi, got 6 > 5"),
+        (["cover", "--mode", "series", "--z", "2", "--s", "6/5", "--n", "-6", "--qmax", "100"],
+         "coprimality modulus n must be >= 1, got -6"),
+        (["cover", "--mode", "series", "--z", "2", "--s", "6/5", "--n", "0", "--qmax", "100"],
+         "coprimality modulus n must be >= 1, got 0"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -170,6 +174,19 @@ def test_banded_cover_validates_like_full(capsys):
             assert message in capsys.readouterr().err
     assert main(["cover", "--tau", "3", "--d", "2", "--q", "12", "--band", "1/4,1/4"]) == 0
     assert body(capsys.readouterr().out)[1] == "12,12,1/72,1/72"  # 1 class x 12
+
+
+def test_tail_validates_like_per_q_path(capsys):
+    # full band (counts from the table) and a band (counts per q) agree
+    for band in ("full", "1/4,1/4"):
+        base = ["cover", "--mode", "tail", "--tau", "3", "--band", band]
+        for extra, message in (
+            (["--d", "2", "--qlo", "1", "--qhi", "9", "--ad", "0"], "a_d must be nonzero"),
+            (["--d", "1", "--qlo", "1", "--qhi", "9"], "power degree must be >= 2, got 1"),
+            (["--d", "2", "--qlo", "0", "--qhi", "9"], "modulus must be >= 1, got 0"),
+        ):
+            assert main(base + extra) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_threads_below_one_rejected(capsys):

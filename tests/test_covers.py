@@ -13,6 +13,8 @@ from diocurve.arithmetic import (
     factorize,
 )
 from diocurve.covers import (
+    COUNT_BLOCK,
+    TABLE_QMAX,
     GcdBand,
     IntervalSum,
     banded_center_count,
@@ -21,9 +23,10 @@ from diocurve.covers import (
     euler_product_partial,
     exact_union_measure,
     restricted_series_partial,
+    scaled_count_blocks,
     tail_sum,
 )
-from diocurve.residues import power_residue_count
+from diocurve.residues import power_residue_count, scaled_power_residue_count
 
 
 def test_band_validation_and_parse():
@@ -195,6 +198,92 @@ def test_tail_sum_single_term_and_empty():
     assert lo <= rec.measure_lo <= hi
     assert hi - lo <= Fraction(2, 2**96)
     assert tail_sum(3, 2, 1, 9, 3, GcdBand.full()) == (0, 0)
+
+
+def _table(N, Q, d, a_d):
+    """The builder's counts over [N, Q] as one list, checking that the
+    blocks are consecutive, aligned to COUNT_BLOCK and int64."""
+    out = []
+    for lo, counts in scaled_count_blocks(N, Q, d, a_d):
+        assert lo == N + len(out)
+        assert lo == N or lo % COUNT_BLOCK == 0
+        assert counts.dtype == np.int64 and 0 < len(counts) <= COUNT_BLOCK
+        out += counts.tolist()
+    assert len(out) == max(Q - N + 1, 0)
+    return out
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_count_table_matches_closed_form(d):
+    ranges = (
+        (1, 3000),
+        (2**20 - 500, 2**20 + 500),
+        (COUNT_BLOCK - 300, COUNT_BLOCK + 300),  # a block boundary
+    )
+    for a_d in (1, -1, 2, -6, 8, 12, 30):
+        for N, Q in ranges:
+            expected = [scaled_power_residue_count(q, d, a_d) for q in range(N, Q + 1)]
+            assert _table(N, Q, d, a_d) == expected, (d, a_d, N, Q)
+
+
+def test_count_table_large_a_d_and_tiny_ranges():
+    # a_d beyond int64, with primes above isqrt(Q) that divide it
+    for a_d in (2**70 * 1000003, -(3**50) * 65537 * 65521):
+        for N, Q in ((1, 400), (65000, 66000)):
+            expected = [scaled_power_residue_count(q, 2, a_d) for q in range(N, Q + 1)]
+            assert _table(N, Q, 2, a_d) == expected, (a_d, N, Q)
+    for N, Q in ((1, 1), (1, 3), (2, 2), (7, 7), (5, 4)):
+        assert _table(N, Q, 3, 1) == [scaled_power_residue_count(q, 3, 1) for q in range(N, Q + 1)]
+
+
+def test_count_table_refuses_q_past_table_qmax():
+    with pytest.raises(ValueError, match="count table needs Q < 2"):
+        scaled_count_blocks(TABLE_QMAX - 5, TABLE_QMAX, 2, 1)
+    with pytest.raises(ValueError, match="count table needs Q < 2"):
+        tail_sum(3, 2, 1, TABLE_QMAX, TABLE_QMAX, GcdBand.full())
+
+
+def _per_q_tail_sum(tau, d, a_d, N, Q):
+    """Full-band tail sum with one closed-form count per q."""
+    acc = IntervalSum()
+    for q in range(N, Q + 1):
+        count = scaled_power_residue_count(q, d, a_d)
+        acc.add_ratio_with_root(2 * count * q ** (d - 1), q, tau.numerator, tau.denominator)
+    return acc.interval()
+
+
+def test_full_band_tail_sum_equals_per_q_sum():
+    # the threshold schedule 2^2..2^14 at the taus of the benchmark
+    for tau in (Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(9, 2)):
+        prev = 0
+        for e in range(2, 15):
+            Q = 1 << e
+            assert tail_sum(tau, 2, 1, prev + 1, Q, GcdBand.full()) == _per_q_tail_sum(
+                tau, 2, 1, prev + 1, Q
+            ), (tau, Q)
+            prev = Q
+    assert tail_sum(Fraction(13, 3), 3, -6, 1, 700, GcdBand.full()) == _per_q_tail_sum(
+        Fraction(13, 3), 3, -6, 1, 700
+    )
+
+
+def test_tail_sum_validates_like_per_q_path():
+    band = GcdBand(Fraction(1, 4), Fraction(1, 4))
+    for d, a_d, N, message in (
+        (2, 0, 1, "a_d must be nonzero"),
+        (1, 1, 1, "power degree must be >= 2, got 1"),
+        (2, 1, 0, "modulus must be >= 1, got 0"),
+        (2, 1, -3, "modulus must be >= 1, got -3"),
+    ):
+        with pytest.raises(ValueError) as per_q:
+            scaled_power_residue_count(N, d, a_d)
+        assert str(per_q.value) == message
+        for b in (GcdBand.full(), band):
+            with pytest.raises(ValueError) as raised:
+                tail_sum(3, d, a_d, N, 10, b)
+            assert str(raised.value) == message, b.format()
+        # an empty range sums to zero before any count is asked for
+        assert tail_sum(3, d, a_d, 11, 10, GcdBand.full()) == (0, 0)
 
 
 def test_tail_sum_three_terms_exact():
