@@ -1,9 +1,11 @@
 """Enumeration kernels, vectorised with numpy.
 
 The hot inner loops of this package (smallest-prime-factor sieve, brute
-enumeration of one d-th power residue set, omega tables) are integer-only
-and fit in int64 for every modulus the library accepts.  The brute-force
-count twins of the closed forms live with the tests (tests/oracles.py).
+enumeration of one d-th power residue set, the per-prime slice pass that
+factors one block of consecutive integers, and the omega table built on
+it) are integer-only and fit in int64 for every modulus the library
+accepts.  The brute-force count twins of the closed forms live with the
+tests (tests/oracles.py).
 
 Everything exact and big-integer (rational scans, Hensel lifts, certified
 interval sums) lives outside this module in plain Python.
@@ -58,14 +60,39 @@ def residue_set(q: int, d: int, ad: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# omega table (number of distinct prime factors for every n up to a limit)
+# block factoring: one slice per prime power over consecutive integers
 
 
-def omega_table(limit: int) -> np.ndarray:
-    """omega[n] = number of distinct prime factors of n, for n <= limit."""
-    w = np.zeros(limit + 1, dtype=np.uint8)
-    spf = spf_sieve(limit)
-    primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.int32))[0][2:]
+def prime_exponents(lo: int, rem: np.ndarray, primes):
+    """Factor the block rem = [lo, lo + len(rem)) (lo >= 1) by its small
+    primes: for each p of the ascending ``primes`` with p^2 <= the block's
+    last value and a multiple in the block, divide p^k out of rem and yield
+    (p, start, e), where rem[start::p] are the multiples of p and e[i] =
+    v_p of the i-th of them.  If primes run past the square root of the
+    last value, rem ends as 1 or one prime above it at every position."""
+    n = len(rem)
+    hi = lo + n - 1
     for p in primes:
-        w[p::p] += 1
+        if p * p > hi:
+            break
+        start = (-lo) % p
+        if start >= n:
+            continue
+        e = np.zeros(len(range(start, n, p)), dtype=np.int64)
+        pk = p
+        while (s := (-lo) % pk) < n:
+            rem[s::pk] //= p
+            e[(s - start) // p :: pk // p] += 1
+            pk *= p
+        yield p, start, e
+
+
+def omega_table(lo: int, hi: int, primes) -> np.ndarray:
+    """omega[i] = number of distinct prime factors of lo + i, for lo + i in
+    [lo, hi] with lo >= 1; primes ascend past isqrt(hi)."""
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    w = np.zeros(len(rem), dtype=np.uint8)
+    for p, start, _ in prime_exponents(lo, rem, primes):
+        w[start::p] += 1
+    w += rem > 1  # the prime left above isqrt(hi)
     return w

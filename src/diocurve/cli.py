@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +25,7 @@ from .curve import (
 )
 from .experiments import (
     ExperimentConfig,
+    Report,
     critical_band_experiment,
     geometric_schedule,
     growth_exponent_experiment,
@@ -33,7 +33,7 @@ from .experiments import (
     svolume_experiment,
     threshold_experiment,
 )
-from .residues import PowerResidueProfile, hensel_lift, power_residues
+from .residues import PowerResidueProfile, count_solutions, hensel_lift, power_residues
 
 _ECHO_KEYS = ("seed", "format")  # --threads has no effect, so it is not echoed
 
@@ -47,21 +47,16 @@ def _echo_lines(args, **extra) -> list[str]:
     return [f"# {k} = {v}" for k, v in items.items()]
 
 
-def _emit(args, header: list[str], rows: list[tuple], echo: list[str]) -> None:
-    out = []
-    out.extend(echo)
-    if args.format == "csv":
-        out.append(",".join(header))
-        out.extend(",".join(str(x) for x in row) for row in rows)
-    else:
-        out.extend(
-            json.dumps(dict(zip(header, row)), default=str) for row in rows
-        )
-    text = "\n".join(out) + "\n"
+def _write(args, text: str) -> None:
+    """Write a rendered report to --output, or to stdout."""
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, header: list[str], rows: list[tuple], echo: list[str]) -> None:
+    _write(args, Report(header, rows, echo).render(args.format))
 
 
 def _fraction(text: str) -> Fraction:
@@ -223,8 +218,6 @@ def _cmd_residues(args) -> None:
 
 def _cmd_congruence(args) -> None:
     if args.mode == "count":
-        from .residues import count_solutions
-
         d = args.d
         if d is None:
             raise PreconditionError("count mode needs --d")
@@ -416,11 +409,7 @@ def _cmd_experiment(args) -> None:
         report = stabilization_experiment(cfg, args.qlo, args.qhi)
         plot_key = None
         plot_cols = None
-    text = report.render(args.format)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, report.render(args.format))
     if args.dump_gnuplot and plot_cols:
         curves = report.gnuplot_columns(*plot_cols, key=plot_key)
         for label, data in curves.items():

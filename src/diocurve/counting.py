@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import Rational, factorize, iroot
+from .arithmetic import Rational, divisor_count, factorize, iroot
 from .covers import GcdBand
 from .curve import ConstrainedHit
 from .residues import (
@@ -51,14 +51,20 @@ class AlphaValue:
     @classmethod
     def dyadic_random(cls, seed: int, bits: int, index: int = 0) -> "AlphaValue":
         """Odd numerator over 2^bits; deterministic in (seed, index)."""
+        return cls.dyadic_randoms(seed, bits, index + 1)[index]
+
+    @classmethod
+    def dyadic_randoms(cls, seed: int, bits: int, count: int) -> list["AlphaValue"]:
+        """dyadic_random(seed, bits, index) for index = 0 .. count - 1, drawn
+        in order from one stream."""
         rng = random.Random(seed)
-        num = 0
-        for _ in range(index + 1):
-            num = rng.getrandbits(bits) | 1
-        return cls(
-            Fraction(num, 1 << bits),
-            f"dyadic-random(seed={seed}, bits={bits}, index={index})",
-        )
+        return [
+            cls(
+                Fraction(rng.getrandbits(bits) | 1, 1 << bits),
+                f"dyadic-random(seed={seed}, bits={bits}, index={index})",
+            )
+            for index in range(count)
+        ]
 
     @classmethod
     def named_constant(cls, name: str, bits: int) -> "AlphaValue":
@@ -345,8 +351,6 @@ def phi_psi_sums(
     Returns certified interval pairs ((phi_lo, phi_hi), (psi_lo, psi_hi));
     both are exact when the source is exact.
     """
-    from .arithmetic import divisor_count
-
     phi_lo = phi_hi = Fraction(0)
     psi_lo = psi_hi = Fraction(0)
     for q in range(1, Q + 1):

@@ -6,6 +6,8 @@ every q (``banded_center_count``); enumeration stays in the test suite as
 its oracle.  Full-band tail sums take their counts r_d(q / gcd(q, a_d))
 from a sieve-built table, one numpy block of at most 2^16 moduli at a
 time (``scaled_count_blocks``), instead of factorizing each q.  The
+omega-weighted series walks the same blocks and takes omega(q) from the
+same per-prime slice pass (``_kernels.prime_exponents``).  The
 divisor-sum form, an upper bound that over-counts, is kept only as the
 documented reference ``divisor_sum_center_bound``.
 
@@ -42,6 +44,7 @@ from .residues import (
     _u_pp,
     _v_p,
     power_residue_count,
+    power_residues,
     scaled_power_residue_count,
 )
 
@@ -202,8 +205,6 @@ def exact_union_measure(
     """
     if not isinstance(tau, int) or tau < 1:
         raise ValueError("exact_union_measure requires integer tau >= 1")
-    from .residues import power_residues
-
     residues = power_residues(q, d, a_d, limit=limit).elements
     scale = q ** (tau - d)  # center spacing unit in the q^-tau grid
     radius = 1  # one unit of q^-tau... scaled below
@@ -296,28 +297,15 @@ def _mod_each(a: int, m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _count_block(lo: int, hi: int, d: int, a: int, primes, valuations) -> np.ndarray:
-    """r_d(q / gcd(q, a)) for q in [lo, hi]; primes ascend past isqrt(hi),
-    valuations[i] = v_p(a) at p = primes[i]."""
-    n = hi - lo + 1
+def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
+    """r_d(q / gcd(q, a)) for q in [lo, hi]; primes ascend past isqrt(hi)."""
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    count = np.ones(n, dtype=np.int64)
-    for p, v in zip(primes, valuations):
-        if p * p > hi:
-            break
-        start = (-lo) % p
-        if start >= n:
-            continue
-        # e[i] = v_p of the i-th multiple of p in the block, one slice per p^k
-        e = np.zeros(len(range(start, n, p)), dtype=np.int64)
-        pk, k = p, 0
-        while (s := (-lo) % pk) < n:
-            rem[s::pk] //= p
-            e[(s - start) // p :: pk // p] += 1
-            pk, k = pk * p, k + 1
+    count = np.ones(len(rem), dtype=np.int64)
+    for p, start, e in _kernels.prime_exponents(lo, rem, primes):
         # r_d at exponent e - min(e, v_p(a_d)), the p-part of q / gcd(q, a_d)
-        lut = np.array([_r_pp(p, max(j - v, 0), d) for j in range(k + 1)], dtype=np.int64)
-        count[start::p] *= lut[e]
+        v = _v_p(a, p)
+        lut = [_r_pp(p, max(j - v, 0), d) for j in range(int(e.max()) + 1)]
+        count[start::p] *= np.array(lut, dtype=np.int64)[e]
     # what is left above 1 is one prime P > isqrt(hi) to the first power
     big = rem > 1
     P = rem[big]
@@ -344,18 +332,23 @@ def scaled_count_blocks(N: int, Q: int, d: int, a_d: int):
         raise ValueError("a_d must be nonzero")
     if Q >= TABLE_QMAX:
         raise ValueError(f"count table needs Q < 2^48, got {Q}")
-    return _count_blocks(N, Q, d, abs(a_d))
+    return (
+        (lo, _count_block(lo, hi, d, abs(a_d), primes))
+        for lo, hi, primes in _table_blocks(N, Q)
+    )
 
 
-def _count_blocks(N: int, Q: int, d: int, a: int):
+def _table_blocks(N: int, Q: int):
+    """(lo, hi, primes) for the blocks of at most COUNT_BLOCK moduli,
+    aligned to its multiples, that cover [N, Q] in order; primes are the
+    primes up to isqrt(Q), from the shared sieve."""
     root = math.isqrt(Q)
     primes = get_sieve(root).primes
     primes = primes[: np.searchsorted(primes, root, side="right")].tolist()
-    valuations = [_v_p(a, p) for p in primes]
     lo = N
     while lo <= Q:
         hi = min(lo | (COUNT_BLOCK - 1), Q)
-        yield lo, _count_block(lo, hi, d, a, primes, valuations)
+        yield lo, hi, primes
         lo = hi + 1
 
 
@@ -441,55 +434,42 @@ def restricted_series_partial(
     *,
     bits: int = 64,
 ) -> tuple[Fraction, Fraction]:
-    """Certified interval for sum_{q<=Q, gcd(q,n)=1} z^omega(q) / q^s."""
+    """Certified interval for sum_{q<=Q, gcd(q,n)=1} z^omega(q) / q^s, for
+    Q < TABLE_QMAX.  Walks the count table's blocks; with z = a/b and W =
+    Q.bit_length() > omega(q), each term adds a^w b^(W-w) / q^s with
+    outward rounding, and the total is divided exactly by b^W."""
     z = Fraction(z)
     s = Fraction(s)
     if z <= 0 or s <= 0:
         raise ValueError("z and s must be positive")
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    if Q >= TABLE_QMAX:
+        raise ValueError(f"omega series needs Q < 2^48, got {Q}")
     if n < 1:
         raise ValueError(f"coprimality modulus n must be >= 1, got {n}")
     u, v = s.numerator, s.denominator
-    omega = _kernels.omega_table(Q)
-    coprime = bytearray([1]) * (Q + 1)
-    for p, _ in factorize(n).factors:
-        coprime[p::p] = bytearray(len(range(p, Q + 1, p)))
-    wmax = int(omega.max()) if Q >= 2 else 0
-    znum = [z.numerator**w for w in range(wmax + 1)]
-    zden = [z.denominator**w for w in range(wmax + 1)]
+    W = Q.bit_length()
+    weight = [z.numerator**w * z.denominator ** (W - w) for w in range(W + 1)]
+    n_primes = [p for p, _ in factorize(n).factors]
 
     acc = IntervalSum(bits)
-    acc.lo += 1 << bits  # q = 1 term is exactly 1
-    acc.hi += 1 << bits
-    if v == 1:
-        shift = bits
-        for q in range(2, Q + 1):
-            if not coprime[q]:
-                continue
-            w = omega[q]
-            den = zden[w] * q**u
-            num = znum[w] << shift
-            acc.lo += num // den
-            acc.hi += -((-num) // den)
-    else:
-        shift = 2 * bits
-        for q in range(2, Q + 1):
-            if not coprime[q]:
-                continue
-            w = omega[q]
-            r = iroot(q**u << (v * bits), v)
-            num = znum[w] << shift
-            acc.lo += num // (zden[w] * (r + 1))
-            acc.hi += -((-num) // (zden[w] * r))
-    return acc.interval()
+    acc.lo = acc.hi = weight[0] << bits  # q = 1 term, exact
+    for lo, hi, primes in _table_blocks(2, Q):
+        omega = _kernels.omega_table(lo, hi, primes)
+        coprime = np.ones(len(omega), dtype=bool)
+        for p in n_primes:
+            coprime[(-lo) % p :: p] = False
+        qs = np.flatnonzero(coprime) + lo
+        for q, w in zip(qs.tolist(), omega[coprime].tolist()):
+            acc.add_ratio_with_root(weight[w], q, u, v)
+    lo, hi = acc.interval()
+    return lo / z.denominator**W, hi / z.denominator**W
 
 
 def euler_product_partial(z: Rational, s: int, n: int, prime_limit: int) -> Fraction:
     """Truncated Euler product prod_{pi coprime to n, pi <= limit}
     (1 + z / (pi^s - 1)); integer s only.  Cross-check for the series at s=2."""
-    from .arithmetic import get_sieve
-
     z = Fraction(z)
     sieve = get_sieve(prime_limit)
     out = Fraction(1)

@@ -89,16 +89,7 @@ class ExperimentConfig:
 
     def alphas(self, qmax: int) -> list[AlphaValue]:
         bits = self.alpha_bits or required_alpha_bits(self.d, self.tau, qmax)
-        import random
-
-        rng = random.Random(self.seed)
-        return [
-            AlphaValue(
-                Fraction(rng.getrandbits(bits) | 1, 1 << bits),
-                f"dyadic-random(seed={self.seed}, bits={bits}, index={i})",
-            )
-            for i in range(self.alpha_count)
-        ]
+        return AlphaValue.dyadic_randoms(self.seed, bits, self.alpha_count)
 
     def echo(self, **extra) -> list[str]:
         """Config echo block for report files."""
@@ -433,7 +424,7 @@ def svolume_experiment(
             for Q in schedule:
                 idx = bisect.bisect_right(qs_sorted, iroot(Q, cfg.d))
                 lo, hi = prefix[idx]
-                sums.append(float(Fraction(lo + hi, 1 << 65)))
+                sums.append(float(Fraction(lo + hi, 2 << acc.bits)))  # midpoint
             # sparse sums have no steady Cauchy trace; flattening here means
             # the top half of the schedule adds at most svolume_rel_tol of
             # the final value

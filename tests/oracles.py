@@ -1,4 +1,5 @@
-"""Brute-force enumeration oracles for the closed-form residue counts.
+"""Brute-force enumeration oracles for the closed-form residue counts,
+and omega by trial division.
 
 Test-side only: no library code calls these.  They enumerate every m
 modulo q with the numpy kernels, so they are exact for every modulus the
@@ -37,3 +38,15 @@ def scaled_counts(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
         [residue_set(q, d, ad).size for q in range(qlo, qhi + 1)],
         dtype=np.int64,
     )
+
+
+def omega(q: int) -> int:
+    """Number of distinct prime factors of q >= 1, by trial division."""
+    count, p = 0, 2
+    while p * p <= q:
+        if q % p == 0:
+            count += 1
+            while q % p == 0:
+                q //= p
+        p += 1
+    return count + (q > 1)

@@ -171,15 +171,16 @@ def test_omega_growth_sanity_at_1e6():
     # The worst ratio omega(n) * loglog n / log n up to 10^6 is attained at the
     # primorial 510510 and equals 1.3719...; it is pinned here exactly so any
     # regression in omega shows up. (The asymptotic constant is 1.)
-    w = _kernels.omega_table(10**6)
+    primes = arithmetic.get_sieve(1000).primes
+    w = [0] + _kernels.omega_table(1, 10**6, primes[primes <= 1000].tolist()).tolist()
     worst_n, worst = 0, 0.0
     for n in range(3, 10**6 + 1):
         ln = math.log(n)
-        val = int(w[n]) * math.log(ln) / ln
+        val = w[n] * math.log(ln) / ln
         if val > worst:
             worst_n, worst = n, val
     assert worst_n == 510510
-    assert int(w[510510]) == 7
+    assert w[510510] == 7
     assert worst == pytest.approx(7 * math.log(math.log(510510)) / math.log(510510))
     assert worst < 1.4
 

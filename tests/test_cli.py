@@ -66,6 +66,17 @@ def test_scan_jsonl(capsys):
     assert {r["q"] for r in rows} == {1, 2, 3, 4}
 
 
+def test_cover_jsonl(capsys):
+    assert main(["cover", "--tau", "3", "--d", "2", "--qlo", "4", "--qhi", "5",
+                 "--format", "jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert "# format = jsonl" in out.splitlines()
+    assert [json.loads(l) for l in body(out)] == [
+        {"q": 4, "center_count": 8, "measure_lo": "1/4", "measure_hi": "1/4"},  # {0, 1} x 4
+        {"q": 5, "center_count": 15, "measure_lo": "6/25", "measure_hi": "6/25"},
+    ]
+
+
 def test_cover_example(capsys):
     assert main(["cover", "--tau", "3", "--d", "2", "--ad", "1", "--q", "5"]) == 0
     lines = body(capsys.readouterr().out)
@@ -157,6 +168,8 @@ def test_precondition_errors_exit_2(capsys):
          "coprimality modulus n must be >= 1, got -6"),
         (["cover", "--mode", "series", "--z", "2", "--s", "6/5", "--n", "0", "--qmax", "100"],
          "coprimality modulus n must be >= 1, got 0"),
+        (["cover", "--mode", "series", "--z", "2", "--s", "6/5", "--qmax", str(1 << 48)],
+         f"omega series needs Q < 2^48, got {1 << 48}"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

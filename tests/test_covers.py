@@ -27,6 +27,7 @@ from diocurve.covers import (
     tail_sum,
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
+from oracles import omega
 
 
 def test_band_validation_and_parse():
@@ -404,6 +405,33 @@ def test_restricted_series_examples():
     lo, hi = restricted_series_partial(2, 2, 6, 5000)
     prod = euler_product_partial(2, 2, 6, 5000)
     assert abs(float(prod) - float((lo + hi) / 2)) < 0.02
+
+
+def _series_oracle(z, s, n, qs):
+    """Exact sum over q in qs with gcd(q, n) = 1 of z^omega(q) / q^s, at
+    integer s."""
+    terms = (Fraction(z) ** omega(q) / q**s for q in qs if math.gcd(q, n) == 1)
+    return sum(terms, Fraction(0))
+
+
+@pytest.mark.parametrize("z", [Fraction(2, 3), Fraction(5, 2), 3])
+def test_restricted_series_encloses_exact_sum(z):
+    # n = 2 * 1009 has a prime factor above isqrt(5000)
+    for s, n, Q in ((2, 2 * 1009, 5000), (1, 6, 3000), (3, 30, 97), (2, 7, 1)):
+        lo, hi = restricted_series_partial(z, s, n, Q)
+        assert lo <= _series_oracle(z, s, n, range(1, Q + 1)) <= hi
+        assert hi - lo <= Fraction(Q, 2**63)
+    # across the table's block boundary at 2^16: the two partial sums
+    # enclose the exact sum of the terms between them
+    Q0, Q1 = (1 << 16) - 200, (1 << 16) + 200
+    lo0, hi0 = restricted_series_partial(z, 2, 2 * 1009, Q0)
+    lo1, hi1 = restricted_series_partial(z, 2, 2 * 1009, Q1)
+    assert lo1 - hi0 <= _series_oracle(z, 2, 2 * 1009, range(Q0 + 1, Q1 + 1)) <= hi1 - lo0
+
+
+def test_restricted_series_refuses_q_past_table_qmax():
+    with pytest.raises(ValueError, match=r"Q < 2\^48"):
+        restricted_series_partial(2, Fraction(6, 5), 6, TABLE_QMAX)
 
 
 def _series_increment_ratio(z, n, s, Qs, bits=48):

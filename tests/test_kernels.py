@@ -3,7 +3,7 @@ import math
 import pytest
 
 from diocurve import _kernels
-from oracles import residue_profiles, scaled_counts
+from oracles import omega, residue_profiles, scaled_counts
 
 
 def brute_profile(q, d):
@@ -24,6 +24,11 @@ def brute_profile(q, d):
 def brute_prime_divisors(n):
     """Pure-python oracle: the primes dividing n, by trial division."""
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+
+
+def brute_primes(limit):
+    """Pure-python oracle: the primes up to limit, by trial division."""
+    return [p for p in range(2, limit + 1) if all(p % k for k in range(2, math.isqrt(p) + 1))]
 
 
 def test_spf_backends_agree():
@@ -55,6 +60,14 @@ def test_scaled_counts_backends():
 
 
 def test_omega_backends():
-    a = _kernels.omega_table(10_000)
-    assert int(a[1]) == 0 and int(a[2]) == 1 and int(a[12]) == 2 and int(a[30]) == 3
-    assert [int(x) for x in a[:600]] == [0] + [len(brute_prime_divisors(n)) for n in range(1, 600)]
+    primes = brute_primes(100)
+    a = _kernels.omega_table(1, 10_000, primes)  # a[i] = omega(1 + i)
+    assert int(a[0]) == 0 and int(a[1]) == 1 and int(a[11]) == 2 and int(a[29]) == 3
+    assert [int(x) for x in a[:599]] == [len(brute_prime_divisors(n)) for n in range(1, 600)]
+
+
+def test_omega_block_away_from_one():
+    # a block that does not start at 1, with leftover primes above isqrt(hi)
+    lo, hi = (1 << 20) - 500, (1 << 20) + 500
+    a = _kernels.omega_table(lo, hi, brute_primes(math.isqrt(hi) + 1))
+    assert a.tolist() == [omega(n) for n in range(lo, hi + 1)]
