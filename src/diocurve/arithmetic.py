@@ -235,29 +235,27 @@ def divisors_in_range(
 
 
 def _root_seed(n: int, k: int) -> int:
-    """An integer near n^(1/k) for n >= 2^52, k >= 3: the float root of n's
-    top 52 bits, scaled by ldexp to keep about 45 bits before truncation."""
-    shift = n.bit_length() - 52
+    """One past the float root of n >> shift, times 2^(shift/k), for n >= 2^52,
+    k >= 3: shift is 0 below 2^1000 (float(n) overflows at 2^1024), else the
+    least multiple of k that brings n under 2^1000."""
+    shift = max(n.bit_length() - 1000, 0)
     shift += (-shift) % k
-    s = shift // k
-    t = min(s, 45)
-    # + 1 keeps the float root >= 1 when k outgrows the top bits
-    return int(math.ldexp(((n >> shift) + 1) ** (1.0 / k), t)) << (s - t)
+    return (int(float(n >> shift) ** (1.0 / k)) + 1) << (shift // k)
 
 
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) in exact integers, n >= 0, k >= 1.
 
     Below 2^52, n is an exact float and its float root is within one of
-    the answer.  Above, the seed is the float root of n's top bits, scaled
-    by ldexp before it is truncated, so it keeps about 45 significant bits
-    (truncating first would keep only about 52/k).  That seed is only a
-    hint: one Newton step from any x >= 1 lands at or above
-    r = floor(n^(1/k)), because by AM-GM ((k-1) x + n / x^(k-1)) / k >=
-    n^(1/k), and flooring n / x^(k-1) first does not change the floor of
-    that mean.  From at or above r the integer Newton steps strictly
-    decrease until they reach r.  Either way the final loops make
-    x^k <= n < (x+1)^k hold exactly.
+    the answer, which the fix-up loops settle.  Above, the seed keeps all
+    53 bits of the float root, and its + 1 puts it above the root or at
+    most a float error below it (one step from x far below would overshoot
+    by about (n^(1/k) / x)^(k-1) / k).  By AM-GM ((k-1) x + n / x^(k-1)) / k
+    >= n^(1/k) for any x >= 1, and flooring n / x^(k-1) first does not
+    change the floor of that mean, so one Newton step from any seed lands
+    at or above r = floor(n^(1/k)).  While x^k > n, n // x^(k-1) <= x - 1,
+    so each further step strictly decreases x and stays at or above r:
+    the descent stops exactly at r, usually after the first step.
     """
     if n < 0 or k < 1:
         raise ValueError("iroot requires n >= 0 and k >= 1")
@@ -267,18 +265,15 @@ def iroot(n: int, k: int) -> int:
         return math.isqrt(n)
     if n.bit_length() <= 52:
         x = int(n ** (1.0 / k))
-    else:
-        x = _root_seed(n, k)
-        x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor(n^(1/k))
-        while True:
-            y = ((k - 1) * x + n // x ** (k - 1)) // k
-            if y >= x:
-                break
-            x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
+        while x**k > n:
+            x -= 1
+        while (x + 1) ** k <= n:
+            x += 1
+        return x
+    x = _root_seed(n, k)
+    x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor(n^(1/k))
+    while (p := x ** (k - 1)) * x > n:
+        x = ((k - 1) * x + n // p) // k
     return x
 
 

@@ -95,6 +95,10 @@ class HitFlags:
     coprime_to_d_ad: bool = False
     omega_max: Optional[int] = None
 
+    def __post_init__(self):
+        if self.omega_max is not None and self.omega_max < 0:
+            raise ValueError(f"omega_max must be >= 0, got {self.omega_max}")
+
     def describe(self) -> str:
         parts = []
         if self.primitive_only:

@@ -201,9 +201,14 @@ def test_iroot_exact_wide(n, k):
 
 
 def test_iroot_sum_operands():
-    # the operand shapes of the certified sums: q^u << (v * bits), v-th root
-    for u, v, bits in ((6, 5, 64), (7, 5, 64), (13, 4, 96), (10, 3, 96), (9, 7, 96)):
-        for q in range(1, 2**12 + 1):
+    # the operand shapes of the certified sums: q^u << (v * bits), v-th root;
+    # the omega series' shapes also at every q of its top range
+    low, top = range(1, 2**12 + 1), range(2**18 - 4096, 2**18 + 1)
+    for u, v, bits, qs in (
+        (6, 5, 64, low), (7, 5, 64, low), (13, 4, 96, low), (10, 3, 96, low), (9, 7, 96, low),
+        (6, 5, 64, top), (7, 5, 64, top),
+    ):
+        for q in qs:
             n = q**u << (v * bits)
             x = iroot(n, v)
             assert x**v <= n < (x + 1) ** v, (q, u, v, bits)
@@ -231,6 +236,42 @@ def test_iroot_from_a_seed_below_the_root(monkeypatch):
             monkeypatch.setattr(arithmetic, "_root_seed", lambda n, k: below(r))
             assert iroot(n, k) == r, (n, k)
             monkeypatch.undo()
+
+
+def test_iroot_from_a_seed_above_the_root(monkeypatch):
+    # from above, the Newton steps strictly descend to the root, however far
+    cases = [(q**6 << 320, 5) for q in (2, 97, 4093)] + [(3**200 + 1, 7), (10**50, 3)]
+    for above in (lambda n, r: r + 1, lambda n, r: 2 * r, lambda n, r: n):
+        for n, k in cases:
+            r = iroot(n, k)
+            monkeypatch.setattr(arithmetic, "_root_seed", lambda n, k: above(n, r))
+            assert iroot(n, k) == r, (n, k)
+            monkeypatch.undo()
+
+
+def test_iroot_shift_path_exact_powers_and_neighbours():
+    # n >= 2^1000 seeds from n >> shift (float(n) overflows at 2^1024), also
+    # at k = 60 and 200; there the roots 2 and 3 sit just above 2^52
+    rng = random.Random(11)
+    cases = []
+    for k in range(3, 10):
+        top = -(-1000 // k) + 1  # x of this many bits has x^k >= 2^1000
+        roots = [1 << (top - 1), 3 ** math.ceil((top - 1) / math.log2(3))]
+        roots += [rng.getrandbits(b) | 1 << (b - 1) for b in (top, top + 7, 5000 // k)]
+        cases += [(x, k) for x in roots]
+    cases += [(x, 60) for x in (1, 2, 3, 1 << 17, 3**11, rng.getrandbits(40) | 1 << 39)]
+    cases += [(x, 200) for x in (1, 2, 3, 33, 1 << 6, rng.getrandbits(20) | 1 << 19)]
+    assert sum(x**k >= 1 << 1000 for x, k in cases) >= 30
+    for x, k in cases:
+        n = x**k
+        assert iroot(n, k) == x, (x, k)
+        assert iroot(n - 1, k) == x - 1, (x, k)
+        assert iroot(n + 1, k) == x, (x, k)
+    # float roots below 2, or just below an integer, above 2^52; and
+    # n >> shift = 0 at k > 1000
+    for n, k, r in ((1 << 53, 60, 1), (1 << 53, 200, 1), (3**60 - 1, 60, 2),
+                    (1 << 1000, 1500, 1), (1 << 1500, 1200, 2)):
+        assert iroot(n, k) == r, (n, k)
 
 
 def test_iroot_known():
@@ -272,6 +313,14 @@ def test_root_enclosure():
     assert lo**2 * 7**3 <= 1 <= hi**2 * 7**3
     lo, hi = root_enclosure(9, Fraction(3), bits=64)
     assert lo == hi == 729
+    # lo <= q^(u/v) <= hi decided exactly as lo^v <= q^u <= hi^v, and the
+    # width bound, for negative exponents too
+    for u, v in ((-3, 2), (-6, 5), (7, 5)):
+        for bits in (64, 96):
+            for q in range(1, 2**12 + 1):
+                lo, hi = root_enclosure(q, Fraction(u, v), bits=bits)
+                assert lo**v <= Fraction(q) ** u <= hi**v, (q, u, v, bits)
+                assert 0 < hi - lo <= hi / 2 ** (bits - 1), (q, u, v, bits)
 
 
 def test_is_probable_prime():

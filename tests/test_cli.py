@@ -170,6 +170,8 @@ def test_precondition_errors_exit_2(capsys):
          "coprimality modulus n must be >= 1, got 0"),
         (["cover", "--mode", "series", "--z", "2", "--s", "6/5", "--qmax", str(1 << 48)],
          f"omega series needs Q < 2^48, got {1 << 48}"),
+        (["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4",
+          "--omega-max", "-1"], "omega_max must be >= 0, got -1"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
