@@ -238,7 +238,9 @@ def _root_seed(n: int, k: int) -> int:
     """One past the float root of n >> shift, times 2^(shift/k), for n >= 2^52,
     k >= 3: shift is 0 below 2^1000 (float(n) overflows at 2^1024), else the
     least multiple of k that brings n under 2^1000."""
-    shift = max(n.bit_length() - 1000, 0)
+    if n.bit_length() <= 1000:
+        return int(float(n) ** (1.0 / k)) + 1
+    shift = n.bit_length() - 1000
     shift += (-shift) % k
     return (int(float(n >> shift) ** (1.0 / k)) + 1) << (shift // k)
 

@@ -14,7 +14,9 @@ documented reference ``divisor_sum_center_bound``.
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
 certifiably contains the true sum while denominators stay bounded (exact
-rational accumulation would blow up on ranges like q <= 2^16).
+rational accumulation would blow up on ranges like q <= 2^16).  The terms
+of one block are rounded in one pass (``IntervalSum.add_ratios``), and the
+tail sums of several taus share one count pass per block (``tail_sums``).
 """
 
 from __future__ import annotations
@@ -357,7 +359,12 @@ def _table_blocks(N: int, Q: int):
 
 
 class IntervalSum:
-    """Accumulates certified [lo, hi] enclosures at fixed scale 2^-bits."""
+    """Accumulates certified [lo, hi] enclosures at fixed scale 2^-bits.
+
+    ``add_ratios`` is the one rounding path for terms numerator / q^(u/v):
+    each term is rounded outward on its own, the terms of a call are summed
+    in local integers, and the totals are added to lo and hi once.
+    """
 
     def __init__(self, bits: int = SUM_BITS):
         self.bits = bits
@@ -369,17 +376,34 @@ class IntervalSum:
         self.lo += math.floor(scaled)
         self.hi += math.ceil(scaled)
 
+    def add_ratios(self, numerators, qs, u: int, v: int) -> None:
+        """Add numerator / q^(u/v) (u, v > 0) for each pair of numerators and
+        qs, every term rounded outward.
+
+        v = 1 divides numerator * 2^bits by q^u, floored and ceiled.  v >= 2
+        takes r = floor(2^bits q^(u/v)) from one ``iroot``, so that
+        numerator * 2^(2 bits) / (r + 1) and / r bound the scaled term.
+        """
+        bits = self.bits
+        lo = hi = 0
+        if v == 1:
+            for numerator, q in zip(numerators, qs):
+                num, den = numerator << bits, q**u
+                lo += num // den
+                hi -= -num // den
+        else:
+            shift = v * bits
+            for numerator, q in zip(numerators, qs):
+                r = iroot(q**u << shift, v)  # floor(2^bits * q^(u/v))
+                num = numerator << 2 * bits
+                lo += num // (r + 1)
+                hi -= -num // r
+        self.lo += lo
+        self.hi += hi
+
     def add_ratio_with_root(self, numerator: int, q: int, u: int, v: int) -> None:
         """Add numerator / q^(u/v) (u, v > 0) with outward rounding."""
-        if v == 1:
-            num = numerator << self.bits
-            self.lo += num // q**u
-            self.hi += -((-num) // q**u)
-            return
-        r = iroot(q**u << (v * self.bits), v)  # floor(2^bits * q^(u/v))
-        num = numerator << (2 * self.bits)
-        self.lo += num // (r + 1)
-        self.hi += -((-num) // r)
+        self.add_ratios((numerator,), (q,), u, v)
 
     def merge(self, other: "IntervalSum") -> None:
         if other.bits != self.bits:
@@ -389,6 +413,43 @@ class IntervalSum:
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.lo, 1 << self.bits), Fraction(self.hi, 1 << self.bits)
+
+
+def tail_sums(
+    taus,
+    d: int,
+    a_d: int,
+    N: int,
+    Q: int,
+    band: GcdBand,
+    *,
+    bits: int = SUM_BITS,
+) -> list[tuple[Fraction, Fraction]]:
+    """``tail_sum`` at each tau of taus, from one count pass over [N, Q].
+
+    Every tau is checked before any count is taken.  The numerators 2 *
+    count(q) * q^(d-1) are built once per count-table block for the full
+    band, and once for the q with a nonzero count for other bands; each
+    tau adds them in one ``add_ratios`` call.
+    """
+    taus = [Fraction(t) for t in taus]
+    for tau in taus:
+        if tau <= d:
+            raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
+    if band.is_full:
+        blocks = (
+            (range(lo, lo + len(counts)), counts.tolist())
+            for lo, counts in scaled_count_blocks(N, Q, d, a_d)
+        )
+    else:
+        counts = {q: banded_center_count(q, band, d, a_d) for q in range(N, Q + 1)}
+        blocks = [([q for q, c in counts.items() if c], [c for c in counts.values() if c])]
+    accs = [IntervalSum(bits) for _ in taus]
+    for qs, cs in blocks:
+        nums = [2 * c * q ** (d - 1) for q, c in zip(qs, cs)]
+        for tau, acc in zip(taus, accs):
+            acc.add_ratios(nums, qs, tau.numerator, tau.denominator)
+    return [acc.interval() for acc in accs]
 
 
 def tail_sum(
@@ -405,25 +466,11 @@ def tail_sum(
     2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...).
 
     The full band takes its counts from ``scaled_count_blocks``, one table
-    per block; other bands count each q.  Empty range (N > Q) sums to
-    zero.  Monotone nondecreasing in Q.
+    per block; other bands count each q and skip the q with no center.
+    Each block is rounded in one ``IntervalSum.add_ratios`` pass.  Empty
+    range (N > Q) sums to zero.  Monotone nondecreasing in Q.
     """
-    tau = Fraction(tau)
-    if tau <= d:
-        raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
-    u, v = tau.numerator, tau.denominator
-    acc = IntervalSum(bits)
-    if band.is_full:
-        for lo, counts in scaled_count_blocks(N, Q, d, a_d):
-            for q, count in enumerate(map(int, counts), lo):
-                acc.add_ratio_with_root(2 * count * q ** (d - 1), q, u, v)
-        return acc.interval()
-    for q in range(N, Q + 1):
-        per_residue = banded_center_count(q, band, d, a_d)
-        if per_residue == 0:
-            continue
-        acc.add_ratio_with_root(2 * per_residue * q ** (d - 1), q, u, v)
-    return acc.interval()
+    return tail_sums([tau], d, a_d, N, Q, band, bits=bits)[0]
 
 
 def restricted_series_partial(
@@ -461,8 +508,7 @@ def restricted_series_partial(
         for p in n_primes:
             coprime[(-lo) % p :: p] = False
         qs = np.flatnonzero(coprime) + lo
-        for q, w in zip(qs.tolist(), omega[coprime].tolist()):
-            acc.add_ratio_with_root(weight[w], q, u, v)
+        acc.add_ratios([weight[w] for w in omega[coprime].tolist()], qs.tolist(), u, v)
     lo, hi = acc.interval()
     return lo / z.denominator**W, hi / z.denominator**W
 

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .arithmetic import Rational, iroot
 from .counting import AlphaValue, CountCurve, HitFlags, find_hits, required_alpha_bits
-from .covers import GcdBand, IntervalSum, tail_sum
+from .covers import GcdBand, IntervalSum, tail_sums
 from .curve import IntPolynomial
 from .residues import count_solutions
 
@@ -252,19 +252,22 @@ def threshold_experiment(
     """Partial sums of the per-q cover measures for each tau, with a
     convergence verdict per tau and a growth-exponent fit when diverging."""
     schedule = cfg.schedule(DEFAULT_THRESHOLD_SCHEDULE)
+    taus = [Fraction(t) for t in taus]
+    # one count pass per schedule segment serves every tau
+    segments = [
+        tail_sums(taus, cfg.d, cfg.a_d, prev_q + 1, Q, cfg.band)
+        for prev_q, Q in zip((0, *schedule), schedule)
+    ]
     rows = []
     verdicts = {}
-    for tau in taus:
-        tau = Fraction(tau)
+    for i, tau in enumerate(taus):
         lo_acc = Fraction(0)
         hi_acc = Fraction(0)
         sums = []
-        prev_q = 0
-        for Q in schedule:
-            lo, hi = tail_sum(tau, cfg.d, cfg.a_d, prev_q + 1, Q, cfg.band)
+        for Q, segment in zip(schedule, segments):
+            lo, hi = segment[i]
             lo_acc += lo
             hi_acc += hi
-            prev_q = Q
             mid = float((lo_acc + hi_acc) / 2)
             sums.append(mid)
             rows.append((str(tau), Q, f"{float(lo_acc):.12g}", f"{float(hi_acc):.12g}", ""))
@@ -280,7 +283,7 @@ def threshold_experiment(
         rows=rows,
         echo_lines=cfg.echo(
             experiment="threshold",
-            taus=";".join(str(Fraction(t)) for t in taus),
+            taus=";".join(map(str, taus)),
             schedule=f"{schedule[0]}..{schedule[-1]}x2",
         ),
         summary={f"verdict tau={t}": v for t, v in verdicts.items()},

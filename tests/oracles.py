@@ -1,5 +1,6 @@
 """Brute-force enumeration oracles for the closed-form residue counts,
-and omega by trial division.
+omega by trial division, and outward rounding of numerator / q^(u/v) with
+roots found by bisection.
 
 Test-side only: no library code calls these.  They enumerate every m
 modulo q with the numpy kernels, so they are exact for every modulus the
@@ -50,3 +51,28 @@ def omega(q: int) -> int:
                 q //= p
         p += 1
     return count + (q > 1)
+
+
+def ratio_with_root_bounds(numerator: int, q: int, u: int, v: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) integers bounding numerator * 2^bits / q^(u/v), rounded as
+    the fixed-point sums round it.
+
+    v = 1: floor and ceiling of numerator * 2^bits / q^u.  v >= 2: with
+    r = floor(2^bits q^(u/v)), found by integer bisection on
+    r^v <= q^u 2^(bits v), lo = floor(numerator 2^(2 bits) / (r + 1)) and
+    hi = ceil(numerator 2^(2 bits) / r).
+    """
+    if v == 1:
+        num, den = numerator << bits, q**u
+        return num // den, -(-num // den)
+    target = q**u << (bits * v)
+    size = target.bit_length()
+    lo, hi = 1 << ((size - 1) // v), 1 << (size // v + 1)  # lo^v <= target < hi^v
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**v <= target:
+            lo = mid
+        else:
+            hi = mid
+    num = numerator << (2 * bits)
+    return num // (lo + 1), -(-num // lo)

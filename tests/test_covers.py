@@ -14,6 +14,7 @@ from diocurve.arithmetic import (
 )
 from diocurve.covers import (
     COUNT_BLOCK,
+    SUM_BITS,
     TABLE_QMAX,
     GcdBand,
     IntervalSum,
@@ -25,9 +26,10 @@ from diocurve.covers import (
     restricted_series_partial,
     scaled_count_blocks,
     tail_sum,
+    tail_sums,
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
-from oracles import omega
+from oracles import omega, ratio_with_root_bounds
 
 
 def test_band_validation_and_parse():
@@ -245,12 +247,17 @@ def test_count_table_refuses_q_past_table_qmax():
 
 
 def _per_q_tail_sum(tau, d, a_d, N, Q):
-    """Full-band tail sum with one closed-form count per q."""
-    acc = IntervalSum()
+    """Full-band tail sum with one closed-form count per q, each term
+    rounded by the bisection oracle."""
+    lo = hi = 0
     for q in range(N, Q + 1):
         count = scaled_power_residue_count(q, d, a_d)
-        acc.add_ratio_with_root(2 * count * q ** (d - 1), q, tau.numerator, tau.denominator)
-    return acc.interval()
+        term_lo, term_hi = ratio_with_root_bounds(
+            2 * count * q ** (d - 1), q, tau.numerator, tau.denominator, SUM_BITS
+        )
+        lo += term_lo
+        hi += term_hi
+    return Fraction(lo, 1 << SUM_BITS), Fraction(hi, 1 << SUM_BITS)
 
 
 def test_full_band_tail_sum_equals_per_q_sum():
@@ -266,6 +273,72 @@ def test_full_band_tail_sum_equals_per_q_sum():
     assert tail_sum(Fraction(13, 3), 3, -6, 1, 700, GcdBand.full()) == _per_q_tail_sum(
         Fraction(13, 3), 3, -6, 1, 700
     )
+
+
+def _encloses(lo, hi, numerator, q, u, v, bits):
+    """lo / 2^bits <= numerator / q^(u/v) <= hi / 2^bits, decided as
+    lo^v q^u <= (numerator 2^bits)^v <= hi^v q^u."""
+    scaled = (numerator << bits) ** v
+    return 0 <= lo and lo**v * q**u <= scaled <= hi**v * q**u
+
+
+def test_add_ratios_matches_oracle():
+    qs = list(range(1, 401)) + list(range(2**18 - 300, 2**18 + 1))
+    for u, v in ((3, 1), (5, 2), (7, 2), (9, 2), (6, 5), (7, 5), (13, 4)):
+        for bits in (32, 64, 96):
+            for numerator in (0, 1, 3**19):
+                terms = [ratio_with_root_bounds(numerator, q, u, v, bits) for q in qs]
+                for q, (lo, hi) in zip(qs, terms):
+                    assert _encloses(lo, hi, numerator, q, u, v, bits), (numerator, q, u, v, bits)
+                expected = (5 + sum(lo for lo, _ in terms), 7 + sum(hi for _, hi in terms))
+                acc = IntervalSum(bits)
+                acc.lo, acc.hi = 5, 7  # the batch adds to what is there
+                acc.add_ratios([numerator] * len(qs), qs, u, v)
+                assert (acc.lo, acc.hi) == expected, (numerator, u, v, bits)
+                acc.add_ratios([], [], u, v)
+                assert (acc.lo, acc.hi) == expected
+            # mixed numerators in one batch, and the single-term call
+            nums = [(0, 1, 3**19)[q % 3] for q in qs]
+            acc = IntervalSum(bits)
+            acc.add_ratios(nums, qs, u, v)
+            single = IntervalSum(bits)
+            for n, q in zip(nums, qs):
+                single.add_ratio_with_root(n, q, u, v)
+            bounds = [ratio_with_root_bounds(n, q, u, v, bits) for n, q in zip(nums, qs)]
+            assert (acc.lo, acc.hi) == (single.lo, single.hi) == (
+                sum(lo for lo, _ in bounds),
+                sum(hi for _, hi in bounds),
+            ), (u, v, bits)
+
+
+_TAILS_TAUS = {
+    (2, 1): [Fraction(7, 2), Fraction(3), Fraction(9, 2), Fraction(13, 4)],
+    (3, -6): [Fraction(13, 3), Fraction(7, 2), Fraction(4), Fraction(9, 2)],
+}
+
+
+@pytest.mark.parametrize("band", ("full", "1/2,1/4", "1/4,1/2"))
+@pytest.mark.parametrize("d,a_d", ((2, 1), (3, -6)))
+def test_tail_sums_equal_tail_sum_per_tau(band, d, a_d):
+    band = GcdBand.parse(band)
+    taus = _TAILS_TAUS[d, a_d]
+    ranges = [(1, 300), (97, 1024), (COUNT_BLOCK - 40, COUNT_BLOCK + 40)]
+    for N, Q in ranges:
+        sums = tail_sums(taus, d, a_d, N, Q, band)
+        assert all(isinstance(x, Fraction) for pair in sums for x in pair)
+        assert sums == [tail_sum(t, d, a_d, N, Q, band) for t in taus], (N, Q)
+    assert tail_sums(taus, d, a_d, 12, 11, band) == [(0, 0)] * len(taus)
+    assert tail_sums([], d, a_d, 1, 50, band) == []
+
+
+def test_tail_sums_check_every_tau_before_summing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(IntervalSum, "add_ratios", lambda self, *args: calls.append(args))
+    for band in (GcdBand.full(), GcdBand.parse("1/4,1/2")):
+        for d, second in ((2, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(3))):
+            with pytest.raises(ValueError, match=f"needs tau > d, got tau={second}, d={d}"):
+                tail_sums([Fraction(9, 2), second, Fraction(5)], d, 1, 1, 100, band)
+    assert calls == []
 
 
 def test_tail_sum_validates_like_per_q_path():
@@ -383,8 +456,11 @@ def test_interval_sum_certification():
     acc.add_fraction(Fraction(1, 3))
     acc.add_ratio_with_root(7, 5, 1, 2)  # 7 / sqrt(5)
     lo, hi = acc.interval()
-    true = Fraction(1, 3) + 7 / Fraction(math.isqrt(5 * 4**80), 2**80)
-    assert lo <= true <= hi + Fraction(1, 2**63)
+    # lo <= 1/3 + 7/sqrt(5) <= hi, decided exactly: with x = bound - 1/3,
+    # x <= 7/sqrt(5) iff x <= 0 or 5 x^2 <= 49
+    x_lo, x_hi = lo - Fraction(1, 3), hi - Fraction(1, 3)
+    assert x_lo <= 0 or 5 * x_lo**2 <= 49
+    assert x_hi > 0 and 5 * x_hi**2 >= 49
     assert hi - lo < Fraction(1, 2**60)
     with pytest.raises(ValueError):
         other = IntervalSum(32)
