@@ -13,7 +13,6 @@ from .arithmetic import (
     PreconditionError,
     divisor_count,
     distinct_prime_count,
-    divisors_in_range,
     euler_phi,
     factorize,
     iroot,
@@ -23,14 +22,13 @@ from .covers import (
     GcdBand,
     banded_center_count,
     cover_measure,
-    exact_union_measure,
     restricted_series_partial,
     tail_sum,
 )
 from .counting import (
     AlphaValue,
-    CountCurve,
     HitFlags,
+    count_curve,
     counting_function,
     find_hits,
     phi_psi_sums,

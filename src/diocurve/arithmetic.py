@@ -53,15 +53,6 @@ class Factorization:
         if prod != self.value or self.value < 1:
             raise ValueError(f"factor list does not recompose {self.value}")
 
-    def recompose(self) -> int:
-        return math.prod(p**e for p, e in self.factors)
-
-    def valuation(self, p: int) -> int:
-        for prime, e in self.factors:
-            if prime == p:
-                return e
-        return 0
-
 
 class SpfSieve:
     """Smallest-prime-factor table, immutable once built."""
@@ -217,17 +208,6 @@ def divisors(f: Union[int, Factorization]) -> list[int]:
     for p, e in f.factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def divisors_in_range(
-    f: Union[int, Factorization], lo: Rational, hi: Rational
-) -> list[int]:
-    """Sorted divisors a of n with lo <= a < hi, compared exactly."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ValueError("divisors_in_range requires lo <= hi")
-    return [a for a in divisors(f) if lo <= a < hi]
 
 
 # ---------------------------------------------------------------------------

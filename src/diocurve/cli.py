@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .arithmetic import PreconditionError
-from .counting import AlphaValue, CountCurve, HitFlags, find_hits
+from .counting import AlphaValue, HitFlags, count_curve, find_hits
 from .covers import GcdBand, cover_measure, restricted_series_partial, tail_sum
 from .curve import (
     IntPolynomial,
@@ -322,11 +322,7 @@ def _cmd_scan(args) -> None:
     )
     if args.curve:
         hi_exp = max(2, (args.qmax**d).bit_length() - 1)
-        schedule = geometric_schedule(2, hi_exp)
-        curve = CountCurve.from_hits(
-            alpha, d, a_d, Fraction(args.tau), args.band, flags, hits, schedule
-        )
-        rows = list(curve.samples)
+        rows = list(count_curve(hits, geometric_schedule(2, hi_exp), d))
         _emit(args, ["Q", "N"], rows, echo)
         if args.dump_gnuplot:
             Path(f"{args.dump_gnuplot}_curve.dat").write_text(

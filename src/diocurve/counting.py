@@ -19,6 +19,7 @@ scanned exactly at every q.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -30,11 +31,7 @@ import numpy as np
 from .arithmetic import Rational, divisor_count, factorize, iroot
 from .covers import GcdBand
 from .curve import ConstrainedHit
-from .residues import (
-    is_power_residue,
-    is_primitive_power_residue,
-    solution_witness,
-)
+from .residues import is_power_residue, is_primitive_power_residue
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,10 @@ class AlphaValue:
         return cls(Fraction(value), "user-supplied")
 
     @classmethod
-    def dyadic_random(cls, seed: int, bits: int, index: int = 0) -> "AlphaValue":
-        """Odd numerator over 2^bits; deterministic in (seed, index)."""
-        return cls.dyadic_randoms(seed, bits, index + 1)[index]
-
-    @classmethod
     def dyadic_randoms(cls, seed: int, bits: int, count: int) -> list["AlphaValue"]:
-        """dyadic_random(seed, bits, index) for index = 0 .. count - 1, drawn
-        in order from one stream."""
+        """count alphas, each an odd numerator over 2^bits, drawn in order
+        from one stream seeded by seed, so entry i is the same for every
+        count > i."""
         rng = random.Random(seed)
         return [
             cls(
@@ -80,10 +73,14 @@ class AlphaValue:
         return cls(Fraction(num, 1 << bits), f"truncation-of-{name}({bits})")
 
 
-def required_alpha_bits(d: int, tau: Fraction, qmax: int, floor_bits: int = 128) -> int:
-    """Enough dyadic bits that every scan predicate up to qmax is tie-free."""
+MIN_ALPHA_BITS = 128
+
+
+def required_alpha_bits(d: int, tau: Fraction, qmax: int) -> int:
+    """Enough dyadic bits that every scan predicate up to qmax is tie-free,
+    and never fewer than MIN_ALPHA_BITS."""
     est = math.ceil(float(d + tau) * math.log2(max(qmax, 2))) + 16
-    return max(floor_bits, est)
+    return max(MIN_ALPHA_BITS, est)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,6 @@ def _exact_hits(
     band: GcdBand,
     qs: Iterable[int],
     flags: HitFlags,
-    p_witness_limit: int,
 ) -> list[ConstrainedHit]:
     """All hits at the moduli qs (increasing), each decided exactly.
 
@@ -168,20 +164,7 @@ def _exact_hits(
                 continue
             if not residue_test(b % q, q, d, a_d):
                 continue
-            p = None
-            if q <= p_witness_limit:
-                p = solution_witness(b % q, q, d, a_d, limit=p_witness_limit)
-                if flags.primitive_only and p is not None and math.gcd(p, q) != 1:
-                    p = next(
-                        (
-                            x
-                            for x in range(q)
-                            if math.gcd(x, q) == 1
-                            and a_d * pow(x, d, q) % q == b % q
-                        ),
-                        None,
-                    )
-            hits.append(ConstrainedHit(q, b, p, Fraction(abs(num - b * ad), ad * t), g))
+            hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
     return hits
 
 
@@ -256,8 +239,6 @@ def find_hits(
     band: GcdBand,
     qmax: int,
     flags: HitFlags = HitFlags(),
-    *,
-    p_witness_limit: int = 2000,
 ) -> list[ConstrainedHit]:
     """All (q, b) with q <= qmax, |alpha - b/q^d| < q^-tau, b in the scaled
     residue class set, gcd(b, q) in the band, and all flags satisfied, in
@@ -280,7 +261,7 @@ def find_hits(
         qs: Iterable[int] = _dyadic_survivors(value, d, tau, qmax)
     else:
         qs = range(1, qmax + 1)
-    return _exact_hits(value, d, a_d, tau, band, qs, flags, p_witness_limit)
+    return _exact_hits(value, d, a_d, tau, band, qs, flags)
 
 
 def counting_function(
@@ -291,58 +272,22 @@ def counting_function(
     band: GcdBand,
     Q: int,
     flags: HitFlags = HitFlags(),
-    *,
-    count_denominators: bool = False,
 ) -> int:
-    """N(Q): number of moduli q with q^d <= Q (default reading) admitting at
-    least one hit.  ``count_denominators=True`` switches to counting q <= Q
-    directly; both normalisations appear in practice and differ only by
-    the Q scale.
-    """
+    """N(Q): number of moduli q with q^d <= Q admitting at least one hit."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    qmax = Q if count_denominators else iroot(Q, d)
-    if qmax < 1:
-        return 0
-    hits = find_hits(alpha, d, a_d, tau, band, qmax, flags)
+    hits = find_hits(alpha, d, a_d, tau, band, iroot(Q, d), flags)
     return len({h.q for h in hits})
 
 
-@dataclass(frozen=True)
-class CountCurve:
-    """Samples (Q, N(Q)) of a counting function along a Q schedule."""
-
-    alpha: AlphaValue
-    d: int
-    a_d: int
-    tau: Fraction
-    band: GcdBand
-    flags: HitFlags
-    samples: tuple[tuple[int, int], ...]
-    count_denominators: bool = False
-
-    @classmethod
-    def from_hits(
-        cls,
-        alpha: AlphaValue,
-        d: int,
-        a_d: int,
-        tau: Fraction,
-        band: GcdBand,
-        flags: HitFlags,
-        hits: Sequence[ConstrainedHit],
-        schedule: Sequence[int],
-        count_denominators: bool = False,
-    ) -> "CountCurve":
-        qs = sorted({h.q for h in hits})
-        samples = []
-        for Q in schedule:
-            qcap = Q if count_denominators else iroot(Q, d)
-            n = sum(1 for q in qs if q <= qcap)
-            samples.append((Q, n))
-        return cls(
-            alpha, d, a_d, tau, band, flags, tuple(samples), count_denominators
-        )
+def count_curve(
+    hits: Iterable[ConstrainedHit], schedule: Sequence[int], d: int
+) -> tuple[tuple[int, int], ...]:
+    """Samples (Q, N(Q)) of the counting function along a Q schedule, read
+    from the hits of one scan: N(Q) is the number of distinct hit moduli
+    q <= iroot(Q, d), that is with q^d <= Q."""
+    qs = sorted({h.q for h in hits})
+    return tuple((Q, bisect.bisect_right(qs, iroot(Q, d))) for Q in schedule)
 
 
 def phi_psi_sums(

@@ -9,7 +9,9 @@ time (``scaled_count_blocks``), instead of factorizing each q.  The
 omega-weighted series walks the same blocks and takes omega(q) from the
 same per-prime slice pass (``_kernels.prime_exponents``).  The
 divisor-sum form, an upper bound that over-counts, is kept only as the
-documented reference ``divisor_sum_center_bound``.
+documented reference ``divisor_sum_center_bound``.  The exact union
+measure of a layer and the truncated Euler product, which validate the
+formula measure and the series, live with the test oracles.
 
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
@@ -46,7 +48,6 @@ from .residues import (
     _u_pp,
     _v_p,
     power_residue_count,
-    power_residues,
     scaled_power_residue_count,
 )
 
@@ -136,14 +137,6 @@ class GcdBand:
         lo, hi = self.cuts(q)
         return lo <= g < hi
 
-    def divisors_in(self, q: int) -> list[int]:
-        """Divisors a of q with q^eps <= a < q^(eps+delta); all of them if FULL."""
-        ds = divisors(factorize(q))
-        if self.is_full:
-            return ds
-        lo, hi = self.cuts(q)
-        return [a for a in ds if lo <= a < hi]
-
 
 @dataclass(frozen=True)
 class CoverRecord:
@@ -164,11 +157,6 @@ class CoverRecord:
             raise ValueError("measure_lo must not exceed measure_hi")
 
 
-def _measure_enclosure(count: int, q: int, tau: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    lo_p, hi_p = root_enclosure(q, Fraction(tau), bits)
-    return Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p
-
-
 def cover_measure(
     q: int,
     tau: Rational,
@@ -183,59 +171,16 @@ def cover_measure(
 
     Requires tau > d (below that the layers stop being unions of short
     intervals).  For small q the intervals may overlap or spill out of
-    [0,1]; ``exact_union_measure`` exists to certify where the formula
-    value is the true Lebesgue measure.
+    [0,1]; the test suite's ``exact_union_measure`` oracle
+    (``tests/oracles.py``) certifies where the formula value is the true
+    Lebesgue measure.
     """
     tau = Fraction(tau)
     if tau <= d:
         raise ValueError(f"cover measure needs tau > d, got tau={tau}, d={d}")
     count = banded_center_count(q, band, d, a_d) * q ** (d - 1)
-    lo, hi = _measure_enclosure(count, q, tau, bits)
-    return CoverRecord(q, count, lo, hi)
-
-
-def exact_union_measure(
-    q: int, tau: int, d: int, a_d: int, *, limit: int = 10**4
-) -> tuple[Fraction, bool]:
-    """True Lebesgue measure of the union of intervals of radius q^-tau
-    around the admissible centers b/q^d, plus an overlap flag.
-
-    Integer tau only (the merge runs over a common denominator q^tau).
-    Unlike the formula path this validator accepts tau <= d, where
-    overlapping intervals actually occur; for integer tau > d adjacent
-    centers are at least q^-d apart and never overlap.
-    """
-    if not isinstance(tau, int) or tau < 1:
-        raise ValueError("exact_union_measure requires integer tau >= 1")
-    residues = power_residues(q, d, a_d, limit=limit).elements
-    scale = q ** (tau - d)  # center spacing unit in the q^-tau grid
-    radius = 1  # one unit of q^-tau... scaled below
-    # positions of centers in units of q^-tau: (b + j q) * q^(tau - d)
-    starts = []
-    for j in range(q ** (d - 1)):
-        base = j * q
-        for b in residues:
-            starts.append((base + b) * scale)
-    starts.sort()
-    total = 0
-    overlap = False
-    cur_lo = cur_hi = None
-    for c in starts:
-        lo, hi = c - radius, c + radius
-        if cur_hi is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:
-            # touching open intervals only share an endpoint: same measure,
-            # no overlap; anything closer genuinely overlaps
-            if lo < cur_hi:
-                overlap = True
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return Fraction(total, q**tau), overlap
+    lo_p, hi_p = root_enclosure(q, tau, bits)
+    return CoverRecord(q, count, Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p)
 
 
 def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
@@ -276,7 +221,10 @@ def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
     banded_center_count) give 1.  Only an upper bound; kept as a
     regression reference, with no production caller.
     """
-    return sum(power_residue_count(q // a, d) for a in band.divisors_in(q))
+    lo, hi = band.cuts(q)
+    return sum(
+        power_residue_count(q // a, d) for a in divisors(factorize(q)) if lo <= a < hi
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +319,6 @@ class IntervalSum:
         self.lo = 0
         self.hi = 0
 
-    def add_fraction(self, x: Fraction) -> None:
-        scaled = x * (1 << self.bits)
-        self.lo += math.floor(scaled)
-        self.hi += math.ceil(scaled)
-
     def add_ratios(self, numerators, qs, u: int, v: int) -> None:
         """Add numerator / q^(u/v) (u, v > 0) for each pair of numerators and
         qs, every term rounded outward.
@@ -404,12 +347,6 @@ class IntervalSum:
     def add_ratio_with_root(self, numerator: int, q: int, u: int, v: int) -> None:
         """Add numerator / q^(u/v) (u, v > 0) with outward rounding."""
         self.add_ratios((numerator,), (q,), u, v)
-
-    def merge(self, other: "IntervalSum") -> None:
-        if other.bits != self.bits:
-            raise ValueError("cannot merge interval sums at different scales")
-        self.lo += other.lo
-        self.hi += other.hi
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.lo, 1 << self.bits), Fraction(self.hi, 1 << self.bits)
@@ -511,18 +448,3 @@ def restricted_series_partial(
         acc.add_ratios([weight[w] for w in omega[coprime].tolist()], qs.tolist(), u, v)
     lo, hi = acc.interval()
     return lo / z.denominator**W, hi / z.denominator**W
-
-
-def euler_product_partial(z: Rational, s: int, n: int, prime_limit: int) -> Fraction:
-    """Truncated Euler product prod_{pi coprime to n, pi <= limit}
-    (1 + z / (pi^s - 1)); integer s only.  Cross-check for the series at s=2."""
-    z = Fraction(z)
-    sieve = get_sieve(prime_limit)
-    out = Fraction(1)
-    for p in map(int, sieve.primes):
-        if p > prime_limit:
-            break
-        if n % p == 0:
-            continue
-        out *= 1 + z / (p**s - 1)
-    return out

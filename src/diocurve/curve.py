@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .arithmetic import PreconditionError, frac_lt_qpow, root_enclosure
 
@@ -80,7 +79,6 @@ class ConstrainedHit:
 
     q: int
     b: int
-    p: Optional[int]
     error: Fraction
     gcd_bq: int
 
@@ -145,7 +143,7 @@ def reduce_simultaneous(
         raise AssertionError(
             f"certified error bound violated: {error} >= {bound.value}/q^{tau}"
         )
-    return ConstrainedHit(q, b, p, error, math.gcd(b, q))
+    return ConstrainedHit(q, b, error, math.gcd(b, q))
 
 
 def lift_constrained(

@@ -2,18 +2,22 @@
 series, growth exponents of the banded counting function, the critical
 gcd band, and s-volume partial sums, plus deterministic report emission.
 
-Verdicts at finite scale need explicit rules, so they are spelled out
-here and echoed into every report:
+Verdicts at finite scale need explicit rules.  They are the module
+constants below, the same for every experiment; reports do not echo them:
 
-* sums are sampled along a geometric Q schedule; Cauchy increments are
-  taken over consecutive non-overlapping quadruplings of Q (per-doubling
-  increments of a barely-convergent series shrink by less than the 1.5
-  cut, quadrupling restores the margin);
+* sums are sampled along a geometric Q schedule of ratio 2; Cauchy
+  increments are taken over consecutive non-overlapping quadruplings of Q
+  (per-doubling increments of a barely-convergent series shrink by less
+  than the SHRINK_FACTOR cut, quadrupling restores the margin);
 * "flattening" means the last three such increments each shrink by a
-  factor >= 1.5; "unbounded" means they are non-shrinking and the total
-  exceeds 10x the first schedule increment;
+  factor >= SHRINK_FACTOR = 1.5; "unbounded" means they are non-shrinking
+  and the total exceeds GROWTH_TOTAL_FACTOR = 10 times the first schedule
+  increment, tagged logarithmic below the slope LOG_SLOPE_CUT = 0.15;
 * exponent fits are least squares on log-log points over the top half of
-  the schedule only, always reported with residual and window;
+  the schedule only, always reported with residual and window; the
+  critical band calls a slope <= FLAT_SLOPE = 0.1 subpolynomial;
+* an s-volume trace flattens when the top half of its schedule adds at
+  most SVOLUME_REL_TOL = 0.1 of its final value;
 * almost-everywhere claims are checked as supermajorities over seeded
   random alphas, never as universals.
 
@@ -26,7 +30,6 @@ scan one alpha costs less than starting a worker process.
 from __future__ import annotations
 
 import bisect
-import io
 import json
 import math
 import statistics
@@ -36,24 +39,22 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .arithmetic import Rational, iroot
-from .counting import AlphaValue, CountCurve, HitFlags, find_hits, required_alpha_bits
+from .counting import AlphaValue, count_curve, find_hits, required_alpha_bits
 from .covers import GcdBand, IntervalSum, tail_sums
 from .curve import IntPolynomial
 from .residues import count_solutions
 
 
-def geometric_schedule(lo_exp: int, hi_exp: int, ratio_exp: int = 1) -> tuple[int, ...]:
-    """Powers of two 2^lo_exp .. 2^hi_exp stepping by 2^ratio_exp."""
-    return tuple(1 << k for k in range(lo_exp, hi_exp + 1, ratio_exp))
+SHRINK_FACTOR = 1.5
+GROWTH_TOTAL_FACTOR = 10.0
+FLAT_SLOPE = 0.1
+LOG_SLOPE_CUT = 0.15  # below this a diverging sum is tagged logarithmic
+SVOLUME_REL_TOL = 0.1  # sparse-sum flattening: relative top-half growth
 
 
-@dataclass(frozen=True)
-class VerdictRules:
-    shrink_factor: float = 1.5
-    growth_total_factor: float = 10.0
-    flat_slope: float = 0.1
-    log_slope_cut: float = 0.15  # below this a diverging sum is tagged logarithmic
-    svolume_rel_tol: float = 0.1  # sparse-sum flattening: relative top-half growth
+def geometric_schedule(lo_exp: int, hi_exp: int) -> tuple[int, ...]:
+    """Powers of two 2^lo_exp .. 2^hi_exp, each twice the one before."""
+    return tuple(1 << k for k in range(lo_exp, hi_exp + 1))
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class ExperimentConfig:
     alpha_bits: int = 0  # 0 = derive from (d, tau, qmax) with a 128-bit floor
     seed: int = 0
     q_schedule: tuple[int, ...] = ()
-    rules: VerdictRules = field(default_factory=VerdictRules)
 
     def __post_init__(self):
         object.__setattr__(self, "tau", Fraction(self.tau))
@@ -148,7 +148,7 @@ def top_half_window(schedule: Sequence[int]) -> tuple[int, int]:
 
 def _quadrupling_increments(values: Sequence[float]) -> list[float]:
     """Increments over consecutive non-overlapping quadruplings, newest last,
-    assuming the underlying schedule has ratio 2."""
+    for a schedule of ratio 2 (every ``geometric_schedule``)."""
     out = []
     i = len(values) - 1
     while i - 2 >= 0:
@@ -157,9 +157,7 @@ def _quadrupling_increments(values: Sequence[float]) -> list[float]:
     return list(reversed(out))
 
 
-def series_verdict(
-    schedule: Sequence[int], sums: Sequence[float], rules: VerdictRules
-) -> str:
+def series_verdict(schedule: Sequence[int], sums: Sequence[float]) -> str:
     """Classify a nondecreasing partial-sum trace as converging/diverging."""
     incs = _quadrupling_increments(sums)
     if len(incs) < 4 or len(sums) < 3:
@@ -167,7 +165,7 @@ def series_verdict(
     last = incs[-3:]
     prev = incs[-4:-1]
     shrinking = all(
-        new == 0 or (old / new) >= rules.shrink_factor for old, new in zip(prev, last)
+        new == 0 or (old / new) >= SHRINK_FACTOR for old, new in zip(prev, last)
     )
     if shrinking:
         return "converging"
@@ -175,9 +173,9 @@ def series_verdict(
     # visibly outgrown the first schedule increment, tagging the slow
     # (logarithmic-looking) cases by their log-log slope
     first_inc = sums[1] - sums[0]
-    if first_inc > 0 and sums[-1] >= rules.growth_total_factor * first_inc:
+    if first_inc > 0 and sums[-1] >= GROWTH_TOTAL_FACTOR * first_inc:
         fit = fit_loglog(list(zip(schedule, sums)), top_half_window(schedule))
-        if fit.slope < rules.log_slope_cut:
+        if fit.slope < LOG_SLOPE_CUT:
             return "diverging (logarithmic)"
         return "diverging"
     return "indeterminate"
@@ -200,29 +198,20 @@ class Report:
     echo_lines: list[str]
     summary: dict = field(default_factory=dict)
 
+    def _lines(self, body) -> str:
+        """The echo and summary lines, then the body lines, each ended by a
+        newline."""
+        head = [*self.echo_lines, *(f"# {k} = {v}" for k, v in self.summary.items())]
+        return "".join(line + "\n" for line in (*head, *body))
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        for line in self.echo_lines:
-            buf.write(line + "\n")
-        for k, v in self.summary.items():
-            buf.write(f"# {k} = {v}\n")
-        buf.write(",".join(self.header) + "\n")
-        for row in self.rows:
-            buf.write(",".join(str(x) for x in row) + "\n")
-        return buf.getvalue()
+        rows = (",".join(str(x) for x in row) for row in self.rows)
+        return self._lines([",".join(self.header), *rows])
 
     def to_jsonl(self) -> str:
-        buf = io.StringIO()
-        for line in self.echo_lines:
-            buf.write(line + "\n")
-        for k, v in self.summary.items():
-            buf.write(f"# {k} = {v}\n")
-        for row in self.rows:
-            buf.write(
-                json.dumps(dict(zip(self.header, row)), default=str, sort_keys=False)
-                + "\n"
-            )
-        return buf.getvalue()
+        return self._lines(
+            json.dumps(dict(zip(self.header, row)), default=str) for row in self.rows
+        )
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -271,7 +260,7 @@ def threshold_experiment(
             mid = float((lo_acc + hi_acc) / 2)
             sums.append(mid)
             rows.append((str(tau), Q, f"{float(lo_acc):.12g}", f"{float(hi_acc):.12g}", ""))
-        verdict = series_verdict(schedule, sums, cfg.rules)
+        verdict = series_verdict(schedule, sums)
         fit = fit_loglog(list(zip(schedule, sums)), top_half_window(schedule))
         if verdict.startswith("diverging"):
             verdicts[str(tau)] = f"{verdict} slope={fit.slope:.4f}"
@@ -291,30 +280,20 @@ def threshold_experiment(
     return report
 
 
-def _count_samples(
-    cfg: ExperimentConfig,
-    alpha: AlphaValue,
-    band: GcdBand,
-    schedule: Sequence[int],
-    flags: HitFlags = HitFlags(),
-) -> CountCurve:
-    qmax = iroot(schedule[-1], cfg.d)
-    hits = find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, band, qmax, flags)
-    return CountCurve.from_hits(
-        alpha, cfg.d, cfg.a_d, cfg.tau, band, flags, hits, schedule
-    )
-
-
 def _per_alpha_fits(
     cfg: ExperimentConfig, band: GcdBand, schedule: Sequence[int]
-) -> tuple[list[CountCurve], list[ExponentFit]]:
+) -> tuple[list[tuple[tuple[int, int], ...]], list[ExponentFit]]:
+    """The (Q, N) samples of each alpha's counting function along the
+    schedule, and their fits over its top half."""
     qmax = iroot(schedule[-1], cfg.d)
-    alphas = cfg.alphas(qmax)
     window = top_half_window(schedule)
-    curves = [_count_samples(cfg, alpha, band, schedule) for alpha in alphas]
-    fits = [
-        fit_loglog([(Q, float(n)) for Q, n in c.samples], window) for c in curves
+    curves = [
+        count_curve(
+            find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, band, qmax), schedule, cfg.d
+        )
+        for alpha in cfg.alphas(qmax)
     ]
+    fits = [fit_loglog([(Q, float(n)) for Q, n in c], window) for c in curves]
     return curves, fits
 
 
@@ -325,12 +304,12 @@ def growth_exponent_experiment(cfg: ExperimentConfig) -> Report:
     curves, fits = _per_alpha_fits(cfg, cfg.band, schedule)
     rows = []
     for i, (curve, fit) in enumerate(zip(curves, fits)):
-        for Q, n in curve.samples:
+        for Q, n in curve:
             rows.append((i, Q, n, "", "", ""))
         rows[-1] = (
             i,
-            curve.samples[-1][0],
-            curve.samples[-1][1],
+            curve[-1][0],
+            curve[-1][1],
             f"{fit.slope:.6f}",
             f"{fit.residual:.6f}",
             f"{fit.window[0]}..{fit.window[1]}",
@@ -362,12 +341,12 @@ def critical_band_experiment(cfg: ExperimentConfig, delta: Rational) -> Report:
     rows = []
     flat = 0
     for i, (curve, fit) in enumerate(zip(curves, fits)):
-        verdict = "subpolynomial" if fit.slope <= cfg.rules.flat_slope else "growing"
+        verdict = "subpolynomial" if fit.slope <= FLAT_SLOPE else "growing"
         flat += verdict == "subpolynomial"
         rows.append(
             (
                 i,
-                curve.samples[-1][1],
+                curve[-1][1],
                 f"{fit.slope:.6f}",
                 f"{fit.residual:.6f}",
                 f"{fit.window[0]}..{fit.window[1]}",
@@ -397,12 +376,20 @@ def svolume_experiment(
 
     Boundedness of V(s, .) as the scan deepens witnesses a vanishing
     s-dimensional sum at that s; s* is the smallest grid s that flattens.
+    The default schedule runs from 2^6 to the least power of two, at least
+    2^20, that reaches qmax^d, so that every hit of the scan is summed; a
+    given schedule must reach qmax^d too.
     """
     s_grid = sorted(Fraction(s) for s in s_grid)
     if any(not 0 < s <= 1 for s in s_grid):
         raise ValueError("s grid must lie in (0, 1]")
+    top = qmax**cfg.d
+    schedule = cfg.schedule(geometric_schedule(6, max(20, (top - 1).bit_length())))
+    if schedule[-1] < top:
+        raise ValueError(
+            f"svolume schedule must reach qmax^d = {top}, got top {schedule[-1]}"
+        )
     alphas = cfg.alphas(qmax)
-    schedule = list(cfg.schedule(DEFAULT_COUNT_SCHEDULE))
     rows = []
     stars = []
     for i, alpha in enumerate(alphas):
@@ -429,12 +416,12 @@ def svolume_experiment(
                 lo, hi = prefix[idx]
                 sums.append(float(Fraction(lo + hi, 2 << acc.bits)))  # midpoint
             # sparse sums have no steady Cauchy trace; flattening here means
-            # the top half of the schedule adds at most svolume_rel_tol of
+            # the top half of the schedule adds at most SVOLUME_REL_TOL of
             # the final value
             rel = (
                 (sums[-1] - sums[len(sums) // 2]) / sums[-1] if sums[-1] > 0 else 0.0
             )
-            flattened = rel <= cfg.rules.svolume_rel_tol
+            flattened = rel <= SVOLUME_REL_TOL
             verdict = "flattening" if flattened else "growing"
             rows.append((i, str(s), f"{sums[-1]:.10g}", verdict, f"relgrow={rel:.4f}"))
             if flattened and s_star is None:
@@ -455,6 +442,7 @@ def svolume_experiment(
             experiment="svolume",
             qmax=qmax,
             s_grid=";".join(str(s) for s in s_grid),
+            schedule=f"{schedule[0]}..{schedule[-1]}x2",
         ),
         summary=summary,
     )

@@ -11,6 +11,11 @@ regression), as does the divisor-sum banded count
 (``covers.divisor_sum_center_bound``).  The per-prime-power helpers below
 also give ``covers.banded_center_count`` its e_d factors and
 ``covers.scaled_count_blocks`` its r_d factors.
+
+``solution_witness`` finds the least solution x by scanning every class
+mod q.  No library path calls it: the hit scan decides solvability with
+``is_power_residue`` and ``is_primitive_power_residue`` and records no
+witness.  It stays as a small scan-based reference.
 """
 
 from __future__ import annotations

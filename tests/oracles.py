@@ -1,15 +1,20 @@
 """Brute-force enumeration oracles for the closed-form residue counts,
-omega by trial division, and outward rounding of numerator / q^(u/v) with
-roots found by bisection.
+omega by trial division, outward rounding of numerator / q^(u/v) with
+roots found by bisection, the exact union measure of one cover layer, and
+the truncated Euler product of the omega series.
 
-Test-side only: no library code calls these.  They enumerate every m
-modulo q with the numpy kernels, so they are exact for every modulus the
-tests use.
+Test-side only: no library code calls these.  The residue oracles
+enumerate every m modulo q with the numpy kernels, so they are exact for
+every modulus the tests use.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from diocurve._kernels import _powmod, residue_set
+from diocurve.arithmetic import Rational, get_sieve
+from diocurve.residues import power_residues
 
 
 def residue_profiles(qlo: int, qhi: int, d: int):
@@ -76,3 +81,62 @@ def ratio_with_root_bounds(numerator: int, q: int, u: int, v: int, bits: int) ->
             hi = mid
     num = numerator << (2 * bits)
     return num // (lo + 1), -(-num // lo)
+
+
+def exact_union_measure(
+    q: int, tau: int, d: int, a_d: int, *, limit: int = 10**4
+) -> tuple[Fraction, bool]:
+    """True Lebesgue measure of the union of intervals of radius q^-tau
+    around the admissible centers b/q^d, plus an overlap flag.
+
+    Integer tau only (the merge runs over a common denominator q^tau).
+    Unlike the formula path this validator accepts tau <= d, where
+    overlapping intervals actually occur; for integer tau > d adjacent
+    centers are at least q^-d apart and never overlap.
+    """
+    if not isinstance(tau, int) or tau < 1:
+        raise ValueError("exact_union_measure requires integer tau >= 1")
+    residues = power_residues(q, d, a_d, limit=limit).elements
+    scale = q ** (tau - d)  # center spacing unit in the q^-tau grid
+    radius = 1  # one unit of q^-tau... scaled below
+    # positions of centers in units of q^-tau: (b + j q) * q^(tau - d)
+    starts = []
+    for j in range(q ** (d - 1)):
+        base = j * q
+        for b in residues:
+            starts.append((base + b) * scale)
+    starts.sort()
+    total = 0
+    overlap = False
+    cur_lo = cur_hi = None
+    for c in starts:
+        lo, hi = c - radius, c + radius
+        if cur_hi is None:
+            cur_lo, cur_hi = lo, hi
+        elif lo <= cur_hi:
+            # touching open intervals only share an endpoint: same measure,
+            # no overlap; anything closer genuinely overlaps
+            if lo < cur_hi:
+                overlap = True
+            cur_hi = max(cur_hi, hi)
+        else:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+    if cur_hi is not None:
+        total += cur_hi - cur_lo
+    return Fraction(total, q**tau), overlap
+
+
+def euler_product_partial(z: Rational, s: int, n: int, prime_limit: int) -> Fraction:
+    """Truncated Euler product prod_{pi coprime to n, pi <= limit}
+    (1 + z / (pi^s - 1)); integer s only.  Cross-check for the series at s=2."""
+    z = Fraction(z)
+    sieve = get_sieve(prime_limit)
+    out = Fraction(1)
+    for p in map(int, sieve.primes):
+        if p > prime_limit:
+            break
+        if n % p == 0:
+            continue
+        out *= 1 + z / (p**s - 1)
+    return out

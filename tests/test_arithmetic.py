@@ -13,7 +13,6 @@ from diocurve.arithmetic import (
     divisor_count,
     distinct_prime_count,
     divisors,
-    divisors_in_range,
     euler_phi,
     factorize,
     frac_lt_qpow,
@@ -21,6 +20,7 @@ from diocurve.arithmetic import (
     is_probable_prime,
     root_enclosure,
 )
+from diocurve.covers import GcdBand
 
 
 def trial_division(n):
@@ -67,7 +67,7 @@ def test_factorize_beyond_sieve():
     # recompose + per-factor primality instead of a slow trial oracle
     for n in (2**25 + 1, 67_108_859, 10**12 + 39, 2**52 + 1, 10**9 + 7):
         f = factorize(n)
-        assert f.recompose() == n
+        assert math.prod(p**e for p, e in f.factors) == n
         for p, e in f.factors:
             assert e >= 1
             assert is_probable_prime(p)
@@ -98,7 +98,7 @@ def test_round_trip_exhaustive_to_1e6():
     rng = random.Random(1)
     for _ in range(2000):
         n = rng.randrange(1, 10**6)
-        assert factorize(n).recompose() == n
+        assert math.prod(p**e for p, e in factorize(n).factors) == n
 
 
 def brute_phi(n):
@@ -129,13 +129,16 @@ def test_omega_examples():
     assert distinct_prime_count(factorize(30030)) == len(trial_division(30030)) == 6
 
 
-def test_divisors_in_range_examples():
-    f12 = factorize(12)
-    assert divisors_in_range(f12, Fraction(1861, 1000), Fraction(3465, 1000)) == [2, 3]
-    assert divisors_in_range(factorize(7), 1, 8) == [1, 7]
-    assert divisors_in_range(factorize(1), 2, 5) == []
-    with pytest.raises(ValueError):
-        divisors_in_range(f12, 5, 2)
+def test_divisors_between_band_cuts():
+    # the divisors a with lo <= a < hi for the integer cuts of a gcd band:
+    # 12^(1/4) = 1.86..., 12^(9/20) = 3.06... leave 2 and 3 of 12
+    def between(n, band):
+        lo, hi = band.cuts(n)
+        return [a for a in divisors(factorize(n)) if lo <= a < hi]
+
+    assert between(12, GcdBand(Fraction(1, 4), Fraction(1, 5))) == [2, 3]
+    assert between(7, GcdBand.full()) == [1, 7]
+    assert between(1, GcdBand(Fraction(1, 2), Fraction(1, 2))) == []
 
 
 def test_multiplicativity_of_phi_tau_omega():

@@ -159,6 +159,8 @@ def test_precondition_errors_exit_2(capsys):
         (["experiment", "--kind", "threshold", "--taus", "3", "--schedule=-1:3"],
          "--schedule LOEXP:HIEXP needs LOEXP >= 0, got -1:3"),
         (["experiment", "--kind", "svolume", "--qmax", "0"], "qmax must be >= 1"),
+        (["experiment", "--kind", "svolume", "--qmax", "4096", "--schedule", "6:23"],
+         "svolume schedule must reach qmax^d = 16777216, got top 8388608"),
         (["residues", "--qlo", "6", "--qhi", "5", "--d", "2"], "need --qlo <= --qhi, got 6 > 5"),
         (["cover", "--tau", "3", "--d", "2", "--qlo", "6", "--qhi", "5"],
          "need --qlo <= --qhi, got 6 > 5"),

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diocurve import _kernels
 from diocurve.arithmetic import iroot
 from diocurve.counting import (
     AlphaValue,
-    CountCurve,
     HitFlags,
     _dyadic_survivors,
     _exact_hits,
+    count_curve,
     counting_function,
     find_hits,
     phi_psi_sums,
@@ -29,9 +30,8 @@ def test_alpha_values():
     a = AlphaValue.user("1/3")
     assert a.value == Fraction(1, 3)
     assert a.provenance == "user-supplied"
-    b1 = AlphaValue.dyadic_random(7, 128, 0)
-    b2 = AlphaValue.dyadic_random(7, 128, 0)
-    b3 = AlphaValue.dyadic_random(7, 128, 1)
+    b1 = AlphaValue.dyadic_randoms(7, 128, 1)[0]
+    b2, b3 = AlphaValue.dyadic_randoms(7, 128, 2)
     assert b1 == b2 and b1 != b3  # deterministic in (seed, index)
     assert b1.value.denominator == 1 << 128
     assert b1.value.numerator % 2 == 1
@@ -46,7 +46,8 @@ def test_alpha_values():
 
 def test_required_alpha_bits():
     assert required_alpha_bits(2, Fraction(5, 2), 1024) == 128  # floor wins
-    assert required_alpha_bits(2, Fraction(13, 4), 2**16, floor_bits=64) == 100
+    assert required_alpha_bits(2, Fraction(13, 4), 2**16) == 128  # estimate 100
+    assert required_alpha_bits(2, Fraction(13, 4), 2**24) == 142  # 5.25 * 24 + 16
 
 
 def test_find_hits_example_one_third():
@@ -68,11 +69,14 @@ def test_find_hits_exact_center():
     assert any(h.b == 4 and h.error == 0 for h in hits)
 
 
-def test_find_hits_p_witness_consistency():
+def test_find_hits_numerators_in_residue_set():
+    # every hit's numerator has a solution p of p^d = b (mod q): its class
+    # is in the enumerated set {a_d x^d mod q}
     alpha = AlphaValue.user(Fraction(1, 3))
-    for h in find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 50):
-        assert h.p is not None
-        assert (h.b - pow(h.p, 2, h.q)) % h.q == 0
+    hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 50)
+    assert hits
+    for h in hits:
+        assert h.b % h.q in _kernels.residue_set(h.q, 2, 1).tolist()
 
 
 def test_find_hits_band_and_flag_filters():
@@ -94,10 +98,13 @@ def test_find_hits_band_and_flag_filters():
     prim = find_hits(
         alpha, 2, 1, Fraction(5, 2), FULL, 50, HitFlags(primitive_only=True)
     )
+    assert prim
     for h in prim:
         assert is_primitive_power_residue(h.b % h.q, h.q, 2, 1)
-        if h.p is not None:
-            assert math.gcd(h.p, h.q) == 1
+        # a unit x with a_d x^d = b (mod q), found by enumeration
+        assert any(
+            math.gcd(x, h.q) == 1 and pow(x, 2, h.q) == h.b % h.q for x in range(h.q)
+        )
 
 
 def brute_scan(alpha, d, a_d, tau, band, q, flags):
@@ -188,16 +195,11 @@ def test_counting_function_examples():
     alpha = AlphaValue.user(Fraction(1, 3))
     assert counting_function(alpha, 2, 1, Fraction(5, 2), FULL, 16) == 4
     assert counting_function(alpha, 2, 1, Fraction(5, 2), FULL, 1) == 1
-    # q <= Q reading counts the same hits on a different scale
-    assert counting_function(
-        alpha, 2, 1, Fraction(5, 2), FULL, 4, count_denominators=True
-    ) == 4
 
 
 def test_counting_function_huge_tau_only_q1():
     hits = 0
-    for i in range(20):
-        alpha = AlphaValue.dyadic_random(99, 192, i)
+    for alpha in AlphaValue.dyadic_randoms(99, 192, 20):
         n = counting_function(alpha, 2, 1, Fraction(100), FULL, 10**6)
         hits += n == 1
     assert hits >= 19
@@ -223,7 +225,7 @@ def test_counting_monotonicity():
 
 
 def test_repeat_run_determinism():
-    alpha = AlphaValue.dyadic_random(3, 160, 2)
+    alpha = AlphaValue.dyadic_randoms(3, 160, 3)[2]
     base = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400)
     for _ in range(3):
         assert find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400) == base
@@ -293,7 +295,7 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
         for flags in combos:
             b = (FULL, band)[i % 2]
             got = find_hits(AlphaValue.user(alpha), d, a_d, tau, b, qmax, flags)
-            expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags, 2000)
+            expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags)
             assert got == expected, (alpha, d, a_d, flags)
     # qmax^4 just below 2^63 takes the prefilter, just above the exact path;
     # d = 4 puts that edge near q = 55108, where scanning every q stays cheap
@@ -302,7 +304,7 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
     for qmax in (top, top + 1):
         got = find_hits(AlphaValue.user(alpha), 4, 1, Fraction(17, 4), FULL, qmax)
         expected = _exact_hits(
-            alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags(), 2000
+            alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags()
         )
         assert got == expected, qmax
 
@@ -325,7 +327,7 @@ def cmp_band(band):
 def walk_hits(alpha, d, a_d, tau, inside, qmax, flags):
     """Oracle: the neighbourhood walk, stepping b down from floor(q^d alpha)
     and up from the next integer while |alpha - b/q^d| < q^-tau, with the
-    band decided by inside(g, q); no solution witnesses (p is None)."""
+    band decided by inside(g, q)."""
     from diocurve.arithmetic import distinct_prime_count, factorize
     from diocurve.curve import ConstrainedHit
 
@@ -350,7 +352,7 @@ def walk_hits(alpha, d, a_d, tau, inside, qmax, flags):
         for b, dist in sorted(candidates):
             g = math.gcd(b, q)
             if inside(g, q) and test(b % q, q, d, a_d):
-                hits.append(ConstrainedHit(q, b, None, Fraction(dist, ad * t), g))
+                hits.append(ConstrainedHit(q, b, Fraction(dist, ad * t), g))
     return hits
 
 
@@ -379,7 +381,7 @@ def test_exact_hits_matches_neighbourhood_walk():
                     for alpha in alphas:
                         for flags in combos:
                             got = _exact_hits(
-                                alpha, d, a_d, tau, band, range(1, qmax + 1), flags, 0
+                                alpha, d, a_d, tau, band, range(1, qmax + 1), flags
                             )
                             expected = walk_hits(alpha, d, a_d, tau, inside, qmax, flags)
                             assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
@@ -391,8 +393,7 @@ def test_corollary_search_statistic():
     flags = HitFlags(primitive_only=True, coprime_to_d_ad=True, omega_max=2)
     good = 0
     results = []
-    for i in range(20):
-        alpha = AlphaValue.dyadic_random(0, 192, i)
+    for alpha in AlphaValue.dyadic_randoms(0, 192, 20):
         hits = find_hits(alpha, 2, 1, Fraction(3), FULL, 10**5, flags)
         results.append(len(hits))
         good += len(hits) >= 3
@@ -402,15 +403,17 @@ def test_corollary_search_statistic():
 def test_count_curve():
     alpha = AlphaValue.user(Fraction(1, 3))
     hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 32)
-    curve = CountCurve.from_hits(
-        alpha, 2, 1, Fraction(5, 2), FULL, HitFlags(), hits, (4, 16, 64, 256, 1024)
-    )
+    schedule = (4, 16, 64, 256, 1024)
+    curve = count_curve(hits, schedule, 2)
     qs = {h.q for h in hits}
-    assert curve.samples == tuple(
-        (Q, sum(1 for q in qs if q * q <= Q)) for Q in (4, 16, 64, 256, 1024)
-    )
-    ns = [n for _, n in curve.samples]
+    assert curve == tuple((Q, sum(1 for q in qs if q * q <= Q)) for Q in schedule)
+    ns = [n for _, n in curve]
     assert ns == sorted(ns)
+    # at d = 3 the same hits are read on the q^3 <= Q scale, cube roots floored
+    cubes = (1, 7, 8, 26, 27, 1000)
+    assert count_curve(hits, cubes, 3) == tuple(
+        (Q, sum(1 for q in qs if q**3 <= Q)) for Q in cubes
+    )
 
 
 def test_phi_psi_example():

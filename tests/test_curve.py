@@ -176,6 +176,6 @@ def test_round_trip_200_random_instances():
 
 def test_constrained_hit_validation():
     with pytest.raises(ValueError):
-        ConstrainedHit(2, 1, None, Fraction(-1, 4), 1)
-    hit = ConstrainedHit(4, 0, None, Fraction(0), 4)
+        ConstrainedHit(2, 1, Fraction(-1, 4), 1)
+    hit = ConstrainedHit(4, 0, Fraction(0), 4)
     assert hit.gcd_bq == 4  # gcd(0, q) = q convention

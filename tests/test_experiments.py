@@ -18,7 +18,6 @@ from diocurve.experiments import (
     svolume_experiment,
     threshold_experiment,
     top_half_window,
-    VerdictRules,
 )
 
 SQ = IntPolynomial((0, 0, -1))
@@ -50,14 +49,13 @@ def test_fit_loglog_recovers_power_law():
 
 
 def test_series_verdict_synthetic():
-    rules = VerdictRules()
     sched = geometric_schedule(0, 14)
     geo = [3.0 - 2.0**-k for k in range(15)]  # increments shrink by 2 per step
-    assert series_verdict(sched, geo, rules) == "converging"
+    assert series_verdict(sched, geo) == "converging"
     power = [float(Q) ** 0.5 for Q in sched]
-    assert series_verdict(sched, power, rules) == "diverging"
+    assert series_verdict(sched, power) == "diverging"
     logarithmic = [1.0 + 0.2 * k for k in range(15)]
-    assert series_verdict(sched, logarithmic, rules) == "diverging (logarithmic)"
+    assert series_verdict(sched, logarithmic) == "diverging (logarithmic)"
 
 
 def test_threshold_experiment_verdicts():
@@ -132,6 +130,32 @@ def test_svolume_critical_exponent_example():
     assert "s_star_spread" in report.summary
 
 
+def test_svolume_sums_every_hit_up_to_qmax():
+    # qmax = 4096 lies above iroot(2^20, 2) = 1024, the top of the old fixed
+    # schedule; at s = 4/11 and 8/11 the exponent tau * s is 1 and 2, so
+    # V_final = sum over hits of 2 c_n / q_n^(tau s) is an exact rational
+    from diocurve.counting import find_hits
+    from diocurve.residues import count_solutions
+
+    cfg = _cfg(tau=Fraction(11, 4), alpha_count=2)
+    grid = [Fraction(4, 11), Fraction(8, 11)]
+    qmax = 4096
+    report = svolume_experiment(cfg, grid, qmax=qmax)
+    assert "# schedule = 64..16777216x2" in report.echo_lines
+    finals = {(r[0], r[1]): float(r[2]) for r in report.rows if r[1] != "s*"}
+    above = 0
+    for i, alpha in enumerate(cfg.alphas(qmax)):
+        hits = find_hits(alpha, 2, 1, cfg.tau, FULL, qmax)
+        above += sum(h.q > 1024 for h in hits)
+        for s in grid:
+            exact = sum(
+                Fraction(2 * count_solutions(h.b % h.q, h.q, 2, 1), h.q ** int(cfg.tau * s))
+                for h in hits
+            )
+            assert finals[i, str(s)] == pytest.approx(float(exact), rel=1e-9), (i, s)
+    assert above  # the sums include hits the old schedule dropped
+
+
 def test_stabilization_experiment():
     cfg = _cfg(tau=Fraction(13, 4), alpha_count=5, alpha_bits=192)
     report = stabilization_experiment(cfg, 2**8, 2**10)
@@ -200,6 +224,5 @@ def test_empty_band_near_zero_counts():
     from diocurve.counting import AlphaValue, counting_function
 
     band = GcdBand(Fraction(99, 100), Fraction(1, 100))
-    for i in range(5):
-        a = AlphaValue.dyadic_random(0, 128, i)
+    for a in AlphaValue.dyadic_randoms(0, 128, 5):
         assert counting_function(a, 2, 1, Fraction(9, 4), band, 2**16) == 0
