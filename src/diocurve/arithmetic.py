@@ -7,7 +7,12 @@ over (good far past the 2^63 moduli ceiling this package supports).
 Quantities of the form q^(u/v) are never materialised as floats.  Order
 comparisons against them are decided by raising both sides to the v-th
 power in exact integers, and certified rational enclosures come from
-integer v-th roots at a configurable precision.
+integer v-th roots at a configurable precision.  Every integer root of
+degree 3 or more above 2^52 ends in the same exact descent
+(``_root_descent``): ``iroot`` starts it from its own float seed, and the
+certified sums of ``covers`` from float seeds worked out for a whole block
+of moduli at once.  A float only ever starts the descent; the floor it
+stops at is decided in integers.
 """
 
 from __future__ import annotations
@@ -225,19 +230,31 @@ def _root_seed(n: int, k: int) -> int:
     return (int(float(n >> shift) ** (1.0 / k)) + 1) << (shift // k)
 
 
+def _root_descent(n: int, k: int, x: int) -> int:
+    """floor(n^(1/k)) for n >= 1 and k >= 2, from any seed x >= 1.
+
+    By AM-GM ((k-1) x + n / x^(k-1)) / k >= n^(1/k) for any x >= 1, and
+    flooring n / x^(k-1) first does not change the floor of that mean, so
+    one Newton step from any seed lands at or above r = floor(n^(1/k)).
+    While x^k > n, n // x^(k-1) <= x - 1, so each further step strictly
+    decreases x and stays at or above r: the descent stops exactly at r.
+    From a seed within a float error of the root that is usually the
+    first step (one step from x far below overshoots by about
+    (n^(1/k) / x)^(k-1) / k, and the descent from there takes longer).
+    """
+    x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor(n^(1/k))
+    while (p := x ** (k - 1)) * x > n:
+        x = ((k - 1) * x + n // p) // k
+    return x
+
+
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) in exact integers, n >= 0, k >= 1.
 
     Below 2^52, n is an exact float and its float root is within one of
-    the answer, which the fix-up loops settle.  Above, the seed keeps all
-    53 bits of the float root, and its + 1 puts it above the root or at
-    most a float error below it (one step from x far below would overshoot
-    by about (n^(1/k) / x)^(k-1) / k).  By AM-GM ((k-1) x + n / x^(k-1)) / k
-    >= n^(1/k) for any x >= 1, and flooring n / x^(k-1) first does not
-    change the floor of that mean, so one Newton step from any seed lands
-    at or above r = floor(n^(1/k)).  While x^k > n, n // x^(k-1) <= x - 1,
-    so each further step strictly decreases x and stays at or above r:
-    the descent stops exactly at r, usually after the first step.
+    the answer, which the fix-up loops settle.  Above, ``_root_descent``
+    starts from ``_root_seed``: all 53 bits of the float root plus one,
+    which puts it above the root or at most a float error below it.
     """
     if n < 0 or k < 1:
         raise ValueError("iroot requires n >= 0 and k >= 1")
@@ -252,11 +269,7 @@ def iroot(n: int, k: int) -> int:
         while (x + 1) ** k <= n:
             x += 1
         return x
-    x = _root_seed(n, k)
-    x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor(n^(1/k))
-    while (p := x ** (k - 1)) * x > n:
-        x = ((k - 1) * x + n // p) // k
-    return x
+    return _root_descent(n, k, _root_seed(n, k))
 
 
 def cmp_frac_qpow(x: Rational, q: int, exponent: Fraction) -> int:

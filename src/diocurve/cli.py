@@ -321,7 +321,8 @@ def _cmd_scan(args) -> None:
         flags=flags.describe(),
     )
     if args.curve:
-        hi_exp = max(2, (args.qmax**d).bit_length() - 1)
+        # the first power of two at or past qmax^d, so every hit is counted
+        hi_exp = max(2, (args.qmax**d - 1).bit_length())
         rows = list(count_curve(hits, geometric_schedule(2, hi_exp), d))
         _emit(args, ["Q", "N"], rows, echo)
         if args.dump_gnuplot:

@@ -19,10 +19,18 @@ certifiably contains the true sum while denominators stay bounded (exact
 rational accumulation would blow up on ranges like q <= 2^16).  The terms
 of one block are rounded in one pass (``IntervalSum.add_ratios``), and the
 tail sums of several taus share one count pass per block (``tail_sums``).
+Each term numerator / q^(k + w/v), 0 <= w < v, is rounded against q^k
+times R = floor(2^bits q^(w/v)), a root of q^w alone: its interval
+contains the one that the root of the whole power q^(k v + w) would give
+(proof at ``IntervalSum``).  The roots come from float seeds worked out
+for up to ROOT_CHUNK moduli at a time, each settled by the exact integer
+descent of ``iroot``, and the taus of one ``tail_sums`` call with the
+same w/v share them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +43,8 @@ from . import _kernels
 from .arithmetic import (
     DEFAULT_SIEVE_LIMIT,
     Rational,
+    _root_descent,
+    _root_seed,
     divisors,
     factorize,
     get_sieve,
@@ -306,12 +316,49 @@ def _table_blocks(N: int, Q: int):
 # certified fixed-point accumulation
 
 
+# the sums round at most this many terms per ``add_ratios`` call, so the
+# float seeds and roots of a block are never held all at once
+ROOT_CHUNK = 1 << 10
+
+
+def _split_roots(qs, w: int, v: int, bits: int) -> list[int]:
+    """R = floor(2^bits q^(w/v)) for each int q >= 1 of qs, 0 < w < v.
+
+    v = 2 takes one ``math.isqrt(q << 2 bits)`` per q.  v >= 3 works out
+    the float seeds 2^bits q^(w/v) of all qs in one numpy pass, and each
+    seed starts the exact integer descent ``_root_descent`` on q^w 2^(v
+    bits), so R is the exact floor whichever side of it the seed falls.
+    A seed that is not a finite float starts from ``iroot``'s own seed.
+    """
+    shift = v * bits
+    if v == 2:
+        return [math.isqrt(q << shift) for q in qs]
+    with np.errstate(over="ignore"):
+        seeds = np.ldexp(np.asarray(qs, dtype=np.float64) ** (w / v), bits)
+    seeds[~np.isfinite(seeds)] = 0
+    roots = []
+    for q, seed in zip(qs, seeds.tolist()):
+        n = q**w << shift
+        roots.append(_root_descent(n, v, int(seed) or _root_seed(n, v)))
+    return roots
+
+
 class IntervalSum:
     """Accumulates certified [lo, hi] enclosures at fixed scale 2^-bits.
 
-    ``add_ratios`` is the one rounding path for terms numerator / q^(u/v):
-    each term is rounded outward on its own, the terms of a call are summed
-    in local integers, and the totals are added to lo and hi once.
+    ``add_ratios`` is the one rounding path for terms numerator / q^tau
+    with tau = u/v > 0.  It splits tau = k + w/v with 0 <= w < v and takes
+    R = floor(2^bits q^(w/v)); each term is rounded outward against q^k R,
+    the terms of a call are summed in local integers, and the totals are
+    added to lo and hi once.
+
+    Nesting: with r = floor(2^bits q^tau), the one root an unsplit rounding
+    takes, q^k R is an integer <= 2^bits q^tau, so q^k R <= r, and q^k (R +
+    1) is an integer > 2^bits q^tau >= r, so q^k (R + 1) >= r + 1.  Every
+    term's interval [N // (q^k (R + 1)), ceil(N / (q^k R))], N = numerator
+    2^(2 bits), therefore contains [N // (r + 1), ceil(N / r)].  An integer
+    tau is w = 0, where 2^bits q^0 is exact and the term is floored and
+    ceiled at numerator 2^bits / q^k.
     """
 
     def __init__(self, bits: int = SUM_BITS):
@@ -319,28 +366,28 @@ class IntervalSum:
         self.lo = 0
         self.hi = 0
 
-    def add_ratios(self, numerators, qs, u: int, v: int) -> None:
+    def add_ratios(self, numerators, qs, u: int, v: int, roots=None) -> None:
         """Add numerator / q^(u/v) (u, v > 0) for each pair of numerators and
         qs, every term rounded outward.
 
-        v = 1 divides numerator * 2^bits by q^u, floored and ceiled.  v >= 2
-        takes r = floor(2^bits q^(u/v)) from one ``iroot``, so that
-        numerator * 2^(2 bits) / (r + 1) and / r bound the scaled term.
+        roots, if given, holds R = floor(2^bits q^(w/v)) for each q, with
+        w = u mod v > 0, as ``_split_roots`` returns them; they are taken
+        from there otherwise.  Callers that sum several exponents with the
+        same w/v over the same qs work the roots out once.
         """
         bits = self.bits
-        lo = hi = 0
-        if v == 1:
-            for numerator, q in zip(numerators, qs):
-                num, den = numerator << bits, q**u
-                lo += num // den
-                hi -= -num // den
+        k, w = divmod(u, v)
+        if w:
+            shift, step = 2 * bits, 1
+            if roots is None:
+                roots = _split_roots(qs, w, v, bits)
         else:
-            shift = v * bits
-            for numerator, q in zip(numerators, qs):
-                r = iroot(q**u << shift, v)  # floor(2^bits * q^(u/v))
-                num = numerator << 2 * bits
-                lo += num // (r + 1)
-                hi -= -num // r
+            shift, step, roots = bits, 0, itertools.repeat(1)
+        lo = hi = 0
+        for numerator, q, root in zip(numerators, qs, roots):
+            num, qk = numerator << shift, q**k
+            lo += num // (qk * (root + step))
+            hi -= -num // (qk * root)
         self.lo += lo
         self.hi += hi
 
@@ -366,8 +413,10 @@ def tail_sums(
 
     Every tau is checked before any count is taken.  The numerators 2 *
     count(q) * q^(d-1) are built once per count-table block for the full
-    band, and once for the q with a nonzero count for other bands; each
-    tau adds them in one ``add_ratios`` call.
+    band, and once for the q with a nonzero count for other bands.  Each
+    tau adds them in ``add_ratios`` calls of at most ROOT_CHUNK terms, and
+    the taus with the same fractional part w/v share that chunk's roots
+    floor(2^bits q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
@@ -382,10 +431,16 @@ def tail_sums(
         counts = {q: banded_center_count(q, band, d, a_d) for q in range(N, Q + 1)}
         blocks = [([q for q, c in counts.items() if c], [c for c in counts.values() if c])]
     accs = [IntervalSum(bits) for _ in taus]
+    splits = [(tau.numerator % tau.denominator, tau.denominator) for tau in taus]
+    rooted = {(w, v) for w, v in splits if w}
     for qs, cs in blocks:
-        nums = [2 * c * q ** (d - 1) for q, c in zip(qs, cs)]
-        for tau, acc in zip(taus, accs):
-            acc.add_ratios(nums, qs, tau.numerator, tau.denominator)
+        for start in range(0, len(qs), ROOT_CHUNK):
+            part = slice(start, start + ROOT_CHUNK)
+            chunk = qs[part]
+            nums = [2 * c * q ** (d - 1) for q, c in zip(chunk, cs[part])]
+            roots = {(w, v): _split_roots(chunk, w, v, bits) for w, v in rooted}
+            for tau, split, acc in zip(taus, splits, accs):
+                acc.add_ratios(nums, chunk, tau.numerator, tau.denominator, roots.get(split))
     return [acc.interval() for acc in accs]
 
 
@@ -421,7 +476,8 @@ def restricted_series_partial(
     """Certified interval for sum_{q<=Q, gcd(q,n)=1} z^omega(q) / q^s, for
     Q < TABLE_QMAX.  Walks the count table's blocks; with z = a/b and W =
     Q.bit_length() > omega(q), each term adds a^w b^(W-w) / q^s with
-    outward rounding, and the total is divided exactly by b^W."""
+    outward rounding, at most ROOT_CHUNK terms per ``add_ratios`` call, and
+    the total is divided exactly by b^W."""
     z = Fraction(z)
     s = Fraction(s)
     if z <= 0 or s <= 0:
@@ -444,7 +500,10 @@ def restricted_series_partial(
         coprime = np.ones(len(omega), dtype=bool)
         for p in n_primes:
             coprime[(-lo) % p :: p] = False
-        qs = np.flatnonzero(coprime) + lo
-        acc.add_ratios([weight[w] for w in omega[coprime].tolist()], qs.tolist(), u, v)
+        qs, omegas = np.flatnonzero(coprime) + lo, omega[coprime]
+        for start in range(0, len(qs), ROOT_CHUNK):
+            part = slice(start, start + ROOT_CHUNK)
+            nums = [weight[w] for w in omegas[part].tolist()]
+            acc.add_ratios(nums, qs[part].tolist(), u, v)
     lo, hi = acc.interval()
     return lo / z.denominator**W, hi / z.denominator**W

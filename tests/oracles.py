@@ -1,6 +1,7 @@
 """Brute-force enumeration oracles for the closed-form residue counts,
 omega by trial division, outward rounding of numerator / q^(u/v) with
-roots found by bisection, the exact union measure of one cover layer, and
+roots found by bisection (split at the integer part of u/v, as the sums
+round, and unsplit), the exact union measure of one cover layer, and
 the truncated Euler product of the omega series.
 
 Test-side only: no library code calls these.  The residue oracles
@@ -58,19 +59,9 @@ def omega(q: int) -> int:
     return count + (q > 1)
 
 
-def ratio_with_root_bounds(numerator: int, q: int, u: int, v: int, bits: int) -> tuple[int, int]:
-    """(lo, hi) integers bounding numerator * 2^bits / q^(u/v), rounded as
-    the fixed-point sums round it.
-
-    v = 1: floor and ceiling of numerator * 2^bits / q^u.  v >= 2: with
-    r = floor(2^bits q^(u/v)), found by integer bisection on
-    r^v <= q^u 2^(bits v), lo = floor(numerator 2^(2 bits) / (r + 1)) and
-    hi = ceil(numerator 2^(2 bits) / r).
-    """
-    if v == 1:
-        num, den = numerator << bits, q**u
-        return num // den, -(-num // den)
-    target = q**u << (bits * v)
+def floor_root(target: int, v: int) -> int:
+    """floor(target^(1/v)) for target >= 1, v >= 1, by integer bisection
+    on r^v <= target."""
     size = target.bit_length()
     lo, hi = 1 << ((size - 1) // v), 1 << (size // v + 1)  # lo^v <= target < hi^v
     while hi - lo > 1:
@@ -79,8 +70,38 @@ def ratio_with_root_bounds(numerator: int, q: int, u: int, v: int, bits: int) ->
             lo = mid
         else:
             hi = mid
+    return lo
+
+
+def ratio_with_root_bounds(numerator: int, q: int, u: int, v: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) integers bounding numerator * 2^bits / q^(u/v), rounded as
+    the fixed-point sums round it.
+
+    Split u/v = k + w/v with 0 <= w < v.  w = 0: floor and ceiling of
+    numerator * 2^bits / q^k.  w > 0: with R = floor(2^bits q^(w/v)) by
+    ``floor_root``, lo = floor(numerator 2^(2 bits) / (q^k (R + 1))) and
+    hi = ceil(numerator 2^(2 bits) / (q^k R)).
+    """
+    k, w = divmod(u, v)
+    if w == 0:
+        num, den = numerator << bits, q**k
+        return num // den, -(-num // den)
+    R = floor_root(q**w << (bits * v), v)
     num = numerator << (2 * bits)
-    return num // (lo + 1), -(-num // lo)
+    return num // (q**k * (R + 1)), -(-num // (q**k * R))
+
+
+def unsplit_ratio_bounds(numerator: int, q: int, u: int, v: int, bits: int) -> tuple[int, int]:
+    """The tighter rounding against one root of the whole power: v = 1 as
+    in ``ratio_with_root_bounds``; v >= 2 with r = floor(2^bits q^(u/v)),
+    lo = floor(numerator 2^(2 bits) / (r + 1)) and hi = ceil(numerator
+    2^(2 bits) / r).  Every ``ratio_with_root_bounds`` interval contains
+    this one."""
+    if v == 1:
+        return ratio_with_root_bounds(numerator, q, u, v, bits)
+    r = floor_root(q**u << (bits * v), v)
+    num = numerator << (2 * bits)
+    return num // (r + 1), -(-num // r)
 
 
 def exact_union_measure(

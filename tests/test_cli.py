@@ -47,6 +47,25 @@ def test_scan_example(capsys):
     assert "4,5,1,48,1,none" in lines
 
 
+def _scan_rows(capsys, qmax, *extra):
+    argv = ["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", str(qmax)]
+    assert main([*argv, *extra]) == 0
+    return [l.split(",") for l in body(capsys.readouterr().out)[1:]]
+
+
+def test_scan_curve_counts_every_hit_modulus(capsys):
+    # the schedule runs to the first power of two at or past qmax^d, so its
+    # last N is the number of distinct hit moduli q <= qmax
+    for qmax in (1000, 1024):
+        curve = _scan_rows(capsys, qmax, "--curve")
+        moduli = {int(row[0]) for row in _scan_rows(capsys, qmax)}
+        # a power-of-two qmax keeps the schedule it had: 2^2 .. qmax^2
+        assert [int(Q) for Q, _ in curve] == [1 << e for e in range(2, 21)], qmax
+        assert int(curve[-1][1]) == len(moduli), qmax
+    assert curve[-1] == ["1048576", "345"]
+    assert _scan_rows(capsys, 1000, "--curve")[-1] == ["1048576", "337"]
+
+
 def test_scan_jsonl(capsys):
     assert (
         main(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diocurve import _kernels
+from diocurve import _kernels, covers
 from diocurve.arithmetic import (
     cmp_frac_qpow,
     divisor_count,
@@ -14,6 +14,7 @@ from diocurve.arithmetic import (
 )
 from diocurve.covers import (
     COUNT_BLOCK,
+    ROOT_CHUNK,
     SUM_BITS,
     TABLE_QMAX,
     GcdBand,
@@ -27,7 +28,14 @@ from diocurve.covers import (
     tail_sums,
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
-from oracles import euler_product_partial, exact_union_measure, omega, ratio_with_root_bounds
+from oracles import (
+    euler_product_partial,
+    exact_union_measure,
+    floor_root,
+    omega,
+    ratio_with_root_bounds,
+    unsplit_ratio_bounds,
+)
 
 
 def test_band_validation_and_parse():
@@ -243,13 +251,30 @@ def test_count_table_refuses_q_past_table_qmax():
         tail_sum(3, 2, 1, TABLE_QMAX, TABLE_QMAX, GcdBand.full())
 
 
-def _per_q_tail_sum(tau, d, a_d, N, Q):
+def _encloses(lo, hi, numerator, q, u, v, bits):
+    """lo / 2^bits <= numerator / q^(u/v) <= hi / 2^bits, decided as
+    lo^v q^u <= (numerator 2^bits)^v <= hi^v q^u."""
+    scaled = (numerator << bits) ** v
+    return 0 <= lo and lo**v * q**u <= scaled <= hi**v * q**u
+
+
+def _split_term(numerator, q, u, v, bits):
+    """The split oracle's rounding of one term, checked to enclose the
+    term and to contain the unsplit rounding."""
+    lo, hi = ratio_with_root_bounds(numerator, q, u, v, bits)
+    unsplit_lo, unsplit_hi = unsplit_ratio_bounds(numerator, q, u, v, bits)
+    assert _encloses(lo, hi, numerator, q, u, v, bits), (numerator, q, u, v, bits)
+    assert lo <= unsplit_lo <= unsplit_hi <= hi, (numerator, q, u, v, bits)
+    return lo, hi
+
+
+def _per_q_tail_sum(tau, d, a_d, N, Q, oracle=_split_term):
     """Full-band tail sum with one closed-form count per q, each term
-    rounded by the bisection oracle."""
+    rounded by a bisection oracle."""
     lo = hi = 0
     for q in range(N, Q + 1):
         count = scaled_power_residue_count(q, d, a_d)
-        term_lo, term_hi = ratio_with_root_bounds(
+        term_lo, term_hi = oracle(
             2 * count * q ** (d - 1), q, tau.numerator, tau.denominator, SUM_BITS
         )
         lo += term_lo
@@ -258,7 +283,8 @@ def _per_q_tail_sum(tau, d, a_d, N, Q):
 
 
 def test_full_band_tail_sum_equals_per_q_sum():
-    # the threshold schedule 2^2..2^14 at the taus of the benchmark
+    # the threshold schedule 2^2..2^14 at the taus of the benchmark; every
+    # term encloses its value and contains the unsplit rounding
     for tau in (Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(9, 2)):
         prev = 0
         for e in range(2, 15):
@@ -272,21 +298,12 @@ def test_full_band_tail_sum_equals_per_q_sum():
     )
 
 
-def _encloses(lo, hi, numerator, q, u, v, bits):
-    """lo / 2^bits <= numerator / q^(u/v) <= hi / 2^bits, decided as
-    lo^v q^u <= (numerator 2^bits)^v <= hi^v q^u."""
-    scaled = (numerator << bits) ** v
-    return 0 <= lo and lo**v * q**u <= scaled <= hi**v * q**u
-
-
 def test_add_ratios_matches_oracle():
     qs = list(range(1, 401)) + list(range(2**18 - 300, 2**18 + 1))
-    for u, v in ((3, 1), (5, 2), (7, 2), (9, 2), (6, 5), (7, 5), (13, 4)):
+    for u, v in ((3, 1), (5, 2), (7, 2), (9, 2), (6, 5), (7, 5), (13, 4), (3, 5)):
         for bits in (32, 64, 96):
             for numerator in (0, 1, 3**19):
-                terms = [ratio_with_root_bounds(numerator, q, u, v, bits) for q in qs]
-                for q, (lo, hi) in zip(qs, terms):
-                    assert _encloses(lo, hi, numerator, q, u, v, bits), (numerator, q, u, v, bits)
+                terms = [_split_term(numerator, q, u, v, bits) for q in qs]
                 expected = (5 + sum(lo for lo, _ in terms), 7 + sum(hi for _, hi in terms))
                 acc = IntervalSum(bits)
                 acc.lo, acc.hi = 5, 7  # the batch adds to what is there
@@ -308,6 +325,35 @@ def test_add_ratios_matches_oracle():
             ), (u, v, bits)
 
 
+_SPLITS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (11, 20))
+
+
+def test_split_roots_match_bisection():
+    # R = floor(2^bits q^(w/v)) from float seeds and the exact descent, for
+    # small q, q near 2^18, 2^24 and 2^47, and exact powers q = m^v, where
+    # R = m^w 2^bits and the float seed may sit on either side of it
+    near = [q for e in (18, 24, 47) for q in range(2**e - 20, 2**e + 21)]
+    qs = list(range(1, 401)) + near
+    for w, v in _SPLITS:
+        powers = [m**v for m in (2, 3, 7, 10, 97, 1 << 10, 3**7) if m**v < 2**62]
+        for bits in (32, 64, 96):
+            for case in (qs, powers):
+                roots = covers._split_roots(case, w, v, bits)
+                assert roots == [floor_root(q**w << (v * bits), v) for q in case], (w, v, bits)
+            assert [r >> bits for r in covers._split_roots(powers, w, v, bits)] == [
+                round(q ** (w / v)) for q in powers
+            ]
+
+
+def test_split_roots_past_the_float_range():
+    # 2^bits q^(w/v) overflows a float here, so the descent starts from
+    # iroot's own seed
+    for w, v in ((1, 3), (3, 4), (11, 20)):
+        qs = [1, 2, 3**20, 2**47 + 5]
+        roots = covers._split_roots(qs, w, v, 1100)
+        assert roots == [floor_root(q**w << (v * 1100), v) for q in qs], (w, v)
+
+
 _TAILS_TAUS = {
     (2, 1): [Fraction(7, 2), Fraction(3), Fraction(9, 2), Fraction(13, 4)],
     (3, -6): [Fraction(13, 3), Fraction(7, 2), Fraction(4), Fraction(9, 2)],
@@ -326,6 +372,46 @@ def test_tail_sums_equal_tail_sum_per_tau(band, d, a_d):
         assert sums == [tail_sum(t, d, a_d, N, Q, band) for t in taus], (N, Q)
     assert tail_sums(taus, d, a_d, 12, 11, band) == [(0, 0)] * len(taus)
     assert tail_sums([], d, a_d, 1, 50, band) == []
+
+
+_SHARED_TAUS = [Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(3), Fraction(13, 4)]
+
+
+def test_tail_sums_share_roots_across_taus(monkeypatch):
+    # 5/2, 7/2 and 9/2 share their roots floor(2^96 q^(1/2)); 3 takes none
+    for band, ranges in (
+        ("full", [(1, 300), (COUNT_BLOCK - 40, COUNT_BLOCK + 40)]),
+        ("1/4,1/2", [(97, 1024)]),
+    ):
+        band = GcdBand.parse(band)
+        for N, Q in ranges:
+            sums = tail_sums(_SHARED_TAUS, 2, 1, N, Q, band)
+            assert sums == [tail_sum(t, 2, 1, N, Q, band) for t in _SHARED_TAUS], (N, Q)
+    calls = []
+    split_roots = covers._split_roots
+
+    def counted(qs, w, v, bits):
+        calls.append((len(qs), w, v))
+        return split_roots(qs, w, v, bits)
+
+    monkeypatch.setattr(covers, "_split_roots", counted)
+    tail_sums(_SHARED_TAUS, 2, 1, COUNT_BLOCK - 40, COUNT_BLOCK + 3 * ROOT_CHUNK, GcdBand.full())
+    chunks = [40, ROOT_CHUNK, ROOT_CHUNK, ROOT_CHUNK, 1]  # two blocks, chunked
+    assert sorted(calls) == sorted((n, w, v) for n in chunks for w, v in ((1, 2), (1, 4)))
+
+
+def test_tail_sums_nest_outside_unsplit_rounding():
+    # over the threshold schedule 2^2..2^14 each segment's sum contains the
+    # unsplit rounding's sum and is at most twice as wide
+    prev = 0
+    for e in range(2, 15):
+        Q = 1 << e
+        sums = tail_sums(_SHARED_TAUS, 2, 1, prev + 1, Q, GcdBand.full())
+        for tau, (lo, hi) in zip(_SHARED_TAUS, sums):
+            ulo, uhi = _per_q_tail_sum(tau, 2, 1, prev + 1, Q, unsplit_ratio_bounds)
+            assert lo <= ulo <= uhi <= hi, (tau, Q)
+            assert hi - lo <= 2 * (uhi - ulo), (tau, Q)
+        prev = Q
 
 
 def test_tail_sums_check_every_tau_before_summing(monkeypatch):
