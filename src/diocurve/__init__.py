@@ -29,9 +29,7 @@ from .counting import (
     AlphaValue,
     HitFlags,
     count_curve,
-    counting_function,
     find_hits,
-    phi_psi_sums,
 )
 from .curve import (
     ConstrainedHit,
@@ -43,7 +41,6 @@ from .curve import (
     reduce_simultaneous,
 )
 from .residues import (
-    PowerResidueProfile,
     ResidueSet,
     count_solutions,
     hensel_lift,

@@ -2,8 +2,8 @@
 
 Subcommands: residues, congruence, reduce, cover, scan, experiment.  All
 emit CSV (default) or JSON-lines with a '#'-prefixed config echo block.
-Exit codes: 0 on success, 2 on usage/precondition errors, 1 on internal
-errors.
+Exit codes: 0 on success, 2 on usage/precondition errors (an unwritable
+--output or --dump-gnuplot path included), 1 on internal errors.
 """
 
 from __future__ import annotations
@@ -33,30 +33,56 @@ from .experiments import (
     svolume_experiment,
     threshold_experiment,
 )
-from .residues import PowerResidueProfile, count_solutions, hensel_lift, power_residues
+from .residues import (
+    count_solutions,
+    hensel_lift,
+    power_residue_count,
+    power_residues,
+    unit_power_count,
+    unity_roots_count,
+)
 
-_ECHO_KEYS = ("seed", "format")  # --threads has no effect, so it is not echoed
+# the (x, y, key) columns of each experiment report that --dump-gnuplot plots
+_GNUPLOT_COLUMNS = {
+    "threshold": ("Q", "sum_hi", "tau"),
+    "growth": ("Q", "N", "alpha_index"),
+}
 
 
-def _echo_lines(args, **extra) -> list[str]:
-    items = {"library": f"diocurve {__version__}"}
-    for key in _ECHO_KEYS:
-        if hasattr(args, key):
-            items[key] = getattr(args, key)
-    items.update(extra)
-    return [f"# {k} = {v}" for k, v in items.items()]
+def _echo(args, **extra) -> dict:
+    # --threads has no effect, so it is not echoed
+    return {
+        "library": f"diocurve {__version__}",
+        "seed": args.seed,
+        "format": args.format,
+        **extra,
+    }
 
 
-def _write(args, text: str) -> None:
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write(args, report: Report) -> None:
     """Write a rendered report to --output, or to stdout."""
+    text = report.render(args.format)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(args, header: list[str], rows: list[tuple], echo: list[str]) -> None:
-    _write(args, Report(header, rows, echo).render(args.format))
+def _emit(args, header: list[str], rows: list[tuple], echo: dict) -> None:
+    _write(args, Report(header, rows, echo))
+
+
+def _dump_gnuplot(prefix: str, report: Report, xcol: str, ycol: str, key=None) -> None:
+    """One two-column file PREFIX_<curve>.dat per curve of the report."""
+    for label, data in report.gnuplot_columns(xcol, ycol, key=key).items():
+        _write_file(f"{prefix}_{label.replace('/', '_')}.dat", data)
 
 
 def _fraction(text: str) -> Fraction:
@@ -83,11 +109,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="accepted for compatibility; has no effect (reports are "
         "identical for every value)",
-    )
-    parser.add_argument(
-        "--dump-gnuplot",
-        metavar="PREFIX",
-        help="also write plain two-column data files, one per curve",
     )
 
 
@@ -161,6 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the (Q, N) counting curve along a doubling schedule "
         "instead of individual hits",
     )
+    p.add_argument(
+        "--dump-gnuplot",
+        metavar="PREFIX",
+        help="with --curve, also write the curve to PREFIX_curve.dat",
+    )
 
     p = sub.add_parser("experiment", help="the four experiment drivers")
     _common(p)
@@ -181,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qlo", type=int, help="stabilization window start")
     p.add_argument("--qhi", type=int, help="stabilization window end")
     p.add_argument("--s-grid", help="semicolon list of s values for svolume")
+    p.add_argument(
+        "--dump-gnuplot",
+        metavar="PREFIX",
+        help="threshold and growth: also write one two-column "
+        "PREFIX_<curve>.dat file per tau or alpha",
+    )
 
     return ap
 
@@ -204,16 +236,16 @@ def _cmd_residues(args) -> None:
     qs = _moduli(args)
     header = ["q", "u", "e", "r"]
     rows = []
+    d = args.d
     for q in qs:
-        prof = PowerResidueProfile.compute(q, args.d)
-        row = (q, prof.u, prof.e, prof.r)
+        row = (q, unity_roots_count(q, d), unit_power_count(q, d), power_residue_count(q, d))
         if args.elements:
-            elems = power_residues(q, args.d, args.ad).elements
+            elems = power_residues(q, d, args.ad).elements
             row = row + (" ".join(map(str, elems)),)
         rows.append(row)
     if args.elements:
         header.append("elements")
-    _emit(args, header, rows, _echo_lines(args, d=args.d, ad=args.ad))
+    _emit(args, header, rows, _echo(args, d=args.d, ad=args.ad))
 
 
 def _cmd_congruence(args) -> None:
@@ -227,7 +259,7 @@ def _cmd_congruence(args) -> None:
             args,
             ["q", "b", "d", "ad", "solutions", "solvable"],
             rows,
-            _echo_lines(args),
+            _echo(args),
         )
         return
     if not args.poly or args.ptilde is None:
@@ -236,7 +268,7 @@ def _cmd_congruence(args) -> None:
     d, a_d = poly.degree, poly.lead_negated
     p = hensel_lift(args.ptilde, args.b, args.q, d, a_d, poly)
     rows = [(args.q, args.b, args.ptilde, p, args.q ** (d - 1))]
-    _emit(args, ["q", "b", "ptilde", "p", "modulus"], rows, _echo_lines(args))
+    _emit(args, ["q", "b", "ptilde", "p", "modulus"], rows, _echo(args))
 
 
 def _cmd_reduce(args) -> None:
@@ -264,7 +296,7 @@ def _cmd_reduce(args) -> None:
         args,
         ["q", "b", "error_num", "error_den", "gcd_bq", "K", "r", "radius"],
         rows,
-        _echo_lines(args, M=args.M, tau=args.tau),
+        _echo(args, M=args.M, tau=args.tau),
     )
 
 
@@ -274,7 +306,7 @@ def _cmd_cover(args) -> None:
             raise PreconditionError("series mode needs --z, --s, --qmax")
         lo, hi = restricted_series_partial(args.z, args.s, args.n, args.qmax)
         rows = [(str(args.z), str(args.s), args.n, args.qmax, float(lo), float(hi))]
-        _emit(args, ["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo_lines(args))
+        _emit(args, ["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo(args))
         return
     if args.tau is None or args.d is None:
         raise PreconditionError("cover needs --tau and --d")
@@ -284,7 +316,7 @@ def _cmd_cover(args) -> None:
         _check_qrange(args)
         lo, hi = tail_sum(args.tau, args.d, args.ad, args.qlo, args.qhi, args.band)
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
-        _emit(args, ["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo_lines(args))
+        _emit(args, ["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo(args))
         return
     qs = _moduli(args)
     rows = []
@@ -302,17 +334,19 @@ def _cmd_cover(args) -> None:
         args,
         ["q", "center_count", "measure_lo", "measure_hi"],
         rows,
-        _echo_lines(args, tau=args.tau, d=args.d, ad=args.ad, band=args.band.format()),
+        _echo(args, tau=args.tau, d=args.d, ad=args.ad, band=args.band.format()),
     )
 
 
 def _cmd_scan(args) -> None:
+    if args.dump_gnuplot and not args.curve:
+        raise PreconditionError("--dump-gnuplot needs --curve")
     poly = IntPolynomial.parse(args.poly)
     d, a_d = poly.degree, poly.lead_negated
     flags = HitFlags(args.primitive, args.coprime, args.omega_max)
     alpha = AlphaValue.user(args.alpha)
     hits = find_hits(alpha, d, a_d, args.tau, args.band, args.qmax, flags)
-    echo = _echo_lines(
+    echo = _echo(
         args,
         poly=poly.format(),
         tau=args.tau,
@@ -324,11 +358,10 @@ def _cmd_scan(args) -> None:
         # the first power of two at or past qmax^d, so every hit is counted
         hi_exp = max(2, (args.qmax**d - 1).bit_length())
         rows = list(count_curve(hits, geometric_schedule(2, hi_exp), d))
-        _emit(args, ["Q", "N"], rows, echo)
+        report = Report(["Q", "N"], rows, echo)
+        _write(args, report)
         if args.dump_gnuplot:
-            Path(f"{args.dump_gnuplot}_curve.dat").write_text(
-                "\n".join(f"{Q} {n}" for Q, n in rows) + "\n"
-            )
+            _dump_gnuplot(args.dump_gnuplot, report, "Q", "N")
         return
     rows = [
         (
@@ -362,6 +395,10 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 
 
 def _cmd_experiment(args) -> None:
+    if args.dump_gnuplot and args.kind not in _GNUPLOT_COLUMNS:
+        raise PreconditionError(
+            f"--dump-gnuplot serves --kind threshold and growth, not {args.kind}"
+        )
     poly = IntPolynomial.parse(args.poly)
     cfg = ExperimentConfig(
         polynomial=poly,
@@ -379,16 +416,10 @@ def _cmd_experiment(args) -> None:
             else [cfg.tau]
         )
         report = threshold_experiment(cfg, taus)
-        plot_key = "tau"
-        plot_cols = ("Q", "sum_hi")
     elif args.kind == "growth":
         report = growth_exponent_experiment(cfg)
-        plot_key = "alpha_index"
-        plot_cols = ("Q", "N")
     elif args.kind == "critical-band":
         report = critical_band_experiment(cfg, args.delta)
-        plot_key = None
-        plot_cols = None
     elif args.kind == "svolume":
         if args.qmax is None:
             raise PreconditionError("svolume needs --qmax")
@@ -398,20 +429,13 @@ def _cmd_experiment(args) -> None:
             else [Fraction(k, 40) for k in range(1, 11)] + [Fraction(1)]
         )
         report = svolume_experiment(cfg, grid, args.qmax)
-        plot_key = None
-        plot_cols = None
     else:
         if args.qlo is None or args.qhi is None:
             raise PreconditionError("stabilization needs --qlo and --qhi")
         report = stabilization_experiment(cfg, args.qlo, args.qhi)
-        plot_key = None
-        plot_cols = None
-    _write(args, report.render(args.format))
-    if args.dump_gnuplot and plot_cols:
-        curves = report.gnuplot_columns(*plot_cols, key=plot_key)
-        for label, data in curves.items():
-            safe = label.replace("/", "_")
-            Path(f"{args.dump_gnuplot}_{safe}.dat").write_text(data)
+    _write(args, report)
+    if args.dump_gnuplot:
+        _dump_gnuplot(args.dump_gnuplot, report, *_GNUPLOT_COLUMNS[args.kind])
 
 
 _COMMANDS = {

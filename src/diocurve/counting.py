@@ -1,5 +1,5 @@
-"""Hit scanning for constrained approximations of alpha and the associated
-counting functions.
+"""Hit scanning for constrained approximations of alpha and the counting
+function N(Q) read from its hits.
 
 Every hit predicate is decided in exact integer arithmetic: alpha is an
 exact rational (dyadic when randomly drawn, with enough bits that no
@@ -24,11 +24,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import Rational, divisor_count, factorize, iroot
+from .arithmetic import Rational, factorize, iroot
 from .covers import GcdBand
 from .curve import ConstrainedHit
 from .residues import is_power_residue, is_primitive_power_residue
@@ -58,19 +58,6 @@ class AlphaValue:
             )
             for index in range(count)
         ]
-
-    @classmethod
-    def named_constant(cls, name: str, bits: int) -> "AlphaValue":
-        """Dyadic truncation of a named irrational in (0, 1)."""
-        radicands = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5, "golden": 5}
-        if name not in radicands:
-            raise ValueError(f"unknown constant {name!r}; know {sorted(radicands)}")
-        r = math.isqrt(radicands[name] << (2 * bits))  # floor(2^bits sqrt(m))
-        if name == "golden":
-            num = (r - (1 << bits)) >> 1  # (sqrt5 - 1) / 2
-            return cls(Fraction(num, 1 << bits), f"truncation-of-golden({bits})")
-        num = r - (r >> bits << bits)  # fractional part
-        return cls(Fraction(num, 1 << bits), f"truncation-of-{name}({bits})")
 
 
 MIN_ALPHA_BITS = 128
@@ -242,7 +229,8 @@ def find_hits(
 ) -> list[ConstrainedHit]:
     """All (q, b) with q <= qmax, |alpha - b/q^d| < q^-tau, b in the scaled
     residue class set, gcd(b, q) in the band, and all flags satisfied, in
-    increasing (q, b).
+    increasing (q, b).  tau must be positive: at tau <= 0 the window holds
+    about 2 q^(d - tau) numerators per q.
 
     For a dyadic alpha with tau > d and qmax^d < 2^63, only the survivors of
     the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
@@ -256,28 +244,14 @@ def find_hits(
     if a_d == 0:
         raise ValueError("a_d must be nonzero")
     tau = Fraction(tau)
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     ad = value.denominator
     if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:
         qs: Iterable[int] = _dyadic_survivors(value, d, tau, qmax)
     else:
         qs = range(1, qmax + 1)
     return _exact_hits(value, d, a_d, tau, band, qs, flags)
-
-
-def counting_function(
-    alpha: AlphaValue,
-    d: int,
-    a_d: int,
-    tau: Rational,
-    band: GcdBand,
-    Q: int,
-    flags: HitFlags = HitFlags(),
-) -> int:
-    """N(Q): number of moduli q with q^d <= Q admitting at least one hit."""
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    hits = find_hits(alpha, d, a_d, tau, band, iroot(Q, d), flags)
-    return len({h.q for h in hits})
 
 
 def count_curve(
@@ -288,26 +262,3 @@ def count_curve(
     q <= iroot(Q, d), that is with q^d <= Q."""
     qs = sorted({h.q for h in hits})
     return tuple((Q, bisect.bisect_right(qs, iroot(Q, d))) for Q in schedule)
-
-
-def phi_psi_sums(
-    measure_at: Callable[[int], Union[Fraction, tuple[Fraction, Fraction]]],
-    Q: int,
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Partial sums Phi(Q) = sum lambda(I_q) and Psi(Q) = sum lambda(I_q) tau(q)
-    for a per-q measure source returning exact values or enclosures.
-
-    Returns certified interval pairs ((phi_lo, phi_hi), (psi_lo, psi_hi));
-    both are exact when the source is exact.
-    """
-    phi_lo = phi_hi = Fraction(0)
-    psi_lo = psi_hi = Fraction(0)
-    for q in range(1, Q + 1):
-        m = measure_at(q)
-        lo, hi = m if isinstance(m, tuple) else (Fraction(m), Fraction(m))
-        tq = divisor_count(factorize(q))
-        phi_lo += lo
-        phi_hi += hi
-        psi_lo += lo * tq
-        psi_hi += hi * tq
-    return (phi_lo, phi_hi), (psi_lo, psi_hi)

@@ -91,9 +91,9 @@ class ExperimentConfig:
         bits = self.alpha_bits or required_alpha_bits(self.d, self.tau, qmax)
         return AlphaValue.dyadic_randoms(self.seed, bits, self.alpha_count)
 
-    def echo(self, **extra) -> list[str]:
-        """Config echo block for report files."""
-        items = {
+    def echo(self, **extra) -> dict:
+        """Config echo for report files, one `# key = value` line per entry."""
+        return {
             "library": f"diocurve {__version__}",
             "poly": self.polynomial.format(),
             "tau": str(self.tau),
@@ -103,7 +103,6 @@ class ExperimentConfig:
             "seed": self.seed,
             **extra,
         }
-        return [f"# {k} = {v}" for k, v in items.items()]
 
 
 @dataclass(frozen=True)
@@ -189,19 +188,21 @@ def series_verdict(schedule: Sequence[int], sums: Sequence[float]) -> str:
 class Report:
     """Rows plus config echo; renders to CSV or JSON-lines deterministically.
 
-    Numeric sum columns are display approximations of the certified
-    bounds; the exact rationals live in the library API.
+    The echo and the summary are rendered as one `# key = value` line per
+    entry, echo first.  Numeric sum columns are display approximations of
+    the certified bounds; the exact rationals live in the library API.
     """
 
     header: list[str]
     rows: list[tuple]
-    echo_lines: list[str]
+    echo: dict
     summary: dict = field(default_factory=dict)
 
     def _lines(self, body) -> str:
         """The echo and summary lines, then the body lines, each ended by a
         newline."""
-        head = [*self.echo_lines, *(f"# {k} = {v}" for k, v in self.summary.items())]
+        items = (*self.echo.items(), *self.summary.items())
+        head = [f"# {k} = {v}" for k, v in items]
         return "".join(line + "\n" for line in (*head, *body))
 
     def to_csv(self) -> str:
@@ -270,7 +271,7 @@ def threshold_experiment(
     report = Report(
         header=["tau", "Q", "sum_lo", "sum_hi", "verdict"],
         rows=rows,
-        echo_lines=cfg.echo(
+        echo=cfg.echo(
             experiment="threshold",
             taus=";".join(map(str, taus)),
             schedule=f"{schedule[0]}..{schedule[-1]}x2",
@@ -318,7 +319,7 @@ def growth_exponent_experiment(cfg: ExperimentConfig) -> Report:
     return Report(
         header=["alpha_index", "Q", "N", "slope", "residual", "fit_window"],
         rows=rows,
-        echo_lines=cfg.echo(
+        echo=cfg.echo(
             experiment="growth-exponent",
             schedule=f"{schedule[0]}..{schedule[-1]}x2",
         ),
@@ -356,7 +357,7 @@ def critical_band_experiment(cfg: ExperimentConfig, delta: Rational) -> Report:
     return Report(
         header=["alpha_index", "final_N", "slope", "residual", "fit_window", "verdict"],
         rows=rows,
-        echo_lines=cfg.echo(
+        echo=cfg.echo(
             experiment="critical-band",
             eps=str(eps),
             delta=str(Fraction(delta)),
@@ -438,7 +439,7 @@ def svolume_experiment(
     return Report(
         header=["alpha_index", "s", "V_final", "verdict", "note"],
         rows=rows,
-        echo_lines=cfg.echo(
+        echo=cfg.echo(
             experiment="svolume",
             qmax=qmax,
             s_grid=";".join(str(s) for s in s_grid),
@@ -473,6 +474,6 @@ def stabilization_experiment(
     return Report(
         header=["alpha_index", "q_lo", "q_hi", "new_hits", "verdict"],
         rows=rows,
-        echo_lines=cfg.echo(experiment="stabilization", q_lo=q_lo, q_hi=q_hi),
+        echo=cfg.echo(experiment="stabilization", q_lo=q_lo, q_hi=q_hi),
         summary={"stable_fraction": f"{stable}/{len(counts)}"},
     )

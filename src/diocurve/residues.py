@@ -98,27 +98,6 @@ def scaled_power_residue_count(q: int, d: int, a_d: int) -> int:
 
 
 @dataclass(frozen=True)
-class PowerResidueProfile:
-    """The triple (u, e, r) of residue counts for one modulus and degree."""
-
-    q: int
-    d: int
-    u: int
-    e: int
-    r: int
-
-    @classmethod
-    def compute(cls, q: int, d: int) -> "PowerResidueProfile":
-        return cls(
-            q,
-            d,
-            unity_roots_count(q, d),
-            unit_power_count(q, d),
-            power_residue_count(q, d),
-        )
-
-
-@dataclass(frozen=True)
 class ResidueSet:
     """Sorted set of residues in [0, q)."""
 
@@ -132,24 +111,13 @@ class ResidueSet:
                 raise ValueError("residues must be strictly increasing in [0, q)")
             prev = x
 
-    def __contains__(self, b: int) -> bool:
-        lo, hi = 0, len(self.elements)
-        b %= self.modulus
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < b:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.elements) and self.elements[lo] == b
 
-
-def power_residues(q: int, d: int, a_d: int = 1, *, limit: int = ENUMERATION_LIMIT) -> ResidueSet:
-    """{a_d * m^d mod q} by brute enumeration; refuses beyond `limit`."""
+def power_residues(q: int, d: int, a_d: int = 1) -> ResidueSet:
+    """{a_d * m^d mod q} by brute enumeration; refuses q > ENUMERATION_LIMIT."""
     _check_qd(q, d)
-    if q > limit:
+    if q > ENUMERATION_LIMIT:
         raise PreconditionError(
-            f"enumeration threshold exceeded (q={q} > {limit}); "
+            f"enumeration threshold exceeded (q={q} > {ENUMERATION_LIMIT}); "
             "use is_power_residue for membership instead"
         )
     arr = _kernels.residue_set(q, d, a_d)

@@ -105,7 +105,7 @@ def unsplit_ratio_bounds(numerator: int, q: int, u: int, v: int, bits: int) -> t
 
 
 def exact_union_measure(
-    q: int, tau: int, d: int, a_d: int, *, limit: int = 10**4
+    q: int, tau: int, d: int, a_d: int
 ) -> tuple[Fraction, bool]:
     """True Lebesgue measure of the union of intervals of radius q^-tau
     around the admissible centers b/q^d, plus an overlap flag.
@@ -117,7 +117,7 @@ def exact_union_measure(
     """
     if not isinstance(tau, int) or tau < 1:
         raise ValueError("exact_union_measure requires integer tau >= 1")
-    residues = power_residues(q, d, a_d, limit=limit).elements
+    residues = power_residues(q, d, a_d).elements
     scale = q ** (tau - d)  # center spacing unit in the q^-tau grid
     radius = 1  # one unit of q^-tau... scaled below
     # positions of centers in units of q^-tau: (b + j q) * q^(tau - d)

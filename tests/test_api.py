@@ -37,7 +37,6 @@ def test_exported_names():
         "GcdBand",
         "HitFlags",
         "IntPolynomial",
-        "PowerResidueProfile",
         "PreconditionError",
         "ResidueSet",
         "arithmetic",
@@ -45,7 +44,6 @@ def test_exported_names():
         "count_curve",
         "count_solutions",
         "counting",
-        "counting_function",
         "cover_measure",
         "covers",
         "curve",
@@ -61,7 +59,6 @@ def test_exported_names():
         "is_power_residue",
         "is_primitive_power_residue",
         "lift_constrained",
-        "phi_psi_sums",
         "power_residue_count",
         "power_residues",
         "reduce_simultaneous",

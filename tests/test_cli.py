@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +195,19 @@ def test_precondition_errors_exit_2(capsys):
          f"omega series needs Q < 2^48, got {1 << 48}"),
         (["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4",
           "--omega-max", "-1"], "omega_max must be >= 0, got -1"),
+        (["scan", "--poly", "0,0,-1", "--tau", "0", "--alpha", "1/3", "--qmax", "3"],
+         "tau must be > 0, got 0"),
+        (["scan", "--poly", "0,0,-1", "--tau", "-1", "--alpha", "1/3", "--qmax", "3"],
+         "tau must be > 0, got -1"),
+        (["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4",
+          "--dump-gnuplot", "P"], "--dump-gnuplot needs --curve"),
+        (["experiment", "--kind", "critical-band", "--dump-gnuplot", "P"],
+         "--dump-gnuplot serves --kind threshold and growth, not critical-band"),
+        (["experiment", "--kind", "svolume", "--qmax", "4", "--dump-gnuplot", "P"],
+         "--dump-gnuplot serves --kind threshold and growth, not svolume"),
+        (["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
+          "--dump-gnuplot", "P"],
+         "--dump-gnuplot serves --kind threshold and growth, not stabilization"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -256,6 +271,63 @@ def test_experiment_gnuplot_dump(tmp_path):
     assert dat.exists()
     first = dat.read_text().splitlines()[0].split()
     assert len(first) == 2 and first[0] == "4"
+
+
+def test_scan_curve_gnuplot_dump(tmp_path, capsys):
+    prefix = tmp_path / "scan"
+    argv = ["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "64",
+            "--curve", "--dump-gnuplot", str(prefix)]
+    assert main(argv) == 0
+    rows = body(capsys.readouterr().out)[1:]
+    assert [p.name for p in tmp_path.iterdir()] == ["scan_curve.dat"]
+    expected = "".join(row.replace(",", " ") + "\n" for row in rows)
+    assert (tmp_path / "scan_curve.dat").read_text() == expected
+
+
+def test_dump_gnuplot_only_where_it_writes(capsys):
+    # only scan --curve and experiment --kind threshold|growth write curves
+    for argv in (
+        ["residues", "--q", "8", "--d", "2"],
+        ["congruence", "--b", "2", "--q", "7", "--d", "2"],
+        ["reduce", "--poly", "0,0,-1", "--alpha", "19/64", "--x", "33/64",
+         "--p", "1", "--q", "2", "--r", "0", "--tau", "2"],
+        ["cover", "--tau", "3", "--d", "2", "--q", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--dump-gnuplot", "P"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dump-gnuplot P" in capsys.readouterr().err
+
+
+def test_unwritable_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x"
+    for argv in (
+        ["cover", "--mode", "tail", "--tau", "7/2", "--d", "2", "--qlo", "1", "--qhi", "10",
+         "--output", f"{missing}.csv"],
+        ["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4",
+         "--curve", "--dump-gnuplot", str(missing)],
+        ["experiment", "--kind", "threshold", "--taus", "7/2", "--schedule", "2:4",
+         "--dump-gnuplot", str(missing)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}"), err
+        assert "No such file or directory" in err
+    assert not missing.parent.exists()
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("diocurve ")]
+    assert len(commands) == 15
+    out = {}
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
+        out[" ".join(argv)] = body(capsys.readouterr().out)
+    assert out["residues --q 8 --d 2"][1] == "8,4,1,3"
+    assert out["cover --tau 3 --d 2 --ad 1 --q 5"][1].split(",")[2] == "6/25"
 
 
 def test_cli_determinism_across_threads():

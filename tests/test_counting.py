@@ -15,9 +15,7 @@ from diocurve.counting import (
     _dyadic_survivors,
     _exact_hits,
     count_curve,
-    counting_function,
     find_hits,
-    phi_psi_sums,
     required_alpha_bits,
 )
 from diocurve.covers import GcdBand
@@ -35,13 +33,6 @@ def test_alpha_values():
     assert b1 == b2 and b1 != b3  # deterministic in (seed, index)
     assert b1.value.denominator == 1 << 128
     assert b1.value.numerator % 2 == 1
-    c = AlphaValue.named_constant("sqrt2", 64)
-    assert 0 < c.value < 1
-    assert abs(float(c.value) - (math.sqrt(2) - 1)) < 1e-15
-    g = AlphaValue.named_constant("golden", 64)
-    assert abs(float(g.value) - (math.sqrt(5) - 1) / 2) < 1e-15
-    with pytest.raises(ValueError):
-        AlphaValue.named_constant("pi", 64)
 
 
 def test_required_alpha_bits():
@@ -191,36 +182,36 @@ def test_find_hits_matches_full_scan_every_flag_combo():
             assert got == expected, flags
 
 
+def counting_n(alpha, tau, band, Q, d=2):
+    """N(Q) at a_d = 1, read from one scan to iroot(Q, d) as the CLI does."""
+    hits = find_hits(alpha, d, 1, tau, band, iroot(Q, d))
+    return count_curve(hits, [Q], d)[0][1]
+
+
 def test_counting_function_examples():
     alpha = AlphaValue.user(Fraction(1, 3))
-    assert counting_function(alpha, 2, 1, Fraction(5, 2), FULL, 16) == 4
-    assert counting_function(alpha, 2, 1, Fraction(5, 2), FULL, 1) == 1
+    assert counting_n(alpha, Fraction(5, 2), FULL, 16) == 4
+    assert counting_n(alpha, Fraction(5, 2), FULL, 1) == 1
 
 
 def test_counting_function_huge_tau_only_q1():
     hits = 0
     for alpha in AlphaValue.dyadic_randoms(99, 192, 20):
-        n = counting_function(alpha, 2, 1, Fraction(100), FULL, 10**6)
-        hits += n == 1
+        hits += counting_n(alpha, Fraction(100), FULL, 10**6) == 1
     assert hits >= 19
 
 
 def test_counting_monotonicity():
     alpha = AlphaValue.user(Fraction(2719, 9973))
-    ns = [
-        counting_function(alpha, 2, 1, Fraction(5, 2), FULL, Q)
-        for Q in (4, 16, 64, 256, 1024)
-    ]
+    ns = [counting_n(alpha, Fraction(5, 2), FULL, Q) for Q in (4, 16, 64, 256, 1024)]
     assert ns == sorted(ns)
     # nonincreasing in tau
     for tau1, tau2 in ((Fraction(9, 4), Fraction(5, 2)), (Fraction(5, 2), Fraction(3))):
-        n1 = counting_function(alpha, 2, 1, tau1, FULL, 4096)
-        n2 = counting_function(alpha, 2, 1, tau2, FULL, 4096)
-        assert n1 >= n2
+        assert counting_n(alpha, tau1, FULL, 4096) >= counting_n(alpha, tau2, FULL, 4096)
     # FULL band dominates any band
     band = GcdBand(Fraction(1, 8), Fraction(1, 2))
-    assert counting_function(alpha, 2, 1, Fraction(5, 2), FULL, 4096) >= counting_function(
-        alpha, 2, 1, Fraction(5, 2), band, 4096
+    assert counting_n(alpha, Fraction(5, 2), FULL, 4096) >= counting_n(
+        alpha, Fraction(5, 2), band, 4096
     )
 
 
@@ -414,23 +405,3 @@ def test_count_curve():
     assert count_curve(hits, cubes, 3) == tuple(
         (Q, sum(1 for q in qs if q**3 <= Q)) for Q in cubes
     )
-
-
-def test_phi_psi_example():
-    (phi_lo, phi_hi), (psi_lo, psi_hi) = phi_psi_sums(lambda q: Fraction(1, q), 4)
-    assert phi_lo == phi_hi == Fraction(25, 12)
-    assert psi_lo == psi_hi == 1 + 1 + Fraction(2, 3) + Fraction(3, 4)
-    z = phi_psi_sums(lambda q: Fraction(0), 10)
-    assert z == ((0, 0), (0, 0))
-
-
-def test_phi_psi_with_cover_measures():
-    from diocurve.covers import cover_measure
-
-    def measure(q):
-        rec = cover_measure(q, 3, 2, 1)
-        return rec.measure_lo
-
-    (phi_lo, phi_hi), _ = phi_psi_sums(measure, 10)
-    expected = sum(cover_measure(q, 3, 2, 1).measure_lo for q in range(1, 11))
-    assert phi_lo == phi_hi == expected

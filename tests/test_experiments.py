@@ -97,7 +97,7 @@ def test_growth_experiment_median_slope():
 def test_critical_band_experiment_runs():
     cfg = _cfg(alpha_count=6, alpha_bits=128, q_schedule=geometric_schedule(6, 16))
     report = critical_band_experiment(cfg, Fraction(1, 4))
-    assert "# eps = 1/2" in "\n".join(report.echo_lines)
+    assert report.echo["eps"] == "1/2"
     num, den = report.summary["subpolynomial_fraction"].split("/")
     assert int(den) == 6 and 0 <= int(num) <= 6
     with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ def test_svolume_sums_every_hit_up_to_qmax():
     grid = [Fraction(4, 11), Fraction(8, 11)]
     qmax = 4096
     report = svolume_experiment(cfg, grid, qmax=qmax)
-    assert "# schedule = 64..16777216x2" in report.echo_lines
+    assert report.echo["schedule"] == "64..16777216x2"
     finals = {(r[0], r[1]): float(r[2]) for r in report.rows if r[1] != "s*"}
     above = 0
     for i, alpha in enumerate(cfg.alphas(qmax)):
@@ -221,8 +221,9 @@ def test_band_position_ordering():
 
 
 def test_empty_band_near_zero_counts():
-    from diocurve.counting import AlphaValue, counting_function
+    from diocurve.counting import AlphaValue, count_curve, find_hits
 
     band = GcdBand(Fraction(99, 100), Fraction(1, 100))
     for a in AlphaValue.dyadic_randoms(0, 128, 5):
-        assert counting_function(a, 2, 1, Fraction(9, 4), band, 2**16) == 0
+        hits = find_hits(a, 2, 1, Fraction(9, 4), band, 2**8)
+        assert count_curve(hits, [2**16], 2) == ((2**16, 0),)
