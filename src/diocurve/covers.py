@@ -1,11 +1,14 @@
 """Cover measures for the limsup interval families, gcd-banded center
 counts, certified tail sums, and the omega-weighted restricted series.
 
-Banded center counts come from one exact multiplicative closed form at
-every q (``banded_center_count``); enumeration stays in the test suite as
-its oracle.  Full-band tail sums take their counts r_d(q / gcd(q, a_d))
-from a sieve-built table, one numpy block of at most 2^16 moduli at a
-time (``scaled_count_blocks``), instead of factorizing each q.  The
+Every count here is a product over the prime powers p^k || q of
+``residues._valuation_counts``, the number of residues a_d G_d(p^k) of
+each p-valuation.  Banded center counts keep, at every q, the divisors
+gcd(b, q) in the band (``banded_center_count``); enumeration stays in the
+test suite as its oracle.  Full-band tail sums take their counts r_d(q /
+gcd(q, a_d)), the sums of those lists, from a sieve-built table, one
+numpy block of at most 2^16 moduli at a time (``scaled_count_blocks``),
+instead of factorizing each q.  The
 omega-weighted series walks the same blocks and takes omega(q) from the
 same per-prime slice pass (``_kernels.prime_exponents``).  The
 divisor-sum form, an upper bound that over-counts, is kept only as the
@@ -51,15 +54,7 @@ from .arithmetic import (
     iroot,
     root_enclosure,
 )
-from .residues import (
-    _check_qd,
-    _phi_pp,
-    _r_pp,
-    _u_pp,
-    _v_p,
-    power_residue_count,
-    scaled_power_residue_count,
-)
+from .residues import _check, _valuation_counts, power_residue_count
 
 SUM_BITS = 96
 
@@ -197,27 +192,16 @@ def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
     """#{b in a_d G_d(q) : gcd(b, q) in the band}, exactly, at every q.
 
     Multiplicative per divisor: the residues with gcd(b, q) = g number
-    prod over p^k || q of N_p(v_p(g)), where N_p(k) = 1 (b = 0 mod p^k)
-    and, for s < k, N_p(s) = e_d(p^(k-s)) when s >= beta = min(v_p(a_d), k)
-    and d | s - beta, else 0.  Summed over the divisors g in the band;
-    divisors with a zero count are never tested for band membership.
-    The full band is r_d(q / gcd(q, a_d)).  Checked against enumeration
-    in the test suite.
+    prod over p^k || q of N_p(v_p(g)), where N_p is
+    ``residues._valuation_counts(p, k, d, a_d)``.  Summed over the divisors
+    g in the band; divisors with a zero count are never tested for band
+    membership.  Over the full band the sum is r_d(q / gcd(q, a_d)).
+    Checked against enumeration in the test suite.
     """
-    if band.is_full:
-        return scaled_power_residue_count(q, d, a_d)  # validates as below
-    _check_qd(q, d)
-    if a_d == 0:
-        raise ValueError("a_d must be nonzero")
+    _check(q, d, a_d)
     terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
     for p, k in factorize(q).factors:
-        beta = min(_v_p(abs(a_d), p), k)
-        counts = [
-            _phi_pp(p, k - s) // _u_pp(p, k - s, d)
-            if s >= beta and (s - beta) % d == 0
-            else 0
-            for s in range(k)
-        ] + [1]
+        counts = _valuation_counts(p, k, d, a_d)
         terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
     lo, hi = band.cuts(q)
     return sum(t for g, t in terms if lo <= g < hi)
@@ -262,9 +246,8 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     count = np.ones(len(rem), dtype=np.int64)
     for p, start, e in _kernels.prime_exponents(lo, rem, primes):
-        # r_d at exponent e - min(e, v_p(a_d)), the p-part of q / gcd(q, a_d)
-        v = _v_p(a, p)
-        lut = [_r_pp(p, max(j - v, 0), d) for j in range(int(e.max()) + 1)]
+        # r_d of the p-part of q / gcd(q, a_d), for each exponent e of p in q
+        lut = [sum(_valuation_counts(p, j, d, a)) for j in range(int(e.max()) + 1)]
         count[start::p] *= np.array(lut, dtype=np.int64)[e]
     # what is left above 1 is one prime P > isqrt(hi) to the first power
     big = rem > 1
@@ -280,16 +263,15 @@ def scaled_count_blocks(N: int, Q: int, d: int, a_d: int):
     pairs over consecutive blocks of at most COUNT_BLOCK moduli.
 
     Multiplicative: each prime p <= isqrt(q) of the shared sieve is divided
-    out of q with its exponent e and contributes _r_pp(p, e - min(e,
-    v_p(a_d)), d); the cofactor left is 1 or one prime P, which contributes
-    r_d(P) = 1 + (P-1)/gcd(P-1, d), or 1 when P | a_d.  Validates like
+    out of q with its exponent e and contributes r_d(p^(e - min(e,
+    v_p(a_d)))), the sum of ``residues._valuation_counts(p, e, d, a_d)``;
+    the cofactor left is 1 or one prime P, which contributes r_d(P) = 1 +
+    (P-1)/gcd(P-1, d), or 1 when P | a_d.  Validates like
     ``scaled_power_residue_count`` at q = N; an empty range yields nothing.
     """
     if N > Q:
         return iter(())
-    _check_qd(N, d)
-    if a_d == 0:
-        raise ValueError("a_d must be nonzero")
+    _check(N, d, a_d)
     if Q >= TABLE_QMAX:
         raise ValueError(f"count table needs Q < 2^48, got {Q}")
     return (

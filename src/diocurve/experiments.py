@@ -359,6 +359,7 @@ def critical_band_experiment(cfg: ExperimentConfig, delta: Rational) -> Report:
         rows=rows,
         echo=cfg.echo(
             experiment="critical-band",
+            band=band.format(),  # the band scanned, not cfg.band
             eps=str(eps),
             delta=str(Fraction(delta)),
             schedule=f"{schedule[0]}..{schedule[-1]}x2",
@@ -390,32 +391,25 @@ def svolume_experiment(
         raise ValueError(
             f"svolume schedule must reach qmax^d = {top}, got top {schedule[-1]}"
         )
-    alphas = cfg.alphas(qmax)
+    cuts = [iroot(Q, cfg.d) for Q in schedule]  # hits with q <= cut count at Q
     rows = []
     stars = []
-    for i, alpha in enumerate(alphas):
+    for i, alpha in enumerate(cfg.alphas(qmax)):
+        # hits ascend in q, so the schedule cuts them into consecutive segments
         hits = find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, qmax)
-        weights = [
-            (h.q, count_solutions(h.b % h.q, h.q, cfg.d, cfg.a_d)) for h in hits
-        ]
+        qs = [h.q for h in hits]
+        nums = [2 * count_solutions(h.b % h.q, h.q, cfg.d, cfg.a_d) for h in hits]
+        ends = [bisect.bisect_right(qs, cut) for cut in cuts]
         s_star = None
         for s in s_grid:
             exponent = cfg.tau * s
             u, v = exponent.numerator, exponent.denominator
-            # enclose each hit's term once, then read prefix sums along the
-            # schedule (the roots dominate the cost)
             acc = IntervalSum(64)
-            qs_sorted = []
-            prefix = [(0, 0)]
-            for qn, c in sorted(weights):
-                acc.add_ratio_with_root(2 * c, qn, u, v)
-                qs_sorted.append(qn)
-                prefix.append((acc.lo, acc.hi))
             sums = []
-            for Q in schedule:
-                idx = bisect.bisect_right(qs_sorted, iroot(Q, cfg.d))
-                lo, hi = prefix[idx]
-                sums.append(float(Fraction(lo + hi, 2 << acc.bits)))  # midpoint
+            for start, end in zip((0, *ends), ends):
+                if start < end:
+                    acc.add_ratios(nums[start:end], qs[start:end], u, v)
+                sums.append(float(Fraction(acc.lo + acc.hi, 2 << acc.bits)))  # midpoint
             # sparse sums have no steady Cauchy trace; flattening here means
             # the top half of the schedule adds at most SVOLUME_REL_TOL of
             # the final value

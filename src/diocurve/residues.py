@@ -2,15 +2,19 @@
 and Hensel lifting for the congruence b = a_d * p^d.
 
 Closed forms are evaluated per prime power and combined multiplicatively.
-Every closed-form count here has a brute-force enumeration twin in the
-test suite's oracles (or ``power_residues``); the formulas are trusted
-only because the tests check them against exhaustive enumeration below a
-large threshold.  Enumeration is authoritative throughout: one
-classical-looking count fails it (kept as ``zero_class_count_alt`` for
-regression), as does the divisor-sum banded count
-(``covers.divisor_sum_center_bound``).  The per-prime-power helpers below
-also give ``covers.banded_center_count`` its e_d factors and
-``covers.scaled_count_blocks`` its r_d factors.
+Two per-prime-power functions carry every count and test on the
+congruence: ``_solution_class`` reduces b = a_d x^d (mod p^k) to one unit
+class (membership, unit solutions and solution counts read it), and
+``_valuation_counts`` counts the residues a_d G_d(p^k) by valuation (r_d,
+and the counts of ``covers.banded_center_count`` and
+``covers.scaled_count_blocks`` are sums of it).  Every closed-form count
+here has a brute-force enumeration twin in the test suite's oracles (or
+``power_residues``); the formulas are trusted only because the tests
+check them against exhaustive enumeration below a large threshold.
+Enumeration is authoritative throughout: one classical-looking count
+fails it (kept as ``zero_class_count_alt`` for regression), as does the
+divisor-sum banded count (``covers.divisor_sum_center_bound``).  Every
+function that takes a_d rejects a_d = 0.
 
 ``solution_witness`` finds the least solution x by scanning every class
 mod q.  No library path calls it: the hit scan decides solvability with
@@ -30,11 +34,14 @@ from .curve import IntPolynomial, eval_scaled
 ENUMERATION_LIMIT = 10**6
 
 
-def _check_qd(q: int, d: int) -> None:
+def _check(q: int, d: int, a_d: int = 1) -> None:
+    """Validate a modulus q, a power degree d and a coefficient a_d."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     if d < 2:
         raise ValueError(f"power degree must be >= 2, got {d}")
+    if a_d == 0:
+        raise ValueError("a_d must be nonzero")
 
 
 def _phi_pp(p: int, k: int) -> int:
@@ -50,21 +57,9 @@ def _u_pp(p: int, k: int, d: int) -> int:
     return math.gcd(d, phi)
 
 
-def _r_pp(p: int, k: int, d: int) -> int:
-    # one term per divisibility class that still yields nonzero powers,
-    # plus 1 for the zero class
-    total = 1
-    s = 0
-    while k - s * d >= 1:
-        kk = k - s * d
-        total += _phi_pp(p, kk) // _u_pp(p, kk, d)
-        s += 1
-    return total
-
-
 def unity_roots_count(q: int, d: int) -> int:
     """u_d(q): number of solutions of m^d = 1 (mod q)."""
-    _check_qd(q, d)
+    _check(q, d)
     out = 1
     for p, k in factorize(q).factors:
         out *= _u_pp(p, k, d)
@@ -73,7 +68,7 @@ def unity_roots_count(q: int, d: int) -> int:
 
 def unit_power_count(q: int, d: int) -> int:
     """e_d(q): number of distinct d-th powers of units mod q."""
-    _check_qd(q, d)
+    _check(q, d)
     out = 1
     for p, k in factorize(q).factors:
         out *= _phi_pp(p, k) // _u_pp(p, k, d)
@@ -82,18 +77,16 @@ def unit_power_count(q: int, d: int) -> int:
 
 def power_residue_count(q: int, d: int) -> int:
     """r_d(q): number of distinct d-th powers mod q, zero included."""
-    _check_qd(q, d)
+    _check(q, d)
     out = 1
     for p, k in factorize(q).factors:
-        out *= _r_pp(p, k, d)
+        out *= sum(_valuation_counts(p, k, d, 1))
     return out
 
 
 def scaled_power_residue_count(q: int, d: int, a_d: int) -> int:
     """|{a_d * x : x a d-th power mod q}| = r_d(q / gcd(q, a_d))."""
-    _check_qd(q, d)
-    if a_d == 0:
-        raise ValueError("a_d must be nonzero")
+    _check(q, d, a_d)
     return power_residue_count(q // math.gcd(q, abs(a_d)), d)
 
 
@@ -114,7 +107,7 @@ class ResidueSet:
 
 def power_residues(q: int, d: int, a_d: int = 1) -> ResidueSet:
     """{a_d * m^d mod q} by brute enumeration; refuses q > ENUMERATION_LIMIT."""
-    _check_qd(q, d)
+    _check(q, d, a_d)
     if q > ENUMERATION_LIMIT:
         raise PreconditionError(
             f"enumeration threshold exceeded (q={q} > {ENUMERATION_LIMIT}); "
@@ -125,7 +118,7 @@ def power_residues(q: int, d: int, a_d: int = 1) -> ResidueSet:
 
 
 # ---------------------------------------------------------------------------
-# membership and solution counting, per prime power
+# the congruence a_d x^d = b, per prime power
 
 
 def _v_p(n: int, p: int) -> int:
@@ -136,88 +129,73 @@ def _v_p(n: int, p: int) -> int:
     return e
 
 
-def _unit_is_dth_power(y: int, p: int, k: int, d: int) -> bool:
-    """Is the unit y a d-th power of a unit mod p^k?
+def _valuation_counts(p: int, k: int, d: int, a_d: int) -> list[int]:
+    """N(s) = #{b in a_d G_d(p^k) : v_p(b) = s} for s = 0..k (b = 0 is s = k).
 
-    Odd p (and 2^1, 2^2): the unit group is cyclic, so the exponent test
-    y^(phi/gcd(d,phi)) = 1 decides.  For 2^k, k >= 3 the group is not
-    cyclic and the test degenerates; there the d-th powers of units are
-    exactly the units = 1 mod 2^min(v2(d)+2, k) when d is even (every
-    unit qualifies when d is odd).
+    With beta = min(v_p(a_d), k), a nonzero b = a_d x^d has s = beta + d
+    v_p(x) < k, and its classes with that s are the e_d(p^(k-s)) unit d-th
+    powers mod p^(k-s) scaled by p^s and a_d's unit part.  So N(s) =
+    e_d(p^(k-s)) when s >= beta and d | s - beta, else 0, and N(k) = 1.
+    The sum of N is r_d(p^(k - beta)).
     """
-    pk = p**k
-    y %= pk
-    if y == 1 % pk:
-        return True
-    if p == 2 and k >= 3:
-        if d % 2 == 1:
-            return True
-        e2 = (d & -d).bit_length() - 1
-        return y % (1 << min(e2 + 2, k)) == 1
-    phi = _phi_pp(p, k)
-    g = math.gcd(d, phi)
-    return pow(y, phi // g, pk) == 1
+    beta = min(_v_p(a_d, p), k)
+    counts = [0] * k + [1]
+    for s in range(beta, k, d):
+        counts[s] = _phi_pp(p, k - s) // _u_pp(p, k - s, d)
+    return counts
 
 
-def _split_pp(b: int, p: int, k: int, d: int, a_d: int):
-    """Classify b = a_d * x^d (mod p^k) by divisibility class.
+def _solution_class(b: int, p: int, k: int, d: int, a_d: int):
+    """(j, t) for a_d x^d = b (mod p^k), or None when it has no solution.
 
-    Returns one of
-      ('zero', beta)   b = 0 mod p^k (solutions are the high-valuation classes)
-      ('none',)        no solution
-      ('unit', j, y, t)  reduced to x = p^t * (unit u), u^d = y (mod p^j)
+    The solutions are x = p^t u with u^d = y (mod p^j) for one unit y, so
+    there are u_d(p^j) p^(k-j-t) of them, and they are units exactly when
+    t = 0.  With beta = min(v_p(a_d), k): b = 0 is j = 0 and t = ceil((k -
+    beta) / d); otherwise s = v_p(b) must be beta + d t, j = k - s, and y is
+    b / p^s over the unit part of a_d, mod p^j.
+
+    Whether y is a d-th power of a unit: for odd p (and 2^1, 2^2) the unit
+    group is cyclic, so y^(phi/gcd(d, phi)) = 1 decides.  For 2^j, j >= 3,
+    the unit d-th powers are every unit when d is odd, and the units = 1
+    mod 2^min(v_2(d) + 2, j) when d is even.
     """
-    pk = p**k
-    b %= pk
-    beta = min(_v_p(abs(a_d), p), k)
+    b %= p**k
+    beta = min(_v_p(a_d, p), k) if a_d % p == 0 else 0
     if b == 0:
-        return ("zero", beta)
-    if beta >= k:
-        return ("none",)
-    s = _v_p(b, p)
-    if s < beta or (s - beta) % d != 0:
-        return ("none",)
-    t = (s - beta) // d
+        return 0, -((beta - k) // d)
+    s = 0
+    while b % p == 0:
+        b //= p
+        s += 1
+    t, rest = divmod(s - beta, d)
+    if t < 0 or rest:
+        return None
     j = k - s
     pj = p**j
-    abar = (a_d // p**beta) % pj
-    y = (b // p**s) * pow(abar, -1, pj) % pj
-    return ("unit", j, y, t)
+    y = b * pow(a_d // p**beta, -1, pj) % pj
+    if p == 2 and j >= 3:
+        ok = d % 2 or y % (1 << min((d & -d).bit_length() + 1, j)) == 1
+    else:
+        phi = p ** (j - 1) * (p - 1)
+        ok = y == 1 or pow(y, phi // math.gcd(d, phi), pj) == 1
+    return (j, t) if ok else None
 
 
 def is_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution?  Decided per prime power."""
-    _check_qd(q, d)
-    if q == 1:
-        return True
+    _check(q, d, a_d)
     for p, k in factorize(q).factors:
-        case = _split_pp(b, p, k, d, a_d)
-        if case[0] == "zero":
-            continue
-        if case[0] == "none":
-            return False
-        _, j, y, _t = case
-        if not _unit_is_dth_power(y, p, j, d):
+        if _solution_class(b, p, k, d, a_d) is None:
             return False
     return True
 
 
 def is_primitive_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution with x a unit mod q?"""
-    _check_qd(q, d)
-    if q == 1:
-        return True
+    _check(q, d, a_d)
     for p, k in factorize(q).factors:
-        case = _split_pp(b, p, k, d, a_d)
-        if case[0] == "zero":
-            # a_d * unit^d has valuation exactly beta, so beta >= k is forced
-            if case[1] < k:
-                return False
-            continue
-        if case[0] == "none":
-            return False
-        _, j, y, t = case
-        if t != 0 or not _unit_is_dth_power(y, p, j, d):
+        solution = _solution_class(b, p, k, d, a_d)
+        if solution is None or solution[1] != 0:
             return False
     return True
 
@@ -225,33 +203,20 @@ def is_primitive_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
 def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:
     """#{x mod q : a_d * x^d = b (mod q)}, multiplicative over prime powers.
 
-    For the zero class mod p^k the count is p^(k - ceil((k - beta)/d))
-    with beta = v_p(a_d); for a solvable unit class it is
-    u_d(p^(k-s)) * p^(s - t) with s = v_p(b) and t = (s - beta)/d.  Both
-    agree with exhaustive enumeration (the test suite checks this for
-    every modulus below a threshold); see ``zero_class_count_alt`` for a
-    formula that does not.
+    Each p^k || q contributes the u_d(p^j) p^(k-j-t) solutions of its
+    ``_solution_class`` (j, t); for the zero class that is p^(k - t) with t
+    = ceil((k - v_p(a_d)) / d).  This agrees with exhaustive enumeration
+    (the test suite checks it for every modulus below a threshold); see
+    ``zero_class_count_alt`` for a formula that does not.
     """
-    _check_qd(q, d)
-    if q == 1:
-        return 1
+    _check(q, d, a_d)
     total = 1
     for p, k in factorize(q).factors:
-        case = _split_pp(b, p, k, d, a_d)
-        if case[0] == "zero":
-            beta = case[1]
-            if beta >= k:
-                total *= p**k
-            else:
-                t0 = -((beta - k) // d)  # ceil((k - beta) / d)
-                total *= p ** (k - t0)
-            continue
-        if case[0] == "none":
+        solution = _solution_class(b, p, k, d, a_d)
+        if solution is None:
             return 0
-        _, j, y, t = case
-        if not _unit_is_dth_power(y, p, j, d):
-            return 0
-        total *= _u_pp(p, j, d) * p ** (k - j - t)  # s = k - j = v_p(b)
+        j, t = solution
+        total *= _u_pp(p, j, d) * p ** (k - j - t)
     return total
 
 
@@ -263,6 +228,7 @@ def zero_class_count_alt(p: int, k: int, d: int, a_d: int = 1) -> int:
     gives 4 while exhaustive search (and count_solutions) give 2.  Kept
     only as a regression reference.
     """
+    _check(p**k, d, a_d)
     beta = _v_p(abs(a_d), p)
     kd = -((min(beta, k) - k) // d) if beta < k else 0
     return p**k - p**kd
@@ -270,7 +236,7 @@ def zero_class_count_alt(p: int, k: int, d: int, a_d: int = 1) -> int:
 
 def solution_witness(b: int, q: int, d: int, a_d: int = 1, *, limit: int = 10**5):
     """Smallest x with a_d * x^d = b (mod q), by scan; None if none/too large."""
-    _check_qd(q, d)
+    _check(q, d, a_d)
     if q > limit:
         return None
     b %= q
@@ -295,8 +261,7 @@ def hensel_lift(
     modulo every power of q thanks to the gcd condition, so precision
     doubles each step.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
+    _check(q, d, a_d)
     if poly.degree != d or poly.lead_negated != a_d:
         raise PreconditionError(
             f"polynomial has degree {poly.degree} and negated leading "

@@ -208,6 +208,10 @@ def test_precondition_errors_exit_2(capsys):
         (["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
           "--dump-gnuplot", "P"],
          "--dump-gnuplot serves --kind threshold and growth, not stabilization"),
+        (["congruence", "--mode", "count", "--b", "2", "--q", "7", "--d", "2", "--ad", "0"],
+         "a_d must be nonzero"),
+        (["residues", "--q", "8", "--d", "2", "--ad", "0", "--elements"],
+         "a_d must be nonzero"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

@@ -98,6 +98,7 @@ def test_critical_band_experiment_runs():
     cfg = _cfg(alpha_count=6, alpha_bits=128, q_schedule=geometric_schedule(6, 16))
     report = critical_band_experiment(cfg, Fraction(1, 4))
     assert report.echo["eps"] == "1/2"
+    assert report.echo["band"] == "1/2,1/4"  # the band scanned, not cfg.band
     num, den = report.summary["subpolynomial_fraction"].split("/")
     assert int(den) == 6 and 0 <= int(num) <= 6
     with pytest.raises(ValueError):

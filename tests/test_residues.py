@@ -118,7 +118,7 @@ def test_membership_vs_enumeration():
     rng = random.Random(11)
     for q in range(1, 500):
         for d in (2, 3, 4, 6):
-            for a_d in (1, -1, 2, 5, -6):
+            for a_d in (1, -1, 2, 5, -6, 12, -8):
                 G = {a_d * pow(m, d, q) % q for m in range(q)}
                 Gx = {
                     a_d * pow(m, d, q) % q
@@ -139,14 +139,32 @@ def test_count_solutions_examples():
 
 
 def test_count_solutions_vs_enumeration():
+    # a_d = 12, -8 give v_p(a_d) >= 2; with d = 4 the zero class reaches t > 1
     for q in range(1, 400):
-        for d in (2, 3):
-            for a_d in (1, 2, -3):
+        for d in (2, 3, 4):
+            for a_d in (1, 2, -3, 12, -8):
                 for b in range(0, q, max(1, q // 7)):
                     expected = sum(
                         1 for p in range(q) if (a_d * pow(p, d, q) - b) % q == 0
                     )
                     assert count_solutions(b, q, d, a_d) == expected, (b, q, d, a_d)
+
+
+def test_zero_coefficient_rejected():
+    # a_d = 0 has no valuation; every function that takes a_d refuses it
+    square = IntPolynomial((0, 0, -1))
+    for call in (
+        lambda: count_solutions(2, 7, 2, 0),
+        lambda: is_power_residue(2, 7, 2, 0),
+        lambda: is_primitive_power_residue(2, 7, 2, 0),
+        lambda: scaled_power_residue_count(8, 2, 0),
+        lambda: power_residues(8, 2, 0),
+        lambda: solution_witness(0, 8, 2, 0),
+        lambda: zero_class_count_alt(2, 3, 2, 0),
+        lambda: hensel_lift(1, 1, 5, 2, 0, square),
+    ):
+        with pytest.raises(ValueError, match="^a_d must be nonzero$"):
+            call()
 
 
 def test_zero_class_count_discrepancy():
