@@ -36,14 +36,15 @@ from .experiments import (
 from .residues import (
     count_solutions,
     hensel_lift,
-    power_residue_count,
     power_residues,
+    scaled_power_residue_count,
     unit_power_count,
     unity_roots_count,
 )
 
-# the (x, y, key) columns of each experiment report that --dump-gnuplot plots
-_GNUPLOT_COLUMNS = {
+# the (x, y, key) columns that --dump-gnuplot plots, by command or experiment kind
+_PLOT_COLUMNS = {
+    "scan": ("Q", "N", None),
     "threshold": ("Q", "sum_hi", "tau"),
     "growth": ("Q", "N", "alpha_index"),
 }
@@ -64,25 +65,6 @@ def _write_file(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write(args, report: Report) -> None:
-    """Write a rendered report to --output, or to stdout."""
-    text = report.render(args.format)
-    if args.output:
-        _write_file(args.output, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(args, header: list[str], rows: list[tuple], echo: dict) -> None:
-    _write(args, Report(header, rows, echo))
-
-
-def _dump_gnuplot(prefix: str, report: Report, xcol: str, ycol: str, key=None) -> None:
-    """One two-column file PREFIX_<curve>.dat per curve of the report."""
-    for label, data in report.gnuplot_columns(xcol, ycol, key=key).items():
-        _write_file(f"{prefix}_{label.replace('/', '_')}.dat", data)
 
 
 def _fraction(text: str) -> Fraction:
@@ -198,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default="0,0,-1")
     p.add_argument("--tau", type=_fraction, default=Fraction(5, 2))
     p.add_argument("--taus", help="semicolon list for threshold, e.g. '5/2;3;7/2'")
-    p.add_argument("--band", type=GcdBand.parse, default=GcdBand.full())
-    p.add_argument("--delta", type=_fraction, default=Fraction(1, 4))
+    p.add_argument("--band", type=GcdBand.parse, help="default full; not for critical-band")
+    p.add_argument("--delta", type=_fraction, help="critical-band width (default 1/4)")
     p.add_argument("--alpha-count", type=int, default=20)
     p.add_argument("--alpha-bits", type=int, default=0)
     p.add_argument("--schedule", help="LOEXP:HIEXP powers of two, e.g. 6:20")
@@ -232,46 +214,41 @@ def _moduli(args) -> list[int]:
     return list(range(args.qlo, args.qhi + 1))
 
 
-def _cmd_residues(args) -> None:
+def _cmd_residues(args) -> Report:
     qs = _moduli(args)
     header = ["q", "u", "e", "r"]
     rows = []
-    d = args.d
+    d, ad = args.d, args.ad
     for q in qs:
-        row = (q, unity_roots_count(q, d), unit_power_count(q, d), power_residue_count(q, d))
+        r = scaled_power_residue_count(q, d, ad)
+        row = (q, unity_roots_count(q, d), unit_power_count(q, d), r)
         if args.elements:
-            elems = power_residues(q, d, args.ad).elements
+            elems = power_residues(q, d, ad).elements
             row = row + (" ".join(map(str, elems)),)
         rows.append(row)
     if args.elements:
         header.append("elements")
-    _emit(args, header, rows, _echo(args, d=args.d, ad=args.ad))
+    return Report(header, rows, _echo(args, d=d, ad=ad))
 
 
-def _cmd_congruence(args) -> None:
+def _cmd_congruence(args) -> Report:
     if args.mode == "count":
         d = args.d
         if d is None:
             raise PreconditionError("count mode needs --d")
         c = count_solutions(args.b, args.q, d, args.ad)
         rows = [(args.q, args.b, d, args.ad, c, str(c > 0).lower())]
-        _emit(
-            args,
-            ["q", "b", "d", "ad", "solutions", "solvable"],
-            rows,
-            _echo(args),
-        )
-        return
+        return Report(["q", "b", "d", "ad", "solutions", "solvable"], rows, _echo(args))
     if not args.poly or args.ptilde is None:
         raise PreconditionError("lift mode needs --poly and --ptilde")
     poly = IntPolynomial.parse(args.poly)
     d, a_d = poly.degree, poly.lead_negated
     p = hensel_lift(args.ptilde, args.b, args.q, d, a_d, poly)
     rows = [(args.q, args.b, args.ptilde, p, args.q ** (d - 1))]
-    _emit(args, ["q", "b", "ptilde", "p", "modulus"], rows, _echo(args))
+    return Report(["q", "b", "ptilde", "p", "modulus"], rows, _echo(args))
 
 
-def _cmd_reduce(args) -> None:
+def _cmd_reduce(args) -> Report:
     poly = IntPolynomial.parse(args.poly)
     bound = derivative_sup_bound(poly, args.M)
     hit = reduce_simultaneous(
@@ -292,22 +269,20 @@ def _cmd_reduce(args) -> None:
             f"{radius.numerator}/{radius.denominator}",
         )
     ]
-    _emit(
-        args,
+    return Report(
         ["q", "b", "error_num", "error_den", "gcd_bq", "K", "r", "radius"],
         rows,
         _echo(args, M=args.M, tau=args.tau),
     )
 
 
-def _cmd_cover(args) -> None:
+def _cmd_cover(args) -> Report:
     if args.mode == "series":
         if args.z is None or args.s is None or args.qmax is None:
             raise PreconditionError("series mode needs --z, --s, --qmax")
         lo, hi = restricted_series_partial(args.z, args.s, args.n, args.qmax)
         rows = [(str(args.z), str(args.s), args.n, args.qmax, float(lo), float(hi))]
-        _emit(args, ["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo(args))
-        return
+        return Report(["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo(args))
     if args.tau is None or args.d is None:
         raise PreconditionError("cover needs --tau and --d")
     if args.mode == "tail":
@@ -316,11 +291,9 @@ def _cmd_cover(args) -> None:
         _check_qrange(args)
         lo, hi = tail_sum(args.tau, args.d, args.ad, args.qlo, args.qhi, args.band)
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
-        _emit(args, ["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo(args))
-        return
-    qs = _moduli(args)
+        return Report(["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo(args))
     rows = []
-    for q in qs:
+    for q in _moduli(args):
         rec = cover_measure(q, args.tau, args.d, args.ad, args.band)
         rows.append(
             (
@@ -330,15 +303,14 @@ def _cmd_cover(args) -> None:
                 f"{rec.measure_hi.numerator}/{rec.measure_hi.denominator}",
             )
         )
-    _emit(
-        args,
+    return Report(
         ["q", "center_count", "measure_lo", "measure_hi"],
         rows,
         _echo(args, tau=args.tau, d=args.d, ad=args.ad, band=args.band.format()),
     )
 
 
-def _cmd_scan(args) -> None:
+def _cmd_scan(args) -> Report:
     if args.dump_gnuplot and not args.curve:
         raise PreconditionError("--dump-gnuplot needs --curve")
     poly = IntPolynomial.parse(args.poly)
@@ -358,11 +330,7 @@ def _cmd_scan(args) -> None:
         # the first power of two at or past qmax^d, so every hit is counted
         hi_exp = max(2, (args.qmax**d - 1).bit_length())
         rows = list(count_curve(hits, geometric_schedule(2, hi_exp), d))
-        report = Report(["Q", "N"], rows, echo)
-        _write(args, report)
-        if args.dump_gnuplot:
-            _dump_gnuplot(args.dump_gnuplot, report, "Q", "N")
-        return
+        return Report(["Q", "N"], rows, echo)
     rows = [
         (
             h.q,
@@ -374,11 +342,8 @@ def _cmd_scan(args) -> None:
         )
         for h in hits
     ]
-    _emit(
-        args,
-        ["q", "b", "error_num", "error_den", "gcd_bq", "flags_passed"],
-        rows,
-        echo,
+    return Report(
+        ["q", "b", "error_num", "error_den", "gcd_bq", "flags_passed"], rows, echo
     )
 
 
@@ -394,33 +359,35 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return geometric_schedule(lo, hi)
 
 
-def _cmd_experiment(args) -> None:
-    if args.dump_gnuplot and args.kind not in _GNUPLOT_COLUMNS:
+def _cmd_experiment(args) -> Report:
+    if args.dump_gnuplot and args.kind not in _PLOT_COLUMNS:
         raise PreconditionError(
             f"--dump-gnuplot serves --kind threshold and growth, not {args.kind}"
         )
+    # critical-band scans the band eps = 1 + d - tau, delta = --delta
+    if args.kind == "critical-band" and args.band is not None:
+        raise PreconditionError("--kind critical-band takes --delta, not --band")
+    if args.kind != "critical-band" and args.delta is not None:
+        raise PreconditionError(f"--delta serves --kind critical-band, not {args.kind}")
     poly = IntPolynomial.parse(args.poly)
     cfg = ExperimentConfig(
         polynomial=poly,
         tau=args.tau,
-        band=args.band,
+        band=GcdBand.full() if args.band is None else args.band,
         alpha_count=args.alpha_count,
         alpha_bits=args.alpha_bits,
         seed=args.seed,
         q_schedule=_parse_schedule(args.schedule) if args.schedule else (),
     )
     if args.kind == "threshold":
-        taus = (
-            [Fraction(t) for t in args.taus.split(";")]
-            if args.taus
-            else [cfg.tau]
-        )
-        report = threshold_experiment(cfg, taus)
-    elif args.kind == "growth":
-        report = growth_exponent_experiment(cfg)
-    elif args.kind == "critical-band":
-        report = critical_band_experiment(cfg, args.delta)
-    elif args.kind == "svolume":
+        taus = [Fraction(t) for t in args.taus.split(";")] if args.taus else [cfg.tau]
+        return threshold_experiment(cfg, taus)
+    if args.kind == "growth":
+        return growth_exponent_experiment(cfg)
+    if args.kind == "critical-band":
+        delta = Fraction(1, 4) if args.delta is None else args.delta
+        return critical_band_experiment(cfg, delta)
+    if args.kind == "svolume":
         if args.qmax is None:
             raise PreconditionError("svolume needs --qmax")
         grid = (
@@ -428,14 +395,10 @@ def _cmd_experiment(args) -> None:
             if args.s_grid
             else [Fraction(k, 40) for k in range(1, 11)] + [Fraction(1)]
         )
-        report = svolume_experiment(cfg, grid, args.qmax)
-    else:
-        if args.qlo is None or args.qhi is None:
-            raise PreconditionError("stabilization needs --qlo and --qhi")
-        report = stabilization_experiment(cfg, args.qlo, args.qhi)
-    _write(args, report)
-    if args.dump_gnuplot:
-        _dump_gnuplot(args.dump_gnuplot, report, *_GNUPLOT_COLUMNS[args.kind])
+        return svolume_experiment(cfg, grid, args.qmax)
+    if args.qlo is None or args.qhi is None:
+        raise PreconditionError("stabilization needs --qlo and --qhi")
+    return stabilization_experiment(cfg, args.qlo, args.qhi)
 
 
 _COMMANDS = {
@@ -449,10 +412,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: render its report once, write it to --output or
+    stdout, then write the --dump-gnuplot files, one per curve."""
+    args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
+        text = report.render(args.format)
+        if args.output:
+            _write_file(args.output, text)
+        else:
+            sys.stdout.write(text)
+        if getattr(args, "dump_gnuplot", None):
+            xcol, ycol, key = _PLOT_COLUMNS[getattr(args, "kind", args.command)]
+            for label, data in report.gnuplot_columns(xcol, ycol, key=key).items():
+                _write_file(f"{args.dump_gnuplot}_{label.replace('/', '_')}.dat", data)
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

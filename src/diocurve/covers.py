@@ -168,8 +168,6 @@ def cover_measure(
     d: int,
     a_d: int,
     band: GcdBand = GcdBand.full(),
-    *,
-    bits: int = SUM_BITS,
 ) -> CoverRecord:
     """Formula measure 2 * c * q^(d-1) / q^tau of the q-th cover layer, where
     c = banded_center_count(q, band, d, a_d) (r_d(q~) for the full band).
@@ -184,7 +182,7 @@ def cover_measure(
     if tau <= d:
         raise ValueError(f"cover measure needs tau > d, got tau={tau}, d={d}")
     count = banded_center_count(q, band, d, a_d) * q ** (d - 1)
-    lo_p, hi_p = root_enclosure(q, tau, bits)
+    lo_p, hi_p = root_enclosure(q, tau, SUM_BITS)
     return CoverRecord(q, count, Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p)
 
 

@@ -198,28 +198,19 @@ class Report:
     echo: dict
     summary: dict = field(default_factory=dict)
 
-    def _lines(self, body) -> str:
-        """The echo and summary lines, then the body lines, each ended by a
-        newline."""
+    def render(self, fmt: str) -> str:
+        """The echo and summary lines, then the CSV or JSON-lines body, each
+        line ended by a newline."""
+        if fmt == "csv":
+            rows = (",".join(str(x) for x in row) for row in self.rows)
+            body = [",".join(self.header), *rows]
+        elif fmt == "jsonl":
+            body = [json.dumps(dict(zip(self.header, r)), default=str) for r in self.rows]
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
         items = (*self.echo.items(), *self.summary.items())
         head = [f"# {k} = {v}" for k, v in items]
         return "".join(line + "\n" for line in (*head, *body))
-
-    def to_csv(self) -> str:
-        rows = (",".join(str(x) for x in row) for row in self.rows)
-        return self._lines([",".join(self.header), *rows])
-
-    def to_jsonl(self) -> str:
-        return self._lines(
-            json.dumps(dict(zip(self.header, row)), default=str) for row in self.rows
-        )
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "jsonl":
-            return self.to_jsonl()
-        raise ValueError(f"unknown format {fmt!r}")
 
     def gnuplot_columns(self, xcol: str, ycol: str, *, key: Optional[str] = None):
         """Two-column plain data blocks keyed by `key` (one dict per curve)."""
@@ -391,34 +382,33 @@ def svolume_experiment(
         raise ValueError(
             f"svolume schedule must reach qmax^d = {top}, got top {schedule[-1]}"
         )
-    cuts = [iroot(Q, cfg.d) for Q in schedule]  # hits with q <= cut count at Q
+    # verdicts read the sums at the middle and the end of the schedule, and
+    # the end takes every hit
+    mid_cut = iroot(schedule[len(schedule) // 2], cfg.d)
     rows = []
     stars = []
     for i, alpha in enumerate(cfg.alphas(qmax)):
-        # hits ascend in q, so the schedule cuts them into consecutive segments
         hits = find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, qmax)
         qs = [h.q for h in hits]
         nums = [2 * count_solutions(h.b % h.q, h.q, cfg.d, cfg.a_d) for h in hits]
-        ends = [bisect.bisect_right(qs, cut) for cut in cuts]
+        half = bisect.bisect_right(qs, mid_cut)  # hits ascend in q
         s_star = None
         for s in s_grid:
             exponent = cfg.tau * s
             u, v = exponent.numerator, exponent.denominator
             acc = IntervalSum(64)
             sums = []
-            for start, end in zip((0, *ends), ends):
-                if start < end:
-                    acc.add_ratios(nums[start:end], qs[start:end], u, v)
+            for part in (slice(half), slice(half, None)):
+                acc.add_ratios(nums[part], qs[part], u, v)
                 sums.append(float(Fraction(acc.lo + acc.hi, 2 << acc.bits)))  # midpoint
+            mid, final = sums
             # sparse sums have no steady Cauchy trace; flattening here means
             # the top half of the schedule adds at most SVOLUME_REL_TOL of
             # the final value
-            rel = (
-                (sums[-1] - sums[len(sums) // 2]) / sums[-1] if sums[-1] > 0 else 0.0
-            )
+            rel = (final - mid) / final if final > 0 else 0.0
             flattened = rel <= SVOLUME_REL_TOL
             verdict = "flattening" if flattened else "growing"
-            rows.append((i, str(s), f"{sums[-1]:.10g}", verdict, f"relgrow={rel:.4f}"))
+            rows.append((i, str(s), f"{final:.10g}", verdict, f"relgrow={rel:.4f}"))
             if flattened and s_star is None:
                 s_star = s
         stars.append(s_star)

@@ -212,9 +212,41 @@ def test_precondition_errors_exit_2(capsys):
          "a_d must be nonzero"),
         (["residues", "--q", "8", "--d", "2", "--ad", "0", "--elements"],
          "a_d must be nonzero"),
+        (["residues", "--q", "8", "--d", "2", "--ad", "0"], "a_d must be nonzero"),
+        (["experiment", "--kind", "critical-band", "--band", "1/4,1/4"],
+         "--kind critical-band takes --delta, not --band"),
+        (["experiment", "--kind", "critical-band", "--delta", "0"],
+         "need 0 <= eps < eps + delta <= 1, got eps=1/2, delta=0"),
+        (["experiment", "--kind", "threshold", "--taus", "7/2", "--delta", "1/4"],
+         "--delta serves --kind critical-band, not threshold"),
+        (["experiment", "--kind", "growth", "--delta", "1/4"],
+         "--delta serves --kind critical-band, not growth"),
+        (["experiment", "--kind", "svolume", "--qmax", "4", "--delta", "1/4"],
+         "--delta serves --kind critical-band, not svolume"),
+        (["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
+          "--delta", "1/4"], "--delta serves --kind critical-band, not stabilization"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+def test_critical_band_default_delta(capsys):
+    argv = ["experiment", "--kind", "critical-band", "--alpha-count", "2", "--schedule", "6:8"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# delta = 1/4" in lines and "# band = 1/2,1/4" in lines
+
+
+def test_residue_count_matches_listed_elements(capsys):
+    # r counts a_d G_d(q), the set that --elements lists
+    for d in (2, 3):
+        for ad in (1, 2, 3, -6):
+            argv = ["residues", "--qlo", "1", "--qhi", "60", "--d", str(d), "--ad", str(ad)]
+            assert main([*argv, "--elements"]) == 0
+            rows = [l.split(",") for l in body(capsys.readouterr().out)[1:]]
+            assert len(rows) == 60
+            for q, _, _, r, elements in rows:
+                assert int(r) == len(elements.split()), (d, ad, q)
 
 
 def test_banded_cover_validates_like_full(capsys):
@@ -320,16 +352,22 @@ def test_unwritable_path_exits_2(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
-def test_readme_cli_examples(capsys):
+def test_readme_cli_examples(capsys, tmp_path):
+    # each example runs twice: --output writes the bytes stdout gets
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]
     commands = [line for line in block.splitlines() if line.startswith("diocurve ")]
     assert len(commands) == 15
     out = {}
-    for line in commands:
+    for i, line in enumerate(commands):
         argv = shlex.split(line, comments=True)[1:]
         assert main(argv) == 0, line
-        out[" ".join(argv)] = body(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        path = tmp_path / f"{i}.out"
+        assert main([*argv, "--output", str(path)]) == 0, line
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == text, line
+        out[" ".join(argv)] = body(text)
     assert out["residues --q 8 --d 2"][1] == "8,4,1,3"
     assert out["cover --tau 3 --d 2 --ad 1 --q 5"][1].split(",")[2] == "6/25"
 

@@ -71,7 +71,7 @@ def test_threshold_experiment_verdicts():
         if tau in seen:
             assert lo >= seen[tau][0] and hi >= seen[tau][1]
         seen[tau] = (lo, hi)
-    csv = report.to_csv()
+    csv = report.render("csv")
     assert "# experiment = threshold" in csv
     assert "# seed = 0" in csv
     assert "# library = diocurve" in csv
@@ -169,8 +169,8 @@ def test_stabilization_experiment():
 def test_report_formats_and_gnuplot():
     cfg = _cfg(q_schedule=geometric_schedule(2, 12))
     report = threshold_experiment(cfg, [Fraction(7, 2)])
-    csv = report.to_csv()
-    jsonl = report.to_jsonl()
+    csv = report.render("csv")
+    jsonl = report.render("jsonl")
     assert csv.splitlines()[0].startswith("# library = diocurve")
     assert jsonl.splitlines()[0].startswith("# library = diocurve")
     import json
