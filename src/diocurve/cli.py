@@ -49,6 +49,68 @@ _PLOT_COLUMNS = {
     "growth": ("Q", "N", "alpha_index"),
 }
 
+# Per command, the option that picks the form (_FORM) and, per form, the
+# options that only some forms read, "!" marking one the form needs.  main
+# checks every command against this table before dispatch, then fills in _DEFAULTS.
+_FORM = {"congruence": "mode", "cover": "mode", "scan": "curve", "experiment": "kind"}
+_READS = {
+    "congruence": {"count": "d! ad", "lift": "poly! ptilde!"},
+    "cover": {
+        "measures": "tau! d! ad q qlo qhi band",
+        "tail": "tau! d! ad qlo! qhi! band",
+        "series": "z! s! n qmax!",
+    },
+    "scan": {True: "dump_gnuplot", False: ""},
+    "experiment": {
+        "threshold": "taus band schedule dump_gnuplot",
+        "growth": "band alpha_count alpha_bits schedule dump_gnuplot",
+        "critical-band": "delta alpha_count alpha_bits schedule",  # scans eps = 1 + d - tau
+        "svolume": "band alpha_count alpha_bits schedule qmax! s_grid",
+        "stabilization": "band alpha_count alpha_bits qlo! qhi!",
+    },
+}
+# parsed once, as {command: {form: {dest: needed}}}
+_READS = {
+    cmd: {f: {d.rstrip("!"): d.endswith("!") for d in r.split()} for f, r in forms.items()}
+    for cmd, forms in _READS.items()
+}
+_DEFAULTS = dict(
+    ad=1, band=GcdBand.full(), n=1, delta=Fraction(1, 4), alpha_count=20, alpha_bits=0
+)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _series(items) -> str:
+    *head, last = items
+    return f"{', '.join(head)} and {last}" if head else last
+
+
+def _served(command: str, dest: str) -> str:
+    """The forms of `command` that read `dest`, as `--kind a, b and c`, or `--curve`."""
+    forms = [form for form, reads in _READS[command].items() if dest in reads]
+    return f"--{_FORM[command]}" + ("" if forms == [True] else f" {_series(forms)}")
+
+
+def _check_reads(args) -> None:
+    """Hold the options to what the chosen form reads and needs; fill in defaults."""
+    cmd = args.command
+    if cmd in _READS:
+        form = getattr(args, _FORM[cmd])
+        reads = _READS[cmd][form]
+        for dest in dict.fromkeys(d for r in _READS[cmd].values() for d in r):
+            if dest not in reads and getattr(args, dest) is not None:
+                served = _served(cmd, dest)
+                if isinstance(form, bool):  # a flag picks the form
+                    raise PreconditionError(f"{_flag(dest)} needs {served}")
+                raise PreconditionError(f"{_flag(dest)} serves {served}, not {form}")
+        needs = [dest for dest, needed in reads.items() if needed]
+        if any(getattr(args, dest) is None for dest in needs):
+            raise PreconditionError(f"--{_FORM[cmd]} {form} needs {_series(map(_flag, needs))}")
+    vars(args).update((d, v) for d, v in _DEFAULTS.items() if getattr(args, d, v) is None)
+
 
 def _echo(args, **extra) -> dict:
     # --threads has no effect, so it is not echoed
@@ -94,6 +156,12 @@ def _common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _option(p, command: str, flag: str, help: str, **kw) -> None:
+    """Add an option that only some forms of `command` read; its help names them."""
+    served = _served(command, flag[2:].replace("-", "_"))
+    p.add_argument(flag, help=f"{help}; for {served}", **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diocurve",
@@ -110,17 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qhi", type=int)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--elements", action="store_true", help="also list the residue set")
-    p.add_argument("--ad", type=int, default=1)
+    p.add_argument("--ad", type=int, help="leading coefficient a_d, default 1")
 
     p = sub.add_parser("congruence", help="solution counts and Hensel lifts")
     _common(p)
     p.add_argument("--mode", choices=("count", "lift"), default="count")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--ad", type=int, default=1)
-    p.add_argument("--poly", help="coefficients, constant first (lift mode)")
-    p.add_argument("--ptilde", type=int, help="base solution mod q (lift mode)")
+    _option(p, "congruence", "--d", "power degree", type=int)
+    _option(p, "congruence", "--ad", "leading coefficient a_d, default 1", type=int)
+    _option(p, "congruence", "--poly", "coefficients, constant first")
+    _option(p, "congruence", "--ptilde", "base solution mod q", type=int)
 
     p = sub.add_parser("reduce", help="simultaneous-to-constrained round trip")
     _common(p)
@@ -136,17 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="cover measures, tail sums, L series")
     _common(p)
     p.add_argument("--mode", choices=("measures", "tail", "series"), default="measures")
-    p.add_argument("--tau", type=_fraction)
-    p.add_argument("--d", type=int)
-    p.add_argument("--ad", type=int, default=1)
-    p.add_argument("--q", type=int)
-    p.add_argument("--qlo", type=int)
-    p.add_argument("--qhi", type=int)
-    p.add_argument("--band", type=GcdBand.parse, default=GcdBand.full())
-    p.add_argument("--z", type=_fraction, help="series weight z")
-    p.add_argument("--s", type=_fraction, help="series exponent s")
-    p.add_argument("--n", type=int, default=1, help="series coprimality modulus")
-    p.add_argument("--qmax", type=int, help="series cutoff")
+    _option(p, "cover", "--tau", "approximation exponent", type=_fraction)
+    _option(p, "cover", "--d", "power degree", type=int)
+    _option(p, "cover", "--ad", "leading coefficient a_d, default 1", type=int)
+    _option(p, "cover", "--q", "one modulus", type=int)
+    _option(p, "cover", "--qlo", "first modulus", type=int)
+    _option(p, "cover", "--qhi", "last modulus", type=int)
+    _option(p, "cover", "--band", "gcd band, default full", type=GcdBand.parse)
+    _option(p, "cover", "--z", "series weight z", type=_fraction)
+    _option(p, "cover", "--s", "series exponent s", type=_fraction)
+    _option(p, "cover", "--n", "series coprimality modulus, default 1", type=int)
+    _option(p, "cover", "--qmax", "series cutoff", type=int)
 
     p = sub.add_parser("scan", help="constrained hit scan / counting curve")
     _common(p)
@@ -154,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_fraction, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--band", type=GcdBand.parse, default=GcdBand.full())
+    p.add_argument("--band", type=GcdBand.parse, help="gcd band, default full")
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--coprime", action="store_true")
     p.add_argument("--omega-max", type=int)
@@ -164,13 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the (Q, N) counting curve along a doubling schedule "
         "instead of individual hits",
     )
-    p.add_argument(
-        "--dump-gnuplot",
-        metavar="PREFIX",
-        help="with --curve, also write the curve to PREFIX_curve.dat",
-    )
+    _option(p, "scan", "--dump-gnuplot", "also write PREFIX_curve.dat", metavar="PREFIX")
 
-    p = sub.add_parser("experiment", help="the four experiment drivers")
+    p = sub.add_parser("experiment", help="the five experiment drivers")
     _common(p)
     p.add_argument(
         "--kind",
@@ -179,39 +243,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--poly", default="0,0,-1")
     p.add_argument("--tau", type=_fraction, default=Fraction(5, 2))
-    p.add_argument("--taus", help="semicolon list for threshold, e.g. '5/2;3;7/2'")
-    p.add_argument("--band", type=GcdBand.parse, help="default full; not for critical-band")
-    p.add_argument("--delta", type=_fraction, help="critical-band width (default 1/4)")
-    p.add_argument("--alpha-count", type=int, default=20)
-    p.add_argument("--alpha-bits", type=int, default=0)
-    p.add_argument("--schedule", help="LOEXP:HIEXP powers of two, e.g. 6:20")
-    p.add_argument("--qmax", type=int, help="svolume scan depth")
-    p.add_argument("--qlo", type=int, help="stabilization window start")
-    p.add_argument("--qhi", type=int, help="stabilization window end")
-    p.add_argument("--s-grid", help="semicolon list of s values for svolume")
-    p.add_argument(
-        "--dump-gnuplot",
-        metavar="PREFIX",
-        help="threshold and growth: also write one two-column "
-        "PREFIX_<curve>.dat file per tau or alpha",
-    )
+    _option(p, "experiment", "--taus", "semicolon list, e.g. '5/2;3;7/2'")
+    _option(p, "experiment", "--band", "gcd band, default full", type=GcdBand.parse)
+    _option(p, "experiment", "--delta", "band width, default 1/4", type=_fraction)
+    _option(p, "experiment", "--alpha-count", "seeded alphas, default 20", type=int)
+    _option(p, "experiment", "--alpha-bits", "alpha bits, default 0: auto", type=int)
+    _option(p, "experiment", "--schedule", "LOEXP:HIEXP powers of two, e.g. 6:20")
+    _option(p, "experiment", "--qmax", "scan depth", type=int)
+    _option(p, "experiment", "--qlo", "window start", type=int)
+    _option(p, "experiment", "--qhi", "window end", type=int)
+    _option(p, "experiment", "--s-grid", "semicolon list of s values")
+    write = "also write one two-column PREFIX_<curve>.dat file per tau or alpha"
+    _option(p, "experiment", "--dump-gnuplot", write, metavar="PREFIX")
 
     return ap
 
 
-def _check_qrange(args) -> None:
-    if args.qlo > args.qhi:
-        raise PreconditionError(f"need --qlo <= --qhi, got {args.qlo} > {args.qhi}")
-
-
-def _moduli(args) -> list[int]:
+def _moduli(args) -> range:
     """The single --q, or every q in [--qlo, --qhi]."""
     if args.q is not None:
-        return [args.q]
+        if args.qlo is not None or args.qhi is not None:
+            raise PreconditionError("need --q or both --qlo and --qhi, not both")
+        return range(args.q, args.q + 1)
     if args.qlo is None or args.qhi is None:
         raise PreconditionError("need --q or both --qlo and --qhi")
-    _check_qrange(args)
-    return list(range(args.qlo, args.qhi + 1))
+    if args.qlo > args.qhi:
+        raise PreconditionError(f"need --qlo <= --qhi, got {args.qlo} > {args.qhi}")
+    return range(args.qlo, args.qhi + 1)
 
 
 def _cmd_residues(args) -> Report:
@@ -233,14 +291,9 @@ def _cmd_residues(args) -> Report:
 
 def _cmd_congruence(args) -> Report:
     if args.mode == "count":
-        d = args.d
-        if d is None:
-            raise PreconditionError("count mode needs --d")
-        c = count_solutions(args.b, args.q, d, args.ad)
-        rows = [(args.q, args.b, d, args.ad, c, str(c > 0).lower())]
+        c = count_solutions(args.b, args.q, args.d, args.ad)
+        rows = [(args.q, args.b, args.d, args.ad, c, str(c > 0).lower())]
         return Report(["q", "b", "d", "ad", "solutions", "solvable"], rows, _echo(args))
-    if not args.poly or args.ptilde is None:
-        raise PreconditionError("lift mode needs --poly and --ptilde")
     poly = IntPolynomial.parse(args.poly)
     d, a_d = poly.degree, poly.lead_negated
     p = hensel_lift(args.ptilde, args.b, args.q, d, a_d, poly)
@@ -278,18 +331,12 @@ def _cmd_reduce(args) -> Report:
 
 def _cmd_cover(args) -> Report:
     if args.mode == "series":
-        if args.z is None or args.s is None or args.qmax is None:
-            raise PreconditionError("series mode needs --z, --s, --qmax")
         lo, hi = restricted_series_partial(args.z, args.s, args.n, args.qmax)
         rows = [(str(args.z), str(args.s), args.n, args.qmax, float(lo), float(hi))]
         return Report(["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo(args))
-    if args.tau is None or args.d is None:
-        raise PreconditionError("cover needs --tau and --d")
     if args.mode == "tail":
-        if args.qlo is None or args.qhi is None:
-            raise PreconditionError("tail mode needs --qlo and --qhi")
-        _check_qrange(args)
-        lo, hi = tail_sum(args.tau, args.d, args.ad, args.qlo, args.qhi, args.band)
+        qs = _moduli(args)  # [--qlo, --qhi]: tail reads no --q
+        lo, hi = tail_sum(args.tau, args.d, args.ad, qs[0], qs[-1], args.band)
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
         return Report(["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo(args))
     rows = []
@@ -311,8 +358,6 @@ def _cmd_cover(args) -> Report:
 
 
 def _cmd_scan(args) -> Report:
-    if args.dump_gnuplot and not args.curve:
-        raise PreconditionError("--dump-gnuplot needs --curve")
     poly = IntPolynomial.parse(args.poly)
     d, a_d = poly.degree, poly.lead_negated
     flags = HitFlags(args.primitive, args.coprime, args.omega_max)
@@ -360,20 +405,10 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 
 
 def _cmd_experiment(args) -> Report:
-    if args.dump_gnuplot and args.kind not in _PLOT_COLUMNS:
-        raise PreconditionError(
-            f"--dump-gnuplot serves --kind threshold and growth, not {args.kind}"
-        )
-    # critical-band scans the band eps = 1 + d - tau, delta = --delta
-    if args.kind == "critical-band" and args.band is not None:
-        raise PreconditionError("--kind critical-band takes --delta, not --band")
-    if args.kind != "critical-band" and args.delta is not None:
-        raise PreconditionError(f"--delta serves --kind critical-band, not {args.kind}")
-    poly = IntPolynomial.parse(args.poly)
     cfg = ExperimentConfig(
-        polynomial=poly,
+        polynomial=IntPolynomial.parse(args.poly),
         tau=args.tau,
-        band=GcdBand.full() if args.band is None else args.band,
+        band=args.band,
         alpha_count=args.alpha_count,
         alpha_bits=args.alpha_bits,
         seed=args.seed,
@@ -385,19 +420,14 @@ def _cmd_experiment(args) -> Report:
     if args.kind == "growth":
         return growth_exponent_experiment(cfg)
     if args.kind == "critical-band":
-        delta = Fraction(1, 4) if args.delta is None else args.delta
-        return critical_band_experiment(cfg, delta)
+        return critical_band_experiment(cfg, args.delta)
     if args.kind == "svolume":
-        if args.qmax is None:
-            raise PreconditionError("svolume needs --qmax")
         grid = (
             [Fraction(s) for s in args.s_grid.split(";")]
             if args.s_grid
             else [Fraction(k, 40) for k in range(1, 11)] + [Fraction(1)]
         )
         return svolume_experiment(cfg, grid, args.qmax)
-    if args.qlo is None or args.qhi is None:
-        raise PreconditionError("stabilization needs --qlo and --qhi")
     return stabilization_experiment(cfg, args.qlo, args.qhi)
 
 
@@ -416,6 +446,7 @@ def main(argv=None) -> int:
     stdout, then write the --dump-gnuplot files, one per curve."""
     args = build_parser().parse_args(argv)
     try:
+        _check_reads(args)
         report = _COMMANDS[args.command](args)
         text = report.render(args.format)
         if args.output:

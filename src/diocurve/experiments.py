@@ -1,6 +1,8 @@
 """Desk-scale experiment drivers: the convergence threshold of the cover
 series, growth exponents of the banded counting function, the critical
-gcd band, and s-volume partial sums, plus deterministic report emission.
+gcd band, s-volume partial sums, and stabilization above the threshold
+(the share of alphas with no hit in a window of moduli), plus
+deterministic report emission.
 
 Verdicts at finite scale need explicit rules.  They are the module
 constants below, the same for every experiment; reports do not echo them:
@@ -71,6 +73,8 @@ class ExperimentConfig:
         object.__setattr__(self, "tau", Fraction(self.tau))
         if self.alpha_count < 1:
             raise ValueError("alpha count must be >= 1")
+        if self.alpha_bits < 0:
+            raise ValueError(f"alpha bits must be >= 0, got {self.alpha_bits}")
         if self.q_schedule and any(
             a >= b for a, b in zip(self.q_schedule, self.q_schedule[1:])
         ):

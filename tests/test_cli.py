@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diocurve.cli import main
+from diocurve.cli import _FORM, _READS, build_parser, main
 
 
 def run_cli(*argv, expect=0):
@@ -173,6 +173,10 @@ def test_precondition_errors_exit_2(capsys):
     for argv, message in (
         (["residues", "--qlo", "5", "--d", "2"], "need --q or both --qlo and --qhi"),
         (["cover", "--tau", "3", "--d", "2", "--qlo", "5"], "need --q or both --qlo and --qhi"),
+        (["residues", "--q", "8", "--d", "2", "--qlo", "1", "--qhi", "50"],
+         "need --q or both --qlo and --qhi, not both"),
+        (["cover", "--tau", "3", "--d", "2", "--q", "8", "--qlo", "1", "--qhi", "50"],
+         "need --q or both --qlo and --qhi, not both"),
         (["experiment", "--kind", "threshold", "--taus", "3", "--schedule", "9:4"],
          "needs LOEXP <= HIEXP, got 9:4"),
         (["experiment", "--kind", "threshold", "--taus", "3", "--schedule", "9"],
@@ -214,7 +218,7 @@ def test_precondition_errors_exit_2(capsys):
          "a_d must be nonzero"),
         (["residues", "--q", "8", "--d", "2", "--ad", "0"], "a_d must be nonzero"),
         (["experiment", "--kind", "critical-band", "--band", "1/4,1/4"],
-         "--kind critical-band takes --delta, not --band"),
+         "--band serves --kind threshold, growth, svolume and stabilization, not critical-band"),
         (["experiment", "--kind", "critical-band", "--delta", "0"],
          "need 0 <= eps < eps + delta <= 1, got eps=1/2, delta=0"),
         (["experiment", "--kind", "threshold", "--taus", "7/2", "--delta", "1/4"],
@@ -228,6 +232,103 @@ def test_precondition_errors_exit_2(capsys):
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+# Valid commands of every form in _READS, the smallest first: each exits 0,
+# and together they give every option the form reads; {tmp} is a temporary dir.
+_FORM_COMMANDS = {
+    ("congruence", "count"): ["congruence --mode count --b 2 --q 7 --d 2",
+                              "congruence --b 2 --q 7 --d 2 --ad 1"],
+    ("congruence", "lift"): ["congruence --mode lift --poly 0,0,0,-1 --b 2 --q 5 --ptilde 3"],
+    ("cover", "measures"): ["cover --tau 3 --d 2 --q 5",
+                            "cover --tau 3 --d 2 --ad 1 --qlo 4 --qhi 5 --band full"],
+    ("cover", "tail"): ["cover --mode tail --tau 3 --d 2 --qlo 1 --qhi 4",
+                        "cover --mode tail --tau 3 --d 2 --qlo 1 --qhi 4 --ad 1 --band 0,1/2"],
+    ("cover", "series"): ["cover --mode series --z 2 --s 2 --qmax 16",
+                          "cover --mode series --z 2 --s 2 --qmax 16 --n 6"],
+    ("scan", False): ["scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4"],
+    ("scan", True): ["scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4 --curve",
+                     "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4 --curve "
+                     "--dump-gnuplot {tmp}/s"],
+    ("experiment", "threshold"): [
+        "experiment --kind threshold --schedule 2:4",
+        "experiment --kind threshold --taus 3 --band full --schedule 2:4 --dump-gnuplot {tmp}/t",
+    ],
+    ("experiment", "growth"): [
+        "experiment --kind growth --alpha-count 1 --schedule 6:8",
+        "experiment --kind growth --alpha-count 1 --alpha-bits 128 --band full "
+        "--schedule 6:8 --dump-gnuplot {tmp}/g",
+    ],
+    ("experiment", "critical-band"): [
+        "experiment --kind critical-band --alpha-count 1 --schedule 6:8",
+        "experiment --kind critical-band --alpha-count 1 --alpha-bits 128 --delta 1/8 "
+        "--schedule 6:8",
+    ],
+    ("experiment", "svolume"): [
+        "experiment --kind svolume --qmax 4 --alpha-count 1",
+        "experiment --kind svolume --qmax 4 --alpha-count 1 --alpha-bits 128 --band full "
+        "--schedule 4:6 --s-grid 1",
+    ],
+    ("experiment", "stabilization"): [
+        "experiment --kind stabilization --qlo 1 --qhi 4 --alpha-count 1",
+        "experiment --kind stabilization --qlo 1 --qhi 4 --alpha-count 1 --alpha-bits 128 "
+        "--band full",
+    ],
+}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _and(items):
+    *head, last = items
+    return f"{', '.join(head)} and {last}" if head else last
+
+
+def test_reads_table_names_parser_options():
+    assert {(c, f) for c in _READS for f in _READS[c]} == set(_FORM_COMMANDS)
+    parser = build_parser()
+    for (command, form), commands in _FORM_COMMANDS.items():
+        args = parser.parse_args(commands[0].split())
+        assert getattr(args, _FORM[command]) == form, commands[0]
+        for dest in _READS[command][form]:
+            assert hasattr(args, dest), (command, dest)  # no typo in _READS
+
+
+def test_every_form_runs_with_every_option_it_reads(capsys, tmp_path):
+    for (command, form), commands in _FORM_COMMANDS.items():
+        given = set()
+        for line in commands:
+            argv = line.format(tmp=tmp_path).split()
+            assert main(argv) == 0, (line, capsys.readouterr().err)
+            given |= {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+        assert set(_READS[command][form]) <= given, (command, form)
+    capsys.readouterr()
+
+
+def test_options_a_form_does_not_read_or_needs_exit_2(capsys):
+    for (command, form), commands in _FORM_COMMANDS.items():
+        smallest = commands[0].split()
+        reads = _READS[command][form]
+        others = {d for r in _READS[command].values() for d in r} - set(reads)
+        for dest in sorted(others):
+            served = [f for f, r in _READS[command].items() if dest in r]
+            # any value the parser takes: the check runs before the command
+            value = {"band": "full", "schedule": "2:4"}.get(dest, "1")
+            assert main([*smallest, _flag(dest), value]) == 2, (command, form, dest)
+            err = capsys.readouterr().err
+            if isinstance(form, bool):
+                assert err == f"error: {_flag(dest)} needs --curve\n"
+            else:
+                served = f"--{_FORM[command]} {_and(served)}"
+                assert err == f"error: {_flag(dest)} serves {served}, not {form}\n"
+        needs = [_flag(d) for d, needed in reads.items() if needed]
+        for flag in needs:
+            at = smallest.index(flag)
+            assert main(smallest[:at] + smallest[at + 2:]) == 2, (command, form, flag)
+            err = capsys.readouterr().err
+            assert err == f"error: --{_FORM[command]} {form} needs {_and(needs)}\n"
 
 
 def test_critical_band_default_delta(capsys):

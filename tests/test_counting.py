@@ -98,12 +98,24 @@ def test_find_hits_band_and_flag_filters():
         )
 
 
-def brute_scan(alpha, d, a_d, tau, band, q, flags):
-    """Oracle: test every b in [0, q^d], no nearest-b shortcut.
+def brute_close_b(alpha, d, tau, q):
+    """Oracle: every b in [0, q^d] with |alpha - b/q^d| < q^-tau, no
+    nearest-b shortcut.
 
     Integer arithmetic: |alpha - b/q^d| < q^-tau iff
     |an t - b ad|^v q^u < (ad t)^v with alpha = an/ad, t = q^d, tau = u/v.
     """
+    an, ad = alpha.numerator, alpha.denominator
+    u, v = tau.numerator, tau.denominator
+    t = q**d
+    rhs = (ad * t) ** v
+    qu = q**u
+    return [b for b in range(t + 1) if abs(an * t - b * ad) ** v * qu < rhs]
+
+
+def brute_filter(close, d, a_d, band, q, flags):
+    """The (q, b) with b in `close` that pass the flags, the band and the
+    power-residue test, each checked on its own."""
     from diocurve.arithmetic import distinct_prime_count, factorize
 
     if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
@@ -111,22 +123,16 @@ def brute_scan(alpha, d, a_d, tau, band, q, flags):
     if flags.omega_max is not None and distinct_prime_count(factorize(q)) > flags.omega_max:
         return []
     test = is_primitive_power_residue if flags.primitive_only else is_power_residue
-    an, ad = alpha.numerator, alpha.denominator
-    u, v = tau.numerator, tau.denominator
-    t = q**d
-    rhs = (ad * t) ** v
-    qu = q**u
-    out = []
-    for b in range(t + 1):
-        if abs(an * t - b * ad) ** v * qu >= rhs:
-            continue
-        g = math.gcd(b, q)
-        if not band.contains(g, q):
-            continue
-        if not test(b % q, q, d, a_d):
-            continue
-        out.append((q, b))
-    return out
+    return [
+        (q, b)
+        for b in close
+        if band.contains(math.gcd(b, q), q) and test(b % q, q, d, a_d)
+    ]
+
+
+def brute_scan(alpha, d, a_d, tau, band, q, flags):
+    """Oracle: the hits of modulus q, from a scan of every b in [0, q^d]."""
+    return brute_filter(brute_close_b(alpha, d, tau, q), d, a_d, band, q, flags)
 
 
 @pytest.mark.parametrize(
@@ -174,11 +180,13 @@ def test_find_hits_matches_full_scan_every_flag_combo():
     ]
     for alpha_frac in (Fraction(1, 3), Fraction(5741, 9973)):
         alpha = AlphaValue.user(alpha_frac)
+        # the distance scan does not depend on the flags: one per (alpha, q)
+        close = {q: brute_close_b(alpha_frac, 2, tau, q) for q in range(1, 301)}
         for flags in combos:
             got = [(h.q, h.b) for h in find_hits(alpha, 2, 1, tau, FULL, 300, flags)]
             expected = []
             for q in range(1, 301):
-                expected.extend(brute_scan(alpha_frac, 2, 1, tau, FULL, q, flags))
+                expected.extend(brute_filter(close[q], 2, 1, FULL, q, flags))
             assert got == expected, flags
 
 

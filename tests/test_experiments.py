@@ -38,6 +38,13 @@ def test_schedule_and_window_helpers():
         ExperimentConfig(polynomial=SQ, tau=2, band=FULL, q_schedule=(8, 8))
 
 
+def test_config_rejects_negative_alpha_bits():
+    # at construction, so a run that never draws an alpha reports it too
+    with pytest.raises(ValueError, match="alpha bits must be >= 0, got -1"):
+        _cfg(alpha_bits=-1)
+    assert _cfg(alpha_bits=0).echo()["alpha_bits"] == "auto"
+
+
 def test_fit_loglog_recovers_power_law():
     samples = [(Q, 3.0 * Q**0.5) for Q in geometric_schedule(4, 16)]
     fit = fit_loglog(samples, (2**10, 2**16))
