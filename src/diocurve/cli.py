@@ -332,8 +332,8 @@ def _cmd_reduce(args) -> Report:
 def _cmd_cover(args) -> Report:
     if args.mode == "series":
         lo, hi = restricted_series_partial(args.z, args.s, args.n, args.qmax)
-        rows = [(str(args.z), str(args.s), args.n, args.qmax, float(lo), float(hi))]
-        return Report(["z", "s", "n", "Q", "sum_lo", "sum_hi"], rows, _echo(args))
+        rows = [(str(args.z), str(args.s), args.n, args.qmax, float(lo), float(hi), float(hi - lo))]
+        return Report(["z", "s", "n", "Q", "sum_lo", "sum_hi", "width"], rows, _echo(args))
     if args.mode == "tail":
         qs = _moduli(args)  # [--qlo, --qhi]: tail reads no --q
         lo, hi = tail_sum(args.tau, args.d, args.ad, qs[0], qs[-1], args.band)

@@ -19,16 +19,21 @@ formula measure and the series, live with the test oracles.
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
 certifiably contains the true sum while denominators stay bounded (exact
-rational accumulation would blow up on ranges like q <= 2^16).  The terms
-of one block are rounded in one pass (``IntervalSum.add_ratios``), and the
-tail sums of several taus share one count pass per block (``tail_sums``).
-Each term numerator / q^(k + w/v), 0 <= w < v, is rounded against q^k
-times R = floor(2^bits q^(w/v)), a root of q^w alone: its interval
-contains the one that the root of the whole power q^(k v + w) would give
-(proof at ``IntervalSum``).  The roots come from float seeds worked out
-for up to ROOT_CHUNK moduli at a time, each settled by the exact integer
-descent of ``iroot``, and the taus of one ``tail_sums`` call with the
-same w/v share them.
+rational accumulation would blow up on ranges like q <= 2^16).  Tail sums
+round term by term (``IntervalSum.add_ratios``), and the tail sums of
+several taus share one count pass per block (``tail_sums``).  Each term
+numerator / q^(k + w/v), 0 <= w < v, is rounded against q^k times R =
+floor(2^bits q^(w/v)), a root of q^w alone: its interval contains the one
+that the root of the whole power q^(k v + w) would give (proof at
+``IntervalSum``).  The roots come from float seeds worked out for up to
+ROOT_CHUNK moduli at a time, each settled by the exact integer descent of
+``iroot``, and the taus of one ``tail_sums`` call with the same w/v share
+them.  The omega series rounds TAYLOR_BLOCK consecutive moduli at once
+(``IntervalSum.add_consecutive``): a Taylor expansion of q^-s around the
+block's first modulus q0, with a remainder of known sign, needs one root
+of q0 and two divisions per block.  A block goes term by term instead
+when its numerators are too large for exact int64 moments or its Taylor
+interval is wider than 2 units of 2^-bits per term.
 """
 
 from __future__ import annotations
@@ -296,9 +301,33 @@ def _table_blocks(N: int, Q: int):
 # certified fixed-point accumulation
 
 
-# the sums round at most this many terms per ``add_ratios`` call, so the
-# float seeds and roots of a block are never held all at once
+# ``tail_sums`` and the per-term fallback of ``add_consecutive`` round at
+# most this many terms per ``add_ratios`` call, so the float seeds and
+# roots of a count-table block are never held all at once
 ROOT_CHUNK = 1 << 10
+
+# The block rule of ``IntervalSum.add_consecutive``: TAYLOR_BLOCK
+# consecutive moduli share one root, through a Taylor expansion of degree
+# TAYLOR_DEGREE.  _TAYLOR_POWERS[h][j] = h^j for j <= TAYLOR_DEGREE + 1, and
+# a block's moments stay below 2^63 while its numerators are at most
+# _TAYLOR_NUM_MAX.  The table is a list, made an int64 array only when used:
+# numpy arithmetic at import raised the peak RSS of an import by 0.25 MB.
+TAYLOR_BLOCK = 32
+TAYLOR_DEGREE = 6
+_TAYLOR_POWERS = [[h**j for j in range(TAYLOR_DEGREE + 2)] for h in range(TAYLOR_BLOCK)]
+_TAYLOR_NUM_MAX = ((1 << 63) - 1) // sum(row[-1] for row in _TAYLOR_POWERS)
+
+
+def _taylor_coefficients(u: int, v: int) -> list[int]:
+    """c_j = binom(-u/v, j) v^(m+1) (m+1)! for j <= m + 1, m =
+    TAYLOR_DEGREE: integers, as binom(-u/v, j) v^j j! is the product of
+    -(u + i v) over i < j."""
+    m1 = TAYLOR_DEGREE + 1
+    coeffs, c = [], 1  # c = binom(-u/v, j) v^j j!
+    for j in range(m1 + 1):
+        coeffs.append(c * v ** (m1 - j) * math.factorial(m1) // math.factorial(j))
+        c *= -(u + j * v)
+    return coeffs
 
 
 def _split_roots(qs, w: int, v: int, bits: int) -> list[int]:
@@ -326,11 +355,14 @@ def _split_roots(qs, w: int, v: int, bits: int) -> list[int]:
 class IntervalSum:
     """Accumulates certified [lo, hi] enclosures at fixed scale 2^-bits.
 
-    ``add_ratios`` is the one rounding path for terms numerator / q^tau
-    with tau = u/v > 0.  It splits tau = k + w/v with 0 <= w < v and takes
-    R = floor(2^bits q^(w/v)); each term is rounded outward against q^k R,
-    the terms of a call are summed in local integers, and the totals are
-    added to lo and hi once.
+    Two rounding methods, both outward, for terms numerator / q^tau with
+    tau = u/v > 0 and numerators >= 0.  ``add_ratios`` rounds term by
+    term: it splits tau = k + w/v with 0 <= w < v and takes R = floor(2^bits
+    q^(w/v)); each term is rounded outward against q^k R, the terms of a
+    call are summed in local integers, and the totals are added to lo and
+    hi once.  ``add_consecutive`` rounds blocks of TAYLOR_BLOCK consecutive
+    moduli at once from a Taylor expansion and hands a block to
+    ``add_ratios`` only when the expansion is too coarse for it.
 
     Nesting: with r = floor(2^bits q^tau), the one root an unsplit rounding
     takes, q^k R is an integer <= 2^bits q^tau, so q^k R <= r, and q^k (R +
@@ -339,9 +371,34 @@ class IntervalSum:
     2^(2 bits), therefore contains [N // (r + 1), ceil(N / r)].  An integer
     tau is w = 0, where 2^bits q^0 is exact and the term is floored and
     ceiled at numerator 2^bits / q^k.
+
+    Block rule: for q = q0 + h, 0 <= h < H = TAYLOR_BLOCK, and x = h / q0,
+    q^-s = q0^-s (1 + x)^-s with s = tau.  The j-th derivative of f(x) = (1
+    + x)^-s is j! C_j (1 + x)^(-s-j), C_j = binom(-s, j), so Taylor's
+    theorem with Lagrange remainder gives, for some xi in [0, x],
+
+        (1 + x)^-s = sum_{j<=m} C_j x^j + C_{m+1} (1 + xi)^(-s-m-1) x^(m+1),
+
+    m = TAYLOR_DEGREE.  As xi >= 0 and s + m + 1 > 0, the factor (1 +
+    xi)^(-s-m-1) lies in (0, 1], so the remainder lies between C_{m+1}
+    x^(m+1) and 0.  C_j = prod_{i<j} (-s - i) / j! has the sign of (-1)^j,
+    and m is even, so C_{m+1} < 0 and the remainder is <= 0.  Summed
+    against numerators num_h >= 0 with moments M_j = sum_h num_h h^j, the
+    block's sum times q0^s therefore lies in [P_{m+1}, P_m], P_i = sum_{j<=i}
+    C_j M_j / q0^j.  Scaled by the integer D = v^(m+1) (m+1)!, each c_j =
+    C_j D is an integer (C_j v^j j! is the product of -(u + i v) over i <
+    j), so D q0^(m+1) P_m and D q0^(m+1) P_{m+1} are integers from one
+    Horner pass over the c_j M_j.  They are divided by D q0^(m+1+k) and by
+    2^bits q0^(w/v), which lies in [R, R + 1) for R = floor(2^bits
+    q0^(w/v)): the lower end floored against R + 1, the upper end ceiled
+    against R, one root per block instead of one per term.  A lower end
+    below 0 (h / q0 too large for the expansion) divides to at most 0,
+    still below the sum.
     """
 
     def __init__(self, bits: int = SUM_BITS):
+        if bits < 1:
+            raise ValueError(f"bits must be >= 1, got {bits}")
         self.bits = bits
         self.lo = 0
         self.hi = 0
@@ -370,6 +427,75 @@ class IntervalSum:
             hi -= -num // (qk * root)
         self.lo += lo
         self.hi += hi
+
+    def add_consecutive(self, numerators: np.ndarray, q0: int, u: int, v: int) -> None:
+        """Add numerators[h] / (q0 + h)^(u/v) (u, v > 0) for every h, with
+        q0 >= 1 and numerators >= 0 in a 1-D array: int64, or object when
+        some numerator does not fit in int64.
+
+        The moduli are cut into blocks of TAYLOR_BLOCK from q0 on, and each
+        block is rounded by the block rule (proof at ``IntervalSum``): its
+        moments M_j, j <= TAYLOR_DEGREE + 1, come from one int64 matmul
+        against the table of h^j, which is exact while max(num) * sum_h
+        h^(m+1) < 2^63.  A block whose numerators break that guard, or
+        whose Taylor interval is wider than 2 units of 2^-bits per nonzero
+        term, is rounded term by term in ``add_ratios`` instead, at most
+        ROOT_CHUNK terms per call.
+        """
+        H = TAYLOR_BLOCK
+        span = ROOT_CHUNK * H  # at most ROOT_CHUNK block roots at once
+        for start in range(0, len(numerators), span):
+            part = numerators[start : start + span]
+            if len(part) % H:
+                part = np.concatenate((part, np.zeros(-len(part) % H, dtype=part.dtype)))
+            self._add_blocks(part.reshape(-1, H), q0 + start, u, v)
+
+    def _add_blocks(self, nums: np.ndarray, q0: int, u: int, v: int) -> None:
+        """``add_consecutive`` for the rows of nums, row i holding the
+        numerators of q0 + TAYLOR_BLOCK i + h."""
+        bits, H = self.bits, TAYLOR_BLOCK
+        k, w = divmod(u, v)
+        fits = nums.max(axis=1) <= _TAYLOR_NUM_MAX
+        powers = np.array(_TAYLOR_POWERS, dtype=np.int64)
+        moments = np.where(fits[:, None], nums, 0).astype(np.int64, copy=False) @ powers
+        nonzero = np.count_nonzero(nums, axis=1)
+        taylor = np.flatnonzero(fits & (nonzero > 0)).tolist()
+        moments, nonzero = moments.tolist(), nonzero.tolist()
+        starts = [q0 + H * i for i in taylor]
+        if w:
+            shift, step = 2 * bits, 1
+            roots = _split_roots(starts, w, v, bits)
+        else:
+            shift, step, roots = bits, 0, itertools.repeat(1)
+        *head, last = _taylor_coefficients(u, v)
+        scale = v ** (TAYLOR_DEGREE + 1) * math.factorial(TAYLOR_DEGREE + 1)  # D
+        lo = hi = 0
+        rounded = set()
+        for i, q, root in zip(taylor, starts, roots):
+            *M, top = moments[i]
+            poly = 0
+            for c, m in zip(head, M):
+                poly = poly * q + c * m
+            upper = poly * q  # D q^(m+1) P_m; D q^(m+1) P_{m+1} = upper + last * top
+            den = scale * q ** (TAYLOR_DEGREE + 1 + k)
+            block_lo = (upper + last * top << shift) // (den * (root + step))
+            block_hi = -(-(upper << shift) // (den * root))
+            if block_hi - block_lo <= 2 * nonzero[i]:
+                lo += block_lo
+                hi += block_hi
+                rounded.add(i)
+        self.lo += lo
+        self.hi += hi
+        terms = [
+            (num, q0 + H * i + h)
+            for i in range(len(nums))
+            if nonzero[i] and i not in rounded
+            for h, num in enumerate(nums[i].tolist())
+            if num
+        ]
+        for start in range(0, len(terms), ROOT_CHUNK):
+            chunk_nums, chunk_qs = zip(*terms[start : start + ROOT_CHUNK])
+            self.add_ratios(chunk_nums, chunk_qs, u, v)
 
     def add_ratio_with_root(self, numerator: int, q: int, u: int, v: int) -> None:
         """Add numerator / q^(u/v) (u, v > 0) with outward rounding."""
@@ -455,9 +581,10 @@ def restricted_series_partial(
 ) -> tuple[Fraction, Fraction]:
     """Certified interval for sum_{q<=Q, gcd(q,n)=1} z^omega(q) / q^s, for
     Q < TABLE_QMAX.  Walks the count table's blocks; with z = a/b and W =
-    Q.bit_length() > omega(q), each term adds a^w b^(W-w) / q^s with
-    outward rounding, at most ROOT_CHUNK terms per ``add_ratios`` call, and
-    the total is divided exactly by b^W."""
+    Q.bit_length() > omega(q), each term has numerator a^w b^(W-w), 0 for
+    q not coprime to n, and each block's numerators are rounded outward in
+    one ``IntervalSum.add_consecutive`` call; the total is divided exactly
+    by b^W."""
     z = Fraction(z)
     s = Fraction(s)
     if z <= 0 or s <= 0:
@@ -470,20 +597,17 @@ def restricted_series_partial(
         raise ValueError(f"coprimality modulus n must be >= 1, got {n}")
     u, v = s.numerator, s.denominator
     W = Q.bit_length()
-    weight = [z.numerator**w * z.denominator ** (W - w) for w in range(W + 1)]
+    # weight[omega] for omega <= W; the q not coprime to n take weight[W + 1] = 0
+    weight = [z.numerator**w * z.denominator ** (W - w) for w in range(W + 1)] + [0]
+    table = np.array(weight, dtype=np.int64 if max(weight) < 1 << 63 else object)
     n_primes = [p for p, _ in factorize(n).factors]
 
     acc = IntervalSum(bits)
     acc.lo = acc.hi = weight[0] << bits  # q = 1 term, exact
     for lo, hi, primes in _table_blocks(2, Q):
         omega = _kernels.omega_table(lo, hi, primes)
-        coprime = np.ones(len(omega), dtype=bool)
         for p in n_primes:
-            coprime[(-lo) % p :: p] = False
-        qs, omegas = np.flatnonzero(coprime) + lo, omega[coprime]
-        for start in range(0, len(qs), ROOT_CHUNK):
-            part = slice(start, start + ROOT_CHUNK)
-            nums = [weight[w] for w in omegas[part].tolist()]
-            acc.add_ratios(nums, qs[part].tolist(), u, v)
+            omega[(-lo) % p :: p] = W + 1
+        acc.add_consecutive(table[omega], lo, u, v)
     lo, hi = acc.interval()
     return lo / z.denominator**W, hi / z.denominator**W

@@ -117,6 +117,9 @@ def test_cover_tail_and_series(capsys):
     hi = float(lines[1].split(",")[4])
     assert lo <= 307 / 432 <= hi
     assert main(["cover", "--mode", "series", "--z", "1", "--s", "2", "--qmax", "100"]) == 0
+    lines = body(capsys.readouterr().out)
+    assert lines[0] == "z,s,n,Q,sum_lo,sum_hi,width"
+    assert 0 < float(lines[1].split(",")[6]) <= 100 / 2**63
 
 
 def test_congruence_count_and_lift(capsys):

@@ -588,6 +588,111 @@ def test_restricted_series_encloses_exact_sum(z):
     assert lo1 - hi0 <= _series_oracle(z, 2, 2 * 1009, range(Q0 + 1, Q1 + 1)) <= hi1 - lo0
 
 
+def _per_term_series(z, s, n, Q, bits=64):
+    """The series with every term rounded on its own in
+    ``IntervalSum.add_ratios``, omega(q) by trial division."""
+    z, s = Fraction(z), Fraction(s)
+    W = Q.bit_length()
+    weight = [z.numerator**w * z.denominator ** (W - w) for w in range(W + 1)]
+    qs = [q for q in range(2, Q + 1) if math.gcd(q, n) == 1]
+    acc = IntervalSum(bits)
+    acc.lo = acc.hi = weight[0] << bits
+    acc.add_ratios([weight[omega(q)] for q in qs], qs, s.numerator, s.denominator)
+    lo, hi = acc.interval()
+    return lo / z.denominator**W, hi / z.denominator**W
+
+
+def _record_per_term(monkeypatch):
+    """The (numerator, q) pairs that reach ``IntervalSum.add_ratios``."""
+    seen = []
+    add_ratios = IntervalSum.add_ratios
+
+    def record(self, numerators, qs, u, v, roots=None):
+        seen.extend(zip(numerators, qs))
+        return add_ratios(self, numerators, qs, u, v, roots)
+
+    monkeypatch.setattr(IntervalSum, "add_ratios", record)
+    return seen
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_restricted_series_block_rule_encloses_exact_sum(s, monkeypatch):
+    # windows of q where blocks take the Taylor rule, one across the count
+    # table's edge at 2^16: two partial sums enclose the exact sum between
+    per_term = _record_per_term(monkeypatch)
+    edge = ((1 << 16) - 150, (1 << 16) + 150)
+    windows = ((3, 2 * 1009, (6000, 6300)), (3, 2 * 1009, edge), (Fraction(5, 2), 6, edge))
+    for z, n, (Q0, Q1) in windows:
+        per_term.clear()
+        lo0, hi0 = restricted_series_partial(z, s, n, Q0)
+        lo1, hi1 = restricted_series_partial(z, s, n, Q1)
+        window = range(Q0 + 1, Q1 + 1)
+        assert not any(q in window for _, q in per_term), (z, Q0)
+        assert lo1 - hi0 <= _series_oracle(z, s, n, window) <= hi1 - lo0
+        assert hi1 - lo1 <= Fraction(Q1, 2**63)
+
+
+@pytest.mark.parametrize("s", [Fraction(6, 5), Fraction(7, 5), Fraction(13, 4)])
+def test_restricted_series_block_rule_overlaps_bisection_oracle(s, monkeypatch):
+    per_term = _record_per_term(monkeypatch)
+    Q0, Q1, bits = (1 << 15) - 100, (1 << 15) + 100, 192
+    lo0, hi0 = restricted_series_partial(2, s, 1, Q0)
+    lo1, hi1 = restricted_series_partial(2, s, 1, Q1)
+    assert not any(Q0 < q <= Q1 for _, q in per_term)
+    bounds = [
+        ratio_with_root_bounds(2 ** omega(q), q, s.numerator, s.denominator, bits)
+        for q in range(Q0 + 1, Q1 + 1)
+    ]
+    oracle_lo = Fraction(sum(lo for lo, _ in bounds), 1 << bits)
+    oracle_hi = Fraction(sum(hi for _, hi in bounds), 1 << bits)
+    assert oracle_lo <= hi1 - lo0 and lo1 - hi0 <= oracle_hi
+
+
+@pytest.mark.parametrize("bits", [32, 48, 64])
+def test_restricted_series_width_per_term(bits):
+    for z, s, n, Q in (
+        (2, Fraction(6, 5), 1, (1 << 16) + 100),
+        (3, 2, 6, 20000),
+        (Fraction(2, 3), Fraction(7, 5), 1, 5000),
+        (8, Fraction(13, 4), 30, 3000),
+    ):
+        lo, hi = restricted_series_partial(z, s, n, Q, bits=bits)
+        assert hi - lo <= Fraction(Q, 2 ** (bits - 1)), (z, s, n, Q)
+
+
+def test_restricted_series_per_term_fallback(monkeypatch):
+    # weights past the int64 guard (1/27 at W = 13: 27^12 and less, all in
+    # int64; 10^20: past int64), and Q <= 2^10, where no block's Taylor
+    # interval is narrow enough at s <= 2: every term is rounded on its
+    # own, from a Python int numerator (an int64 shifted left by 2 bits
+    # would wrap)
+    per_term = _record_per_term(monkeypatch)
+    cases = [(z, s, 6, 5000) for z in (Fraction(1, 27), 10**20) for s in (Fraction(6, 5), 2)]
+    cases += [
+        (z, s, n, Q)
+        for z in (2, Fraction(2, 3), 8)
+        for s in (Fraction(6, 5), Fraction(7, 5), 2)
+        for n in (1, 6)
+        for Q in (3, 33, 512, 1024)
+    ]
+    for z, s, n, Q in cases:
+        per_term.clear()
+        got = restricted_series_partial(z, s, n, Q)
+        assert len(per_term) == sum(math.gcd(q, n) == 1 for q in range(2, Q + 1))
+        assert all(type(num) is int for num, _ in per_term)
+        assert got == _per_term_series(z, s, n, Q), (z, s, n, Q)
+
+
+def test_interval_sums_refuse_bits_below_one():
+    for bits in (0, -3):
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            IntervalSum(bits)
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            restricted_series_partial(2, 2, 1, 100, bits=bits)
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            tail_sum(Fraction(7, 2), 2, 1, 1, 100, GcdBand.full(), bits=bits)
+
+
 def test_restricted_series_refuses_q_past_table_qmax():
     with pytest.raises(ValueError, match=r"Q < 2\^48"):
         restricted_series_partial(2, Fraction(6, 5), 6, TABLE_QMAX)
