@@ -63,10 +63,11 @@ _READS = {
     "scan": {True: "dump_gnuplot", False: ""},
     "experiment": {
         "threshold": "taus band schedule dump_gnuplot",
-        "growth": "band alpha_count alpha_bits schedule dump_gnuplot",
-        "critical-band": "delta alpha_count alpha_bits schedule",  # scans eps = 1 + d - tau
-        "svolume": "band alpha_count alpha_bits schedule qmax! s_grid",
-        "stabilization": "band alpha_count alpha_bits qlo! qhi!",
+        "growth": "tau seed band alpha_count alpha_bits schedule dump_gnuplot",
+        # scans eps = 1 + d - tau
+        "critical-band": "tau seed delta alpha_count alpha_bits schedule",
+        "svolume": "tau seed band alpha_count alpha_bits schedule qmax! s_grid",
+        "stabilization": "tau seed band alpha_count alpha_bits qlo! qhi!",
     },
 }
 # parsed once, as {command: {form: {dest: needed}}}
@@ -75,7 +76,8 @@ _READS = {
     for cmd, forms in _READS.items()
 }
 _DEFAULTS = dict(
-    ad=1, band=GcdBand.full(), n=1, delta=Fraction(1, 4), alpha_count=20, alpha_bits=0
+    ad=1, band=GcdBand.full(), n=1, taus="5/2", tau=Fraction(5, 2), seed=0,
+    delta=Fraction(1, 4), alpha_count=20, alpha_bits=0,
 )
 
 
@@ -113,13 +115,7 @@ def _check_reads(args) -> None:
 
 
 def _echo(args, **extra) -> dict:
-    # --threads has no effect, so it is not echoed
-    return {
-        "library": f"diocurve {__version__}",
-        "seed": args.seed,
-        "format": args.format,
-        **extra,
-    }
+    return {"library": f"diocurve {__version__}", "format": args.format, **extra}
 
 
 def _write_file(path: str, text: str) -> None:
@@ -146,14 +142,6 @@ def _thread_count(text: str) -> int:
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--output", help="write to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=1,
-        help="accepted for compatibility; has no effect (reports are "
-        "identical for every value)",
-    )
 
 
 def _option(p, command: str, flag: str, help: str, **kw) -> None:
@@ -242,8 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--poly", default="0,0,-1")
-    p.add_argument("--tau", type=_fraction, default=Fraction(5, 2))
-    _option(p, "experiment", "--taus", "semicolon list, e.g. '5/2;3;7/2'")
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="accepted for compatibility; has no effect (reports are "
+        "identical for every value)",
+    )
+    _option(p, "experiment", "--tau", "approximation exponent, default 5/2", type=_fraction)
+    _option(p, "experiment", "--seed", "alpha draw seed, default 0", type=int)
+    _option(p, "experiment", "--taus", "semicolon list, e.g. '5/2;3;7/2', default 5/2")
     _option(p, "experiment", "--band", "gcd band, default full", type=GcdBand.parse)
     _option(p, "experiment", "--delta", "band width, default 1/4", type=_fraction)
     _option(p, "experiment", "--alpha-count", "seeded alphas, default 20", type=int)
@@ -298,7 +294,7 @@ def _cmd_congruence(args) -> Report:
     d, a_d = poly.degree, poly.lead_negated
     p = hensel_lift(args.ptilde, args.b, args.q, d, a_d, poly)
     rows = [(args.q, args.b, args.ptilde, p, args.q ** (d - 1))]
-    return Report(["q", "b", "ptilde", "p", "modulus"], rows, _echo(args))
+    return Report(["q", "b", "ptilde", "p", "modulus"], rows, _echo(args, poly=poly.format()))
 
 
 def _cmd_reduce(args) -> Report:
@@ -325,7 +321,16 @@ def _cmd_reduce(args) -> Report:
     return Report(
         ["q", "b", "error_num", "error_den", "gcd_bq", "K", "r", "radius"],
         rows,
-        _echo(args, M=args.M, tau=args.tau),
+        _echo(
+            args,
+            poly=poly.format(),
+            alpha=args.alpha,
+            x=args.x,
+            p=args.p,
+            r=args.r,
+            M=args.M,
+            tau=args.tau,
+        ),
     )
 
 
@@ -338,7 +343,8 @@ def _cmd_cover(args) -> Report:
         qs = _moduli(args)  # [--qlo, --qhi]: tail reads no --q
         lo, hi = tail_sum(args.tau, args.d, args.ad, qs[0], qs[-1], args.band)
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
-        return Report(["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, _echo(args))
+        echo = _echo(args, d=args.d, ad=args.ad, band=args.band.format())
+        return Report(["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, echo)
     rows = []
     for q in _moduli(args):
         rec = cover_measure(q, args.tau, args.d, args.ad, args.band)
@@ -368,6 +374,7 @@ def _cmd_scan(args) -> Report:
         poly=poly.format(),
         tau=args.tau,
         alpha=args.alpha,
+        qmax=args.qmax,
         band=args.band.format(),
         flags=flags.describe(),
     )
@@ -415,8 +422,7 @@ def _cmd_experiment(args) -> Report:
         q_schedule=_parse_schedule(args.schedule) if args.schedule else (),
     )
     if args.kind == "threshold":
-        taus = [Fraction(t) for t in args.taus.split(";")] if args.taus else [cfg.tau]
-        return threshold_experiment(cfg, taus)
+        return threshold_experiment(cfg, [Fraction(t) for t in args.taus.split(";")])
     if args.kind == "growth":
         return growth_exponent_experiment(cfg)
     if args.kind == "critical-band":

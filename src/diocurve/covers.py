@@ -20,8 +20,9 @@ Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
 certifiably contains the true sum while denominators stay bounded (exact
 rational accumulation would blow up on ranges like q <= 2^16).  Tail sums
-round term by term (``IntervalSum.add_ratios``), and the tail sums of
-several taus share one count pass per block (``tail_sums``).  Each term
+round term by term (``IntervalSum.add_ratios``), each layer measure 2
+count(q) q^(d-1) / q^tau as 2 count(q) / q^(tau-d+1), and the tail sums
+of several taus share one count pass per block (``tail_sums``).  Each term
 numerator / q^(k + w/v), 0 <= w < v, is rounded against q^k times R =
 floor(2^bits q^(w/v)), a root of q^w alone: its interval contains the one
 that the root of the whole power q^(k v + w) would give (proof at
@@ -352,6 +353,13 @@ def _split_roots(qs, w: int, v: int, bits: int) -> list[int]:
     return roots
 
 
+def _check_exponent(u: int, v: int) -> None:
+    # u/v <= 0 would round the terms against q^k R with k < 0 or R = 0:
+    # a float or an error, not an enclosure
+    if u <= 0 or v <= 0:
+        raise ValueError(f"exponent u/v needs u > 0 and v > 0, got {u}/{v}")
+
+
 class IntervalSum:
     """Accumulates certified [lo, hi] enclosures at fixed scale 2^-bits.
 
@@ -412,6 +420,7 @@ class IntervalSum:
         from there otherwise.  Callers that sum several exponents with the
         same w/v over the same qs work the roots out once.
         """
+        _check_exponent(u, v)
         bits = self.bits
         k, w = divmod(u, v)
         if w:
@@ -442,6 +451,7 @@ class IntervalSum:
         term, is rounded term by term in ``add_ratios`` instead, at most
         ROOT_CHUNK terms per call.
         """
+        _check_exponent(u, v)
         H = TAYLOR_BLOCK
         span = ROOT_CHUNK * H  # at most ROOT_CHUNK block roots at once
         for start in range(0, len(numerators), span):
@@ -517,12 +527,16 @@ def tail_sums(
 ) -> list[tuple[Fraction, Fraction]]:
     """``tail_sum`` at each tau of taus, from one count pass over [N, Q].
 
-    Every tau is checked before any count is taken.  The numerators 2 *
-    count(q) * q^(d-1) are built once per count-table block for the full
-    band, and once for the q with a nonzero count for other bands.  Each
-    tau adds them in ``add_ratios`` calls of at most ROOT_CHUNK terms, and
-    the taus with the same fractional part w/v share that chunk's roots
-    floor(2^bits q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).
+    Every tau is checked before any count is taken.  A term 2 count(q)
+    q^(d-1) / q^tau is summed as 2 count(q) / q^a, a = tau - d + 1 > 1:
+    q^(d-1) divides its numerator and both of its rounding divisors q^k R
+    and q^k (R + 1), so each rounded bound is the same integer, from a
+    smaller numerator.  The counts come once per count-table block for
+    the full band, and once for the q with a nonzero count for other
+    bands.  Each tau adds them in ``add_ratios`` calls of at most
+    ROOT_CHUNK terms, and the taus with the same fractional part w/v share
+    that chunk's roots floor(2^bits q^(w/v)): 5/2, 7/2 and 9/2 all take
+    isqrt(q << 2 bits).
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
@@ -537,16 +551,17 @@ def tail_sums(
         counts = {q: banded_center_count(q, band, d, a_d) for q in range(N, Q + 1)}
         blocks = [([q for q, c in counts.items() if c], [c for c in counts.values() if c])]
     accs = [IntervalSum(bits) for _ in taus]
-    splits = [(tau.numerator % tau.denominator, tau.denominator) for tau in taus]
+    exponents = [tau - (d - 1) for tau in taus]
+    splits = [(a.numerator % a.denominator, a.denominator) for a in exponents]
     rooted = {(w, v) for w, v in splits if w}
     for qs, cs in blocks:
         for start in range(0, len(qs), ROOT_CHUNK):
             part = slice(start, start + ROOT_CHUNK)
             chunk = qs[part]
-            nums = [2 * c * q ** (d - 1) for q, c in zip(chunk, cs[part])]
+            nums = [2 * c for c in cs[part]]
             roots = {(w, v): _split_roots(chunk, w, v, bits) for w, v in rooted}
-            for tau, split, acc in zip(taus, splits, accs):
-                acc.add_ratios(nums, chunk, tau.numerator, tau.denominator, roots.get(split))
+            for a, split, acc in zip(exponents, splits, accs):
+                acc.add_ratios(nums, chunk, a.numerator, a.denominator, roots.get(split))
     return [acc.interval() for acc in accs]
 
 

@@ -95,9 +95,13 @@ class ExperimentConfig:
         bits = self.alpha_bits or required_alpha_bits(self.d, self.tau, qmax)
         return AlphaValue.dyadic_randoms(self.seed, bits, self.alpha_count)
 
-    def echo(self, **extra) -> dict:
-        """Config echo for report files, one `# key = value` line per entry."""
-        return {
+    def echo(self, *, draws: bool = True, **extra) -> dict:
+        """Config echo for report files, one `# key = value` line per entry.
+
+        draws=False leaves out tau and the alpha draw (alpha_count,
+        alpha_bits, seed), for a driver that reads none of them.
+        """
+        echo = {
             "library": f"diocurve {__version__}",
             "poly": self.polynomial.format(),
             "tau": str(self.tau),
@@ -105,8 +109,11 @@ class ExperimentConfig:
             "alpha_count": self.alpha_count,
             "alpha_bits": self.alpha_bits or "auto",
             "seed": self.seed,
-            **extra,
         }
+        if not draws:
+            for key in ("tau", "alpha_count", "alpha_bits", "seed"):
+                del echo[key]
+        return {**echo, **extra}
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,10 @@ def threshold_experiment(
     cfg: ExperimentConfig, taus: Sequence[Rational]
 ) -> Report:
     """Partial sums of the per-q cover measures for each tau, with a
-    convergence verdict per tau and a growth-exponent fit when diverging."""
+    convergence verdict per tau and a growth-exponent fit when diverging.
+
+    Reads the polynomial, band and schedule of cfg, and not its tau or
+    alpha draw, which the report therefore does not echo."""
     schedule = cfg.schedule(DEFAULT_THRESHOLD_SCHEDULE)
     taus = [Fraction(t) for t in taus]
     # one count pass per schedule segment serves every tau
@@ -267,6 +277,7 @@ def threshold_experiment(
         header=["tau", "Q", "sum_lo", "sum_hi", "verdict"],
         rows=rows,
         echo=cfg.echo(
+            draws=False,
             experiment="threshold",
             taus=";".join(map(str, taus)),
             schedule=f"{schedule[0]}..{schedule[-1]}x2",

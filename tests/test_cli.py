@@ -232,6 +232,11 @@ def test_precondition_errors_exit_2(capsys):
          "--delta serves --kind critical-band, not svolume"),
         (["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
           "--delta", "1/4"], "--delta serves --kind critical-band, not stabilization"),
+        # threshold reads --taus alone and draws no alpha
+        (["experiment", "--kind", "threshold", "--tau", "3", "--taus", "7/2"],
+         "--tau serves --kind growth, critical-band, svolume and stabilization, not threshold"),
+        (["experiment", "--kind", "threshold", "--taus", "7/2", "--seed", "9"],
+         "--seed serves --kind growth, critical-band, svolume and stabilization, not threshold"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -260,22 +265,22 @@ _FORM_COMMANDS = {
     ("experiment", "growth"): [
         "experiment --kind growth --alpha-count 1 --schedule 6:8",
         "experiment --kind growth --alpha-count 1 --alpha-bits 128 --band full "
-        "--schedule 6:8 --dump-gnuplot {tmp}/g",
+        "--schedule 6:8 --dump-gnuplot {tmp}/g --tau 3 --seed 1",
     ],
     ("experiment", "critical-band"): [
         "experiment --kind critical-band --alpha-count 1 --schedule 6:8",
         "experiment --kind critical-band --alpha-count 1 --alpha-bits 128 --delta 1/8 "
-        "--schedule 6:8",
+        "--schedule 6:8 --tau 11/4 --seed 1",
     ],
     ("experiment", "svolume"): [
         "experiment --kind svolume --qmax 4 --alpha-count 1",
         "experiment --kind svolume --qmax 4 --alpha-count 1 --alpha-bits 128 --band full "
-        "--schedule 4:6 --s-grid 1",
+        "--schedule 4:6 --s-grid 1 --tau 3 --seed 1",
     ],
     ("experiment", "stabilization"): [
         "experiment --kind stabilization --qlo 1 --qhi 4 --alpha-count 1",
         "experiment --kind stabilization --qlo 1 --qhi 4 --alpha-count 1 --alpha-bits 128 "
-        "--band full",
+        "--band full --tau 13/4 --seed 1",
     ],
 }
 
@@ -383,10 +388,49 @@ def test_tail_validates_like_per_q_path(capsys):
 def test_threads_below_one_rejected(capsys):
     for bad in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3",
-                  "--qmax", "4", "--threads", bad])
+            main(["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
+                  "--threads", bad])
         assert exc.value.code == 2
         assert "thread count must be >= 1" in capsys.readouterr().err
+
+
+_NO_DRAW = {
+    "residues": ["residues", "--q", "8", "--d", "2"],
+    "congruence": ["congruence", "--b", "2", "--q", "7", "--d", "2"],
+    "reduce": ["reduce", "--poly", "0,0,-1", "--alpha", "19/64", "--x", "33/64",
+               "--p", "1", "--q", "2", "--r", "0", "--tau", "2"],
+    "cover": ["cover", "--tau", "3", "--d", "2", "--q", "5"],
+    "scan": ["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4"],
+}
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--threads", "2"]])
+@pytest.mark.parametrize("command", sorted(_NO_DRAW))
+def test_seed_and_threads_only_on_experiment(capsys, command, option):
+    # only experiment draws alphas; --threads stays there as a no-op
+    assert main(_NO_DRAW[command]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*_NO_DRAW[command], *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_reports_echo_the_inputs_they_read(capsys):
+    for argv, lines in (
+        (["cover", "--mode", "tail", "--tau", "13/4", "--d", "3", "--ad", "2",
+          "--band", "1/4,1/4", "--qlo", "1", "--qhi", "50"],
+         ["# d = 3", "# ad = 2", "# band = 1/4,1/4"]),
+        (["congruence", "--mode", "lift", "--poly", "0,0,0,-1", "--b", "2", "--q", "5",
+          "--ptilde", "3"], ["# poly = 0,0,0,-1"]),
+        (_NO_DRAW["reduce"],
+         ["# poly = 0,0,-1", "# alpha = 19/64", "# x = 33/64", "# p = 1", "# r = 0"]),
+        (_NO_DRAW["scan"], ["# qmax = 4"]),
+    ):
+        assert main(argv) == 0
+        echo = capsys.readouterr().out.splitlines()
+        assert set(lines) <= set(echo), (argv, echo)
+        assert not any(line.startswith("# seed") for line in echo)
 
 
 def test_experiment_subcommand_and_output(tmp_path):

@@ -693,6 +693,17 @@ def test_interval_sums_refuse_bits_below_one():
             tail_sum(Fraction(7, 2), 2, 1, 1, 100, GcdBand.full(), bits=bits)
 
 
+def test_interval_sums_refuse_exponents_at_most_zero():
+    # u = -1 once left lo = hi = 2^65 as a float inside the sum
+    for u, v in ((-1, 1), (0, 1), (0, 3), (-7, 2), (1, 0), (1, -2)):
+        acc = IntervalSum(64)
+        with pytest.raises(ValueError, match="exponent u/v needs u > 0 and v > 0"):
+            acc.add_ratios([1], [2], u, v)
+        with pytest.raises(ValueError, match="exponent u/v needs u > 0 and v > 0"):
+            acc.add_consecutive(np.ones(40, dtype=np.int64), 2, u, v)
+        assert (acc.lo, acc.hi) == (0, 0)
+
+
 def test_restricted_series_refuses_q_past_table_qmax():
     with pytest.raises(ValueError, match=r"Q < 2\^48"):
         restricted_series_partial(2, Fraction(6, 5), 6, TABLE_QMAX)

@@ -80,12 +80,13 @@ def test_threshold_experiment_verdicts():
         seen[tau] = (lo, hi)
     csv = report.render("csv")
     assert "# experiment = threshold" in csv
-    assert "# seed = 0" in csv
     assert "# library = diocurve" in csv
-    # the config echo carries no count-policy lines: banded counts have one source
+    # the config echo carries no count-policy lines: banded counts have one
+    # source; nor cfg.tau or the alpha draw, which the sums do not read
     keys = [line[2:].split(" = ")[0] for line in csv.splitlines() if line.startswith("# ")]
-    assert keys[:8] == [
-        "library", "poly", "tau", "band", "alpha_count", "alpha_bits", "seed", "experiment",
+    assert keys == [
+        "library", "poly", "band", "experiment", "taus", "schedule",
+        "verdict tau=5/2", "verdict tau=7/2",
     ]
 
 
