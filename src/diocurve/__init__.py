@@ -26,7 +26,6 @@ from .covers import (
     tail_sum,
 )
 from .counting import (
-    AlphaValue,
     HitFlags,
     count_curve,
     find_hits,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .arithmetic import PreconditionError
-from .counting import AlphaValue, HitFlags, count_curve, find_hits
+from .counting import HitFlags, count_curve, find_hits
 from .covers import GcdBand, cover_measure, restricted_series_partial, tail_sum
 from .curve import (
     IntPolynomial,
@@ -367,8 +367,7 @@ def _cmd_scan(args) -> Report:
     poly = IntPolynomial.parse(args.poly)
     d, a_d = poly.degree, poly.lead_negated
     flags = HitFlags(args.primitive, args.coprime, args.omega_max)
-    alpha = AlphaValue.user(args.alpha)
-    hits = find_hits(alpha, d, a_d, args.tau, args.band, args.qmax, flags)
+    hits = find_hits(args.alpha, d, a_d, args.tau, args.band, args.qmax, flags)
     echo = _echo(
         args,
         poly=poly.format(),
@@ -411,6 +410,18 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return geometric_schedule(lo, hi)
 
 
+def _parse_rationals(flag: str, text: str) -> list[Fraction]:
+    """The distinct rationals of a semicolon list such as --taus '5/2;3'."""
+    try:
+        values = [Fraction(x) for x in text.split(";")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} takes rationals separated by ';', got {text}") from None
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} lists {value} twice, got {text}")
+    return values
+
+
 def _cmd_experiment(args) -> Report:
     cfg = ExperimentConfig(
         polynomial=IntPolynomial.parse(args.poly),
@@ -422,14 +433,14 @@ def _cmd_experiment(args) -> Report:
         q_schedule=_parse_schedule(args.schedule) if args.schedule else (),
     )
     if args.kind == "threshold":
-        return threshold_experiment(cfg, [Fraction(t) for t in args.taus.split(";")])
+        return threshold_experiment(cfg, _parse_rationals("--taus", args.taus))
     if args.kind == "growth":
         return growth_exponent_experiment(cfg)
     if args.kind == "critical-band":
         return critical_band_experiment(cfg, args.delta)
     if args.kind == "svolume":
         grid = (
-            [Fraction(s) for s in args.s_grid.split(";")]
+            _parse_rationals("--s-grid", args.s_grid)
             if args.s_grid
             else [Fraction(k, 40) for k in range(1, 11)] + [Fraction(1)]
         )

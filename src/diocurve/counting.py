@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,33 +34,14 @@ from .curve import ConstrainedHit
 from .residues import is_power_residue, is_primitive_power_residue
 
 
-@dataclass(frozen=True)
-class AlphaValue:
-    """An exact rational target with a declared provenance."""
-
-    value: Fraction
-    provenance: str
-
-    @classmethod
-    def user(cls, value: Union[str, Rational]) -> "AlphaValue":
-        return cls(Fraction(value), "user-supplied")
-
-    @classmethod
-    def dyadic_randoms(cls, seed: int, bits: int, count: int) -> list["AlphaValue"]:
-        """count alphas, each an odd numerator over 2^bits, drawn in order
-        from one stream seeded by seed, so entry i is the same for every
-        count > i."""
-        rng = random.Random(seed)
-        return [
-            cls(
-                Fraction(rng.getrandbits(bits) | 1, 1 << bits),
-                f"dyadic-random(seed={seed}, bits={bits}, index={index})",
-            )
-            for index in range(count)
-        ]
-
-
 MIN_ALPHA_BITS = 128
+
+
+def dyadic_alphas(seed: int, bits: int, count: int) -> list[Fraction]:
+    """count alphas, each an odd numerator over 2^bits, drawn in order from
+    one stream seeded by seed, so entry i is the same for every count > i."""
+    rng = random.Random(seed)
+    return [Fraction(rng.getrandbits(bits) | 1, 1 << bits) for _ in range(count)]
 
 
 def required_alpha_bits(d: int, tau: Fraction, qmax: int) -> int:
@@ -124,9 +105,9 @@ def _exact_hits(
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
     hits: list[ConstrainedHit] = []
     for q in qs:
+        # a gcd costs less than the window and drops q before it; factorize
+        # costs more, so it runs only at the few q with a candidate
         if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
-            continue
-        if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
             continue
         t = q**d
         num = t * an
@@ -143,6 +124,8 @@ def _exact_hits(
                 b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs
             ]
         if not candidates:
+            continue
+        if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
             continue
         lo, hi = band.cuts(q)
         for b in candidates:
@@ -219,7 +202,7 @@ def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iter
 
 
 def find_hits(
-    alpha: AlphaValue,
+    alpha: Rational,
     d: int,
     a_d: int,
     tau: Rational,
@@ -229,14 +212,15 @@ def find_hits(
 ) -> list[ConstrainedHit]:
     """All (q, b) with q <= qmax, |alpha - b/q^d| < q^-tau, b in the scaled
     residue class set, gcd(b, q) in the band, and all flags satisfied, in
-    increasing (q, b).  tau must be positive: at tau <= 0 the window holds
-    about 2 q^(d - tau) numerators per q.
+    increasing (q, b).  alpha is any rational in [0, 1].  tau must be
+    positive: at tau <= 0 the window holds about 2 q^(d - tau) numerators
+    per q.
 
     For a dyadic alpha with tau > d and qmax^d < 2^63, only the survivors of
     the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
     hit, so the result is that of the exact scan over every q <= qmax.
     """
-    value = alpha.value
+    value = Fraction(alpha)
     if not 0 <= value <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {value}")
     if qmax < 1:

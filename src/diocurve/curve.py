@@ -69,7 +69,6 @@ class IntPolynomial:
 class DerivativeBound:
     """K >= 1 + sup |P'| over [M, M+1]; any upper bound is admissible."""
 
-    interval_index: int
     value: int
 
 
@@ -105,7 +104,7 @@ def derivative_sup_bound(poly: IntPolynomial, M: int) -> DerivativeBound:
     bound = 1 + sum(
         k * abs(c) * T ** (k - 1) for k, c in enumerate(poly.coefficients) if k >= 1
     )
-    return DerivativeBound(M, bound)
+    return DerivativeBound(bound)
 
 
 def reduce_simultaneous(

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .arithmetic import Rational, iroot
-from .counting import AlphaValue, count_curve, find_hits, required_alpha_bits
+from .counting import count_curve, dyadic_alphas, find_hits, required_alpha_bits
 from .covers import GcdBand, IntervalSum, tail_sums
 from .curve import IntPolynomial
 from .residues import count_solutions
@@ -91,9 +91,9 @@ class ExperimentConfig:
     def schedule(self, default: tuple[int, ...]) -> tuple[int, ...]:
         return self.q_schedule if self.q_schedule else default
 
-    def alphas(self, qmax: int) -> list[AlphaValue]:
+    def alphas(self, qmax: int) -> list[Fraction]:
         bits = self.alpha_bits or required_alpha_bits(self.d, self.tau, qmax)
-        return AlphaValue.dyadic_randoms(self.seed, bits, self.alpha_count)
+        return dyadic_alphas(self.seed, bits, self.alpha_count)
 
     def echo(self, *, draws: bool = True, **extra) -> dict:
         """Config echo for report files, one `# key = value` line per entry.
@@ -415,7 +415,7 @@ def svolume_experiment(
             sums = []
             for part in (slice(half), slice(half, None)):
                 acc.add_ratios(nums[part], qs[part], u, v)
-                sums.append(float(Fraction(acc.lo + acc.hi, 2 << acc.bits)))  # midpoint
+                sums.append(float(sum(acc.interval()) / 2))  # midpoint
             mid, final = sums
             # sparse sums have no steady Cauchy trace; flattening here means
             # the top half of the schedule adds at most SVOLUME_REL_TOL of

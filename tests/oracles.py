@@ -1,8 +1,9 @@
 """Brute-force enumeration oracles for the closed-form residue counts,
 omega by trial division, outward rounding of numerator / q^(u/v) with
 roots found by bisection (split at the integer part of u/v, as the sums
-round, and unsplit), the exact union measure of one cover layer, and
-the truncated Euler product of the omega series.
+round, and unsplit), the exact union measure of one cover layer, the
+truncated Euler product of the omega series, and gcd-band membership by
+two power comparisons.
 
 Test-side only: no library code calls these.  The residue oracles
 enumerate every m modulo q with the numpy kernels, so they are exact for
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from diocurve._kernels import _powmod, residue_set
-from diocurve.arithmetic import Rational, get_sieve
+from diocurve.arithmetic import Rational, cmp_frac_qpow, get_sieve
 from diocurve.residues import power_residues
 
 
@@ -161,3 +162,12 @@ def euler_product_partial(z: Rational, s: int, n: int, prime_limit: int) -> Frac
             continue
         out *= 1 + z / (p**s - 1)
     return out
+
+
+def band_contains_by_powers(band, g: int, q: int) -> bool:
+    """q^eps <= g < q^(eps + delta), each side by one cmp_frac_qpow test
+    rather than by the band's integer cuts."""
+    return (
+        cmp_frac_qpow(g, q, band.eps) >= 0
+        and cmp_frac_qpow(g, q, band.eps + band.delta) < 0
+    )

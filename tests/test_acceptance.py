@@ -23,7 +23,7 @@ from diocurve.arithmetic import (
     factorize,
     frac_lt_qpow,
 )
-from diocurve.counting import AlphaValue, find_hits
+from diocurve.counting import find_hits
 from diocurve.covers import GcdBand, banded_center_count, divisor_sum_center_bound
 from diocurve.curve import (
     IntPolynomial,

@@ -29,7 +29,6 @@ def _resolve(module, attr):
 
 def test_exported_names():
     assert sorted(diocurve.__all__) == [
-        "AlphaValue",
         "ConstrainedHit",
         "CoverRecord",
         "DerivativeBound",

@@ -237,6 +237,15 @@ def test_precondition_errors_exit_2(capsys):
          "--tau serves --kind growth, critical-band, svolume and stabilization, not threshold"),
         (["experiment", "--kind", "threshold", "--taus", "7/2", "--seed", "9"],
          "--seed serves --kind growth, critical-band, svolume and stabilization, not threshold"),
+        # list entries must parse, each once
+        (["experiment", "--kind", "threshold", "--taus", ";"],
+         "--taus takes rationals separated by ';', got ;"),
+        (["experiment", "--kind", "threshold", "--taus", "5/2;5/2"],
+         "--taus lists 5/2 twice, got 5/2;5/2"),
+        (["experiment", "--kind", "svolume", "--qmax", "4", "--s-grid", "1/2;x"],
+         "--s-grid takes rationals separated by ';', got 1/2;x"),
+        (["experiment", "--kind", "svolume", "--qmax", "4", "--s-grid", "1/2;1/2"],
+         "--s-grid lists 1/2 twice, got 1/2;1/2"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err

@@ -10,29 +10,38 @@ from hypothesis import strategies as st
 from diocurve import _kernels
 from diocurve.arithmetic import iroot
 from diocurve.counting import (
-    AlphaValue,
     HitFlags,
     _dyadic_survivors,
     _exact_hits,
     count_curve,
+    dyadic_alphas,
     find_hits,
     required_alpha_bits,
 )
 from diocurve.covers import GcdBand
 from diocurve.residues import is_power_residue, is_primitive_power_residue
+from oracles import band_contains_by_powers
 
 FULL = GcdBand.full()
 
 
-def test_alpha_values():
-    a = AlphaValue.user("1/3")
-    assert a.value == Fraction(1, 3)
-    assert a.provenance == "user-supplied"
-    b1 = AlphaValue.dyadic_randoms(7, 128, 1)[0]
-    b2, b3 = AlphaValue.dyadic_randoms(7, 128, 2)
+def test_dyadic_alphas():
+    b1 = dyadic_alphas(7, 128, 1)[0]
+    b2, b3 = dyadic_alphas(7, 128, 2)
     assert b1 == b2 and b1 != b3  # deterministic in (seed, index)
-    assert b1.value.denominator == 1 << 128
-    assert b1.value.numerator % 2 == 1
+    assert b1.denominator == 1 << 128
+    assert b1.numerator % 2 == 1
+
+
+def test_find_hits_takes_plain_rationals():
+    # alpha is any rational in [0, 1]: a Fraction or an int, the ends included
+    assert {h.q for h in find_hits(Fraction(1, 3), 2, 1, Fraction(5, 2), FULL, 4)} == {1, 2, 3, 4}
+    for alpha in (0, 1):
+        hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 50)
+        assert hits and all(h.b == alpha * h.q**2 and h.error == 0 for h in hits)
+    for alpha in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 4)
 
 
 def test_required_alpha_bits():
@@ -42,7 +51,7 @@ def test_required_alpha_bits():
 
 
 def test_find_hits_example_one_third():
-    alpha = AlphaValue.user(Fraction(1, 3))
+    alpha = Fraction(1, 3)
     hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 4)
     assert {h.q for h in hits} == {1, 2, 3, 4}
     # q = 4 hit is b = 5 with error 1/3 - ... = |16/3 - 5|/16 = 1/48
@@ -55,7 +64,7 @@ def test_find_hits_example_one_third():
 
 def test_find_hits_exact_center():
     # alpha = b0/q0^d with b0 in the residue set gives a zero-error hit
-    alpha = AlphaValue.user(Fraction(4, 49))
+    alpha = Fraction(4, 49)
     hits = [h for h in find_hits(alpha, 2, 1, Fraction(4), FULL, 7) if h.q == 7]
     assert any(h.b == 4 and h.error == 0 for h in hits)
 
@@ -63,7 +72,7 @@ def test_find_hits_exact_center():
 def test_find_hits_numerators_in_residue_set():
     # every hit's numerator has a solution p of p^d = b (mod q): its class
     # is in the enumerated set {a_d x^d mod q}
-    alpha = AlphaValue.user(Fraction(1, 3))
+    alpha = Fraction(1, 3)
     hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 50)
     assert hits
     for h in hits:
@@ -71,7 +80,7 @@ def test_find_hits_numerators_in_residue_set():
 
 
 def test_find_hits_band_and_flag_filters():
-    alpha = AlphaValue.user(Fraction(1, 3))
+    alpha = Fraction(1, 3)
     band = GcdBand(Fraction(1, 4), Fraction(3, 4))
     banded = find_hits(alpha, 2, 1, Fraction(5, 2), band, 50)
     for h in banded:
@@ -145,12 +154,11 @@ def brute_scan(alpha, d, a_d, tau, band, q, flags):
     ],
 )
 def test_find_hits_matches_full_scan(alpha_frac, flags):
-    alpha = AlphaValue.user(alpha_frac)
     tau = Fraction(5, 2)
     for band in (FULL, GcdBand(Fraction(0), Fraction(1, 2))):
         got = [
             (h.q, h.b)
-            for h in find_hits(alpha, 2, 1, tau, band, 120, flags)
+            for h in find_hits(alpha_frac, 2, 1, tau, band, 120, flags)
         ]
         expected = []
         for q in range(1, 121):
@@ -159,7 +167,7 @@ def test_find_hits_matches_full_scan(alpha_frac, flags):
 
 
 def test_find_hits_nontrivial_ad():
-    alpha = AlphaValue.user(Fraction(2719, 9973))
+    alpha = Fraction(2719, 9973)
     tau = Fraction(7, 3)
     got = [(h.q, h.b) for h in find_hits(alpha, 3, -2, tau, FULL, 60)]
     expected = []
@@ -179,11 +187,10 @@ def test_find_hits_matches_full_scan_every_flag_combo():
         for m in (None, 2)
     ]
     for alpha_frac in (Fraction(1, 3), Fraction(5741, 9973)):
-        alpha = AlphaValue.user(alpha_frac)
         # the distance scan does not depend on the flags: one per (alpha, q)
         close = {q: brute_close_b(alpha_frac, 2, tau, q) for q in range(1, 301)}
         for flags in combos:
-            got = [(h.q, h.b) for h in find_hits(alpha, 2, 1, tau, FULL, 300, flags)]
+            got = [(h.q, h.b) for h in find_hits(alpha_frac, 2, 1, tau, FULL, 300, flags)]
             expected = []
             for q in range(1, 301):
                 expected.extend(brute_filter(close[q], 2, 1, FULL, q, flags))
@@ -197,20 +204,20 @@ def counting_n(alpha, tau, band, Q, d=2):
 
 
 def test_counting_function_examples():
-    alpha = AlphaValue.user(Fraction(1, 3))
+    alpha = Fraction(1, 3)
     assert counting_n(alpha, Fraction(5, 2), FULL, 16) == 4
     assert counting_n(alpha, Fraction(5, 2), FULL, 1) == 1
 
 
 def test_counting_function_huge_tau_only_q1():
     hits = 0
-    for alpha in AlphaValue.dyadic_randoms(99, 192, 20):
+    for alpha in dyadic_alphas(99, 192, 20):
         hits += counting_n(alpha, Fraction(100), FULL, 10**6) == 1
     assert hits >= 19
 
 
 def test_counting_monotonicity():
-    alpha = AlphaValue.user(Fraction(2719, 9973))
+    alpha = Fraction(2719, 9973)
     ns = [counting_n(alpha, Fraction(5, 2), FULL, Q) for Q in (4, 16, 64, 256, 1024)]
     assert ns == sorted(ns)
     # nonincreasing in tau
@@ -224,7 +231,7 @@ def test_counting_monotonicity():
 
 
 def test_repeat_run_determinism():
-    alpha = AlphaValue.dyadic_randoms(3, 160, 3)[2]
+    alpha = dyadic_alphas(3, 160, 3)[2]
     base = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400)
     for _ in range(3):
         assert find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 400) == base
@@ -293,7 +300,7 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
     for i, (alpha, d, a_d, tau, qmax) in enumerate(cases):
         for flags in combos:
             b = (FULL, band)[i % 2]
-            got = find_hits(AlphaValue.user(alpha), d, a_d, tau, b, qmax, flags)
+            got = find_hits(alpha, d, a_d, tau, b, qmax, flags)
             expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags)
             assert got == expected, (alpha, d, a_d, flags)
     # qmax^4 just below 2^63 takes the prefilter, just above the exact path;
@@ -301,7 +308,7 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
     top = iroot((1 << 63) - 1, 4)
     alpha = Fraction(rng.getrandbits(128) | 1, 1 << 128)
     for qmax in (top, top + 1):
-        got = find_hits(AlphaValue.user(alpha), 4, 1, Fraction(17, 4), FULL, qmax)
+        got = find_hits(alpha, 4, 1, Fraction(17, 4), FULL, qmax)
         expected = _exact_hits(
             alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags()
         )
@@ -309,16 +316,13 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
 
 
 def cmp_band(band):
-    """Band membership by two cmp_frac_qpow tests, one pair per (g, q)."""
-    from diocurve.arithmetic import cmp_frac_qpow
-
+    """Band membership by band_contains_by_powers, cached per (g, q)."""
     if band.is_full:
         return lambda g, q: True
-    upper = band.eps + band.delta
 
     @functools.lru_cache(maxsize=None)
     def inside(g, q):
-        return cmp_frac_qpow(g, q, band.eps) >= 0 and cmp_frac_qpow(g, q, upper) < 0
+        return band_contains_by_powers(band, g, q)
 
     return inside
 
@@ -392,7 +396,7 @@ def test_corollary_search_statistic():
     flags = HitFlags(primitive_only=True, coprime_to_d_ad=True, omega_max=2)
     good = 0
     results = []
-    for alpha in AlphaValue.dyadic_randoms(0, 192, 20):
+    for alpha in dyadic_alphas(0, 192, 20):
         hits = find_hits(alpha, 2, 1, Fraction(3), FULL, 10**5, flags)
         results.append(len(hits))
         good += len(hits) >= 3
@@ -400,7 +404,7 @@ def test_corollary_search_statistic():
 
 
 def test_count_curve():
-    alpha = AlphaValue.user(Fraction(1, 3))
+    alpha = Fraction(1, 3)
     hits = find_hits(alpha, 2, 1, Fraction(5, 2), FULL, 32)
     schedule = (4, 16, 64, 256, 1024)
     curve = count_curve(hits, schedule, 2)

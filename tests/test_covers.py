@@ -29,6 +29,7 @@ from diocurve.covers import (
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
 from oracles import (
+    band_contains_by_powers,
     euler_product_partial,
     exact_union_measure,
     floor_root,
@@ -69,13 +70,6 @@ def test_band_membership_exact():
 CUT_BANDS = ("1/2,1/4", "1/4,1/5", "0,1/2", "1/3,2/3", "1/4,1/4", "0,1")
 
 
-def _old_contains(band, g, q):
-    return (
-        cmp_frac_qpow(g, q, band.eps) >= 0
-        and cmp_frac_qpow(g, q, band.eps + band.delta) < 0
-    )
-
-
 def test_band_cuts_match_cmp_frac_qpow():
     # for every g in 0..q+1, lo <= g < hi equals the two cmp_frac_qpow tests
     for text in CUT_BANDS:
@@ -93,7 +87,7 @@ def test_band_cuts_match_cmp_frac_qpow():
             if q <= 200:  # and every g, one by one
                 for g in range(q + 2):
                     inside = lo <= g < hi
-                    assert inside == _old_contains(band, g, q) == band.contains(g, q), (
+                    assert inside == band_contains_by_powers(band, g, q) == band.contains(g, q), (
                         text, q, g,
                     )
     b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))

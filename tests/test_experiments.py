@@ -230,9 +230,9 @@ def test_band_position_ordering():
 
 
 def test_empty_band_near_zero_counts():
-    from diocurve.counting import AlphaValue, count_curve, find_hits
+    from diocurve.counting import count_curve, dyadic_alphas, find_hits
 
     band = GcdBand(Fraction(99, 100), Fraction(1, 100))
-    for a in AlphaValue.dyadic_randoms(0, 128, 5):
+    for a in dyadic_alphas(0, 128, 5):
         hits = find_hits(a, 2, 1, Fraction(9, 4), band, 2**8)
         assert count_curve(hits, [2**16], 2) == ((2**16, 0),)
