@@ -8,7 +8,9 @@ use the integer power rule.  The scan tests only the one or two integers
 b nearest q^d alpha whenever the approximation radius is below 1/2.
 Otherwise (q = 1, or tau <= d) one integer root gives the exact window of
 admissible b.  Band membership of each candidate's gcd is two integer
-comparisons against ``GcdBand.cuts(q)``.
+comparisons against the band's cuts, walked along the q with a candidate
+(``GcdBand.cut_walk``): consecutive q step a cut by at most 1, and only a
+sparse q takes an integer root to seed it again.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -97,12 +99,14 @@ def _exact_hits(
     t an - dmax <= b ad <= t an + dmax, that is when b lies in
     [ceil((t an - dmax) / ad), floor((t an + dmax) / ad)].
 
-    Each admissible b is kept when gcd(b, q) lies between the cuts of
-    ``band.cuts(q)``; FULL's cuts admit every gcd.
+    Each admissible b is kept when gcd(b, q) lies between the band's cuts
+    at q, walked by ``GcdBand.cut_walk`` over the q with a candidate; FULL's
+    cuts admit every gcd.
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
+    cuts_at = band.cut_walk()  # called only at the q with a candidate
     hits: list[ConstrainedHit] = []
     for q in qs:
         # a gcd costs less than the window and drops q before it; factorize
@@ -127,7 +131,7 @@ def _exact_hits(
             continue
         if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
             continue
-        lo, hi = band.cuts(q)
+        lo, hi = cuts_at(q)
         for b in candidates:
             g = math.gcd(b, q)  # gcd(0, q) = q by convention
             if not lo <= g < hi:

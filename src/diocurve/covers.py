@@ -4,8 +4,12 @@ counts, certified tail sums, and the omega-weighted restricted series.
 Every count here is a product over the prime powers p^k || q of
 ``residues._valuation_counts``, the number of residues a_d G_d(p^k) of
 each p-valuation.  Banded center counts keep, at every q, the divisors
-gcd(b, q) in the band (``banded_center_count``); enumeration stays in the
-test suite as its oracle.  Full-band tail sums take their counts r_d(q /
+gcd(b, q) in the band, a whole range of q in one pass
+(``banded_center_counts``): each q is factorized once, the valuation
+branches of each p^k are worked out once per range, and the band cuts are
+walked from q to q (``GcdBand.cut_walk``) instead of taking two integer
+roots per q.  Enumeration and the per-q form stay in the test suite as
+oracles.  Full-band tail sums take their counts r_d(q /
 gcd(q, a_d)), the sums of those lists, from a sieve-built table, one
 numpy block of at most 2^16 moduli at a time (``scaled_count_blocks``),
 instead of factorizing each q.  The
@@ -73,6 +77,36 @@ def _ceil_qpow(q: int, x: Fraction) -> int:
     return r if r**v == n else r + 1
 
 
+def _ceil_qpow_walk(x: Fraction):
+    """A function q -> ceil(q^x), 0 <= x <= 1, for q >= 1 given in
+    nondecreasing order across its calls.
+
+    It holds c <= ceil(q^x), starting from c = 0.  At each q, with x =
+    num/den: c^den >= q^num means c >= q^x, so c = ceil(q^x); otherwise
+    c < q^x and c + 1 is tried the same way; otherwise c is seeded again by
+    ``_ceil_qpow``.  ceil(q^x) is nondecreasing in q, so c stays <=
+    ceil(q'^x) for every later q' >= q.  For x <= 1, (q + 1)^x <= q^x + 1
+    (t -> t^x is subadditive), so ceil(q^x) rises by at most 1 from q to
+    q + 1: over consecutive q only the first call seeds.  A decreasing q
+    is refused, as the kept c could then exceed ceil(q^x).
+    """
+    num, den = x.numerator, x.denominator
+    c = last = 0
+
+    def at(q: int) -> int:
+        nonlocal c, last
+        if q < last:
+            raise ValueError(f"cut walk needs nondecreasing q, got {q} after {last}")
+        last, t = q, q**num
+        if c**den < t:
+            c += 1
+            if c**den < t:
+                c = _ceil_qpow(q, x)
+        return c
+
+    return at
+
+
 @dataclass(frozen=True)
 class GcdBand:
     """The constraint q^eps <= gcd(b, q) < q^(eps+delta), or FULL (none).
@@ -128,18 +162,27 @@ class GcdBand:
         # eps + delta, worked out once per band
         return self.eps + self.delta
 
-    def cuts(self, q: int) -> tuple[int, int]:
-        """(lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) for q >= 1, so that
-        an integer g is in the band exactly when lo <= g < hi.
+    def cut_walk(self):
+        """A function q -> (lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) for
+        q >= 1 given in nondecreasing order across its calls, so that an
+        integer g is in the band at q exactly when lo <= g < hi.
 
         g >= q^eps holds for an integer g exactly when g >= ceil(q^eps).
         g < x holds exactly when g < ceil(x): if x is an integer the two
         are the same, otherwise g < x means g <= floor(x) = ceil(x) - 1.
-        FULL gives (1, q + 1), which holds every gcd(b, q) in [1, q].
+        Each cut is walked by ``_ceil_qpow_walk``: over consecutive q it
+        takes one integer root at the first q only, and a sparse sequence
+        takes one wherever a cut rises by more than 1.  FULL gives (1,
+        q + 1), which holds every gcd(b, q) in [1, q].
         """
         if self.is_full:
-            return 1, q + 1
-        return _ceil_qpow(q, self.eps), _ceil_qpow(q, self._upper)
+            return lambda q: (1, q + 1)
+        lo_at, hi_at = _ceil_qpow_walk(self.eps), _ceil_qpow_walk(self._upper)
+        return lambda q: (lo_at(q), hi_at(q))
+
+    def cuts(self, q: int) -> tuple[int, int]:
+        """The cuts (lo, hi) of ``cut_walk`` at one q >= 1."""
+        return self.cut_walk()(q)
 
     def contains(self, g: int, q: int) -> bool:
         """Is gcd value g admissible for modulus q?"""
@@ -193,22 +236,46 @@ def cover_measure(
 
 
 def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
-    """#{b in a_d G_d(q) : gcd(b, q) in the band}, exactly, at every q.
+    """#{b in a_d G_d(q) : gcd(b, q) in the band}, exactly, at every q:
+    the one-q case of ``banded_center_counts``."""
+    return banded_center_counts(q, q, band, d, a_d)[0]
+
+
+def banded_center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int) -> list[int]:
+    """``banded_center_count`` at every q in [N, Q], in one pass.
 
     Multiplicative per divisor: the residues with gcd(b, q) = g number
     prod over p^k || q of N_p(v_p(g)), where N_p is
     ``residues._valuation_counts(p, k, d, a_d)``.  Summed over the divisors
     g in the band; divisors with a zero count are never tested for band
     membership.  Over the full band the sum is r_d(q / gcd(q, a_d)).
-    Checked against enumeration in the test suite.
+    Each q is factorized once; the nonzero branches (p^s, N_p(s)) of each
+    p^k are worked out once per call, and the band cuts are walked
+    (``GcdBand.cut_walk``).  Validates like ``scaled_count_blocks`` at q =
+    N; an empty range (N > Q) gives [].  Checked against enumeration and
+    the per-q oracle in the test suite.
     """
-    _check(q, d, a_d)
-    terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
-    for p, k in factorize(q).factors:
-        counts = _valuation_counts(p, k, d, a_d)
-        terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
-    lo, hi = band.cuts(q)
-    return sum(t for g, t in terms if lo <= g < hi)
+    if N > Q:
+        return []
+    _check(N, d, a_d)
+    factor_pairs = (
+        get_sieve(Q).factor_pairs if Q <= DEFAULT_SIEVE_LIMIT else lambda q: factorize(q).factors
+    )
+    cuts_at = band.cut_walk()
+    branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    out = []
+    for q in range(N, Q + 1):
+        terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
+        for pk in factor_pairs(q):
+            branch = branches.get(pk)
+            if branch is None:
+                p, k = pk
+                counts = _valuation_counts(p, k, d, a_d)
+                branch = branches[pk] = [(p**s, n) for s, n in enumerate(counts) if n]
+            terms = [(g * ps, t * n) for g, t in terms for ps, n in branch]
+        lo, hi = cuts_at(q)
+        out.append(sum(t for g, t in terms if lo <= g < hi))
+    return out
 
 
 def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
@@ -532,11 +599,11 @@ def tail_sums(
     q^(d-1) divides its numerator and both of its rounding divisors q^k R
     and q^k (R + 1), so each rounded bound is the same integer, from a
     smaller numerator.  The counts come once per count-table block for
-    the full band, and once for the q with a nonzero count for other
-    bands.  Each tau adds them in ``add_ratios`` calls of at most
-    ROOT_CHUNK terms, and the taus with the same fractional part w/v share
-    that chunk's roots floor(2^bits q^(w/v)): 5/2, 7/2 and 9/2 all take
-    isqrt(q << 2 bits).
+    the full band, and from one ``banded_center_counts`` pass, kept for
+    the q with a nonzero count, for other bands.  Each tau adds them in
+    ``add_ratios`` calls of at most ROOT_CHUNK terms, and the taus with
+    the same fractional part w/v share that chunk's roots floor(2^bits
+    q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
@@ -548,8 +615,8 @@ def tail_sums(
             for lo, counts in scaled_count_blocks(N, Q, d, a_d)
         )
     else:
-        counts = {q: banded_center_count(q, band, d, a_d) for q in range(N, Q + 1)}
-        blocks = [([q for q, c in counts.items() if c], [c for c in counts.values() if c])]
+        counts = banded_center_counts(N, Q, band, d, a_d)
+        blocks = [([q for q, c in zip(range(N, Q + 1), counts) if c], [c for c in counts if c])]
     accs = [IntervalSum(bits) for _ in taus]
     exponents = [tau - (d - 1) for tau in taus]
     splits = [(a.numerator % a.denominator, a.denominator) for a in exponents]
@@ -579,7 +646,8 @@ def tail_sum(
     2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...).
 
     The full band takes its counts from ``scaled_count_blocks``, one table
-    per block; other bands count each q and skip the q with no center.
+    per block; other bands count the range in one ``banded_center_counts``
+    pass and skip the q with no center.
     Each block is rounded in one ``IntervalSum.add_ratios`` pass.  Empty
     range (N > Q) sums to zero.  Monotone nondecreasing in Q.
     """

@@ -2,8 +2,8 @@
 omega by trial division, outward rounding of numerator / q^(u/v) with
 roots found by bisection (split at the integer part of u/v, as the sums
 round, and unsplit), the exact union measure of one cover layer, the
-truncated Euler product of the omega series, and gcd-band membership by
-two power comparisons.
+truncated Euler product of the omega series, gcd-band membership by two
+power comparisons, and the per-q banded center count.
 
 Test-side only: no library code calls these.  The residue oracles
 enumerate every m modulo q with the numpy kernels, so they are exact for
@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from diocurve._kernels import _powmod, residue_set
-from diocurve.arithmetic import Rational, cmp_frac_qpow, get_sieve
-from diocurve.residues import power_residues
+from diocurve.arithmetic import Rational, cmp_frac_qpow, factorize, get_sieve
+from diocurve.covers import _ceil_qpow
+from diocurve.residues import _check, _valuation_counts, power_residues
 
 
 def residue_profiles(qlo: int, qhi: int, d: int):
@@ -171,3 +172,20 @@ def band_contains_by_powers(band, g: int, q: int) -> bool:
         cmp_frac_qpow(g, q, band.eps) >= 0
         and cmp_frac_qpow(g, q, band.eps + band.delta) < 0
     )
+
+
+def banded_center_count_per_q(q: int, band, d: int, a_d: int) -> int:
+    """#{b in a_d G_d(q) : gcd(b, q) in the band} at one q, on its own:
+    factorize q, expand the divisors g with their counts prod N_p(v_p(g))
+    from ``_valuation_counts``, and keep the g between the two cuts, each
+    taken by one ``_ceil_qpow`` root."""
+    _check(q, d, a_d)
+    terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
+    for p, k in factorize(q).factors:
+        counts = _valuation_counts(p, k, d, a_d)
+        terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
+    if band.is_full:
+        lo, hi = 1, q + 1
+    else:
+        lo, hi = _ceil_qpow(q, band.eps), _ceil_qpow(q, band.eps + band.delta)
+    return sum(t for g, t in terms if lo <= g < hi)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from diocurve.arithmetic import (
     distinct_prime_count,
     divisors,
     factorize,
+    get_sieve,
 )
 from diocurve.covers import (
     COUNT_BLOCK,
@@ -19,7 +21,9 @@ from diocurve.covers import (
     TABLE_QMAX,
     GcdBand,
     IntervalSum,
+    _ceil_qpow,
     banded_center_count,
+    banded_center_counts,
     cover_measure,
     divisor_sum_center_bound,
     restricted_series_partial,
@@ -30,6 +34,7 @@ from diocurve.covers import (
 from diocurve.residues import power_residue_count, scaled_power_residue_count
 from oracles import (
     band_contains_by_powers,
+    banded_center_count_per_q,
     euler_product_partial,
     exact_union_measure,
     floor_root,
@@ -94,6 +99,69 @@ def test_band_cuts_match_cmp_frac_qpow():
     assert b2.cuts(16) == (4, 8)  # 16^(1/2) = 4 and 16^(3/4) = 8 exactly
     assert b2.cuts(17) == (5, 9)
     assert GcdBand.full().cuts(12) == (1, 13)
+
+
+def _walked(band, qs):
+    cuts_at = band.cut_walk()
+    return [cuts_at(q) for q in qs]
+
+
+def test_cut_walk_matches_ceil_qpow():
+    bands = [GcdBand.parse(t) for t in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20")]
+    rng = random.Random(20)
+    gaps, q = [], 1
+    while q <= 1 << 20:
+        gaps.append(q)
+        q += rng.randrange(1, 1 << 14)
+    sequences = [range(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
+    sequences += [
+        [n * n for n in range(1, 1 << 10)],  # squares: a cut can rise by more than 1
+        get_sieve(1 << 16).primes[::7].tolist(),
+        gaps,
+    ]
+    for band in bands:
+        upper = band.eps + band.delta
+        for qs in sequences:
+            expected = [(_ceil_qpow(q, band.eps), _ceil_qpow(q, upper)) for q in qs]
+            assert _walked(band, qs) == expected, (band.format(), qs[0])
+    full = GcdBand.full()
+    assert _walked(full, range(1, 50)) == [(1, q + 1) for q in range(1, 50)]
+    b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
+    assert _walked(b2, (15, 16, 16, 17)) == [(4, 8), (4, 8), (4, 8), (5, 9)]
+    assert _walked(b2, (16,)) == [(4, 8)] == [b2.cuts(16)]
+    edge = GcdBand(Fraction(0), Fraction(1))  # eps = 0 and eps + delta = 1
+    assert _walked(edge, (1, 2, 3, 100, 101)) == [(1, q) for q in (1, 2, 3, 100, 101)]
+    for band in bands:
+        assert band.cuts(1) == _walked(band, (1,))[0]
+    assert GcdBand.parse("1/2,1/4").cuts(1) == (1, 1)
+    cuts_at = b2.cut_walk()
+    cuts_at(17)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        cuts_at(16)
+
+
+def test_cut_walk_seeds_once_over_consecutive_q(monkeypatch):
+    # ceil(q^x) rises by at most 1 from q to q + 1 for x <= 1, so a walk
+    # over consecutive q takes an integer root at its first q only
+    seeds = []
+
+    def counting_seed(q, x):
+        seeds.append(q)
+        return _ceil_qpow(q, x)
+
+    monkeypatch.setattr(covers, "_ceil_qpow", counting_seed)
+    for text in ("1/2,1/4", "1/4,1/2", "0,1/3", "1/3,2/3", "0,1"):
+        band = GcdBand.parse(text)
+        for start in (1, 2, 1000, 4097):
+            seeds.clear()
+            _walked(band, range(start, start + 2000))
+            assert len(seeds) <= 2 and set(seeds) <= {start}, (text, start)
+    # squares n^2: both cuts seed at the first; then ceil(q^(1/2)) = n steps
+    # by 1, and ceil(q^(3/4)) rises by more, so it seeds again at each one
+    seeds.clear()
+    squares = [n * n for n in range(2, 200)]
+    assert [lo for lo, _ in _walked(GcdBand.parse("1/2,1/4"), squares)] == list(range(2, 200))
+    assert seeds == [4] + squares
 
 
 def test_cover_measure_examples():
@@ -184,12 +252,37 @@ def test_banded_center_count_examples():
     assert divisor_sum_center_bound(4, b2, 2) == power_residue_count(2, 2)
 
 
+def test_banded_center_counts_match_per_q_oracle():
+    # the range form against the per-q closed form at every q <= 2^12 and
+    # on ranges from later starts, whose cuts are seeded at their first q
+    ranges = ((1, 1 << 12), (2, 600), (1000, 1600), (4097, 4700))
+    for text in ("1/2,1/4", "1/4,1/2", "0,1/3", "1/3,2/3"):
+        band = GcdBand.parse(text)
+        for d in (2, 3, 4):
+            for a_d in (1, 12, -8):
+                oracle = [banded_center_count_per_q(q, band, d, a_d) for q in range(1, 4701)]
+                for N, Q in ranges:
+                    counts = banded_center_counts(N, Q, band, d, a_d)
+                    assert counts == oracle[N - 1 : Q], (text, d, a_d, N)
+                    assert all(type(c) is int for c in counts)
+
+
 def test_banded_center_count_validates():
     band = GcdBand(Fraction(1, 4), Fraction(1, 4))
     for q, d, a_d in ((12, 2, 0), (0, 2, 1), (12, 1, 1)):
         for b in (band, GcdBand.full()):
             with pytest.raises(ValueError):
                 banded_center_count(q, b, d, a_d)
+    for N, Q, d, a_d, message in (
+        (0, 5, 2, 1, "modulus must be >= 1"),
+        (-3, 5, 2, 1, "modulus must be >= 1"),
+        (1, 5, 1, 1, "power degree must be >= 2"),
+        (1, 5, 2, 0, "a_d must be nonzero"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            banded_center_counts(N, Q, band, d, a_d)
+    assert banded_center_counts(6, 5, band, 2, 1) == []
+    assert banded_center_counts(13, 12, GcdBand.full(), 2, 1) == []
     with pytest.raises(ValueError):
         cover_measure(12, 3, 2, 0, band)
 
