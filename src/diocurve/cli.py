@@ -16,7 +16,7 @@ from pathlib import Path
 from ._version import __version__
 from .arithmetic import PreconditionError
 from .counting import HitFlags, count_curve, find_hits
-from .covers import GcdBand, cover_measure, restricted_series_partial, tail_sum
+from .covers import GcdBand, cover_measures, restricted_series_partial, tail_sum
 from .curve import (
     IntPolynomial,
     derivative_sup_bound,
@@ -345,17 +345,16 @@ def _cmd_cover(args) -> Report:
         rows = [(str(args.tau), args.qlo, args.qhi, float(lo), float(hi))]
         echo = _echo(args, d=args.d, ad=args.ad, band=args.band.format())
         return Report(["tau", "qlo", "qhi", "sum_lo", "sum_hi"], rows, echo)
-    rows = []
-    for q in _moduli(args):
-        rec = cover_measure(q, args.tau, args.d, args.ad, args.band)
-        rows.append(
-            (
-                rec.q,
-                rec.center_count,
-                f"{rec.measure_lo.numerator}/{rec.measure_lo.denominator}",
-                f"{rec.measure_hi.numerator}/{rec.measure_hi.denominator}",
-            )
+    qs = _moduli(args)
+    rows = [
+        (
+            rec.q,
+            rec.center_count,
+            f"{rec.measure_lo.numerator}/{rec.measure_lo.denominator}",
+            f"{rec.measure_hi.numerator}/{rec.measure_hi.denominator}",
         )
+        for rec in cover_measures(qs[0], qs[-1], args.tau, args.d, args.ad, args.band)
+    ]
     return Report(
         ["q", "center_count", "measure_lo", "measure_hi"],
         rows,

@@ -33,18 +33,24 @@ that the root of the whole power q^(k v + w) would give (proof at
 ``IntervalSum``).  The roots come from float seeds worked out for up to
 ROOT_CHUNK moduli at a time, each settled by the exact integer descent of
 ``iroot``, and the taus of one ``tail_sums`` call with the same w/v share
-them.  The omega series rounds TAYLOR_BLOCK consecutive moduli at once
-(``IntervalSum.add_consecutive``): a Taylor expansion of q^-s around the
-block's first modulus q0, with a remainder of known sign, needs one root
-of q0 and two divisions per block.  A block goes term by term instead
-when its numerators are too large for exact int64 moments or its Taylor
-interval is wider than 2 units of 2^-bits per term.
+them and one big division per term.  The omega series rounds blocks of H
+consecutive moduli at once (``IntervalSum.add_consecutive``): a Taylor
+expansion of q^-s around the block's first modulus q0, with a remainder of
+known sign, needs one root of q0 and two divisions per block.  H grows
+with q0, 32 below 2^14, 64 below 2^15 and 128 from there, while the
+block's numerators stay small enough for exact int64 moments at that H.
+A block goes term by term instead when its numerators are too large for
+exact int64 moments even at 32, or its Taylor interval is wider than 2
+units of 2^-bits per term.  Tail sums keep term-by-term rounding: at the
+default 96 bits no tail-sum block passes that width rule below q of about
+2^17, far past the ranges the threshold experiment sums.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -219,7 +225,8 @@ def cover_measure(
     band: GcdBand = GcdBand.full(),
 ) -> CoverRecord:
     """Formula measure 2 * c * q^(d-1) / q^tau of the q-th cover layer, where
-    c = banded_center_count(q, band, d, a_d) (r_d(q~) for the full band).
+    c = banded_center_count(q, band, d, a_d) (r_d(q~) for the full band):
+    the one-q case of ``cover_measures``.
 
     Requires tau > d (below that the layers stop being unions of short
     intervals).  For small q the intervals may overlap or spill out of
@@ -227,12 +234,39 @@ def cover_measure(
     (``tests/oracles.py``) certifies where the formula value is the true
     Lebesgue measure.
     """
+    return cover_measures(q, q, tau, d, a_d, band)[0]
+
+
+def cover_measures(
+    N: int,
+    Q: int,
+    tau: Rational,
+    d: int,
+    a_d: int,
+    band: GcdBand = GcdBand.full(),
+) -> list[CoverRecord]:
+    """``cover_measure`` at every q in [N, Q], from one count pass: the
+    count table (``scaled_count_blocks``) for the full band up to
+    DEFAULT_SIEVE_LIMIT, one ``banded_center_counts`` pass otherwise (past
+    that limit it factorizes each q, where the table would sieve and walk
+    every prime up to isqrt(Q) even for one q).  q^tau is enclosed per q
+    (``root_enclosure``), so each record holds the same exact rationals as
+    a call at that q alone.  Validates tau > d, then like
+    ``banded_center_counts``; an empty range (N > Q) gives [].
+    """
     tau = Fraction(tau)
     if tau <= d:
         raise ValueError(f"cover measure needs tau > d, got tau={tau}, d={d}")
-    count = banded_center_count(q, band, d, a_d) * q ** (d - 1)
-    lo_p, hi_p = root_enclosure(q, tau, SUM_BITS)
-    return CoverRecord(q, count, Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p)
+    if band.is_full and Q <= DEFAULT_SIEVE_LIMIT:
+        counts = [c for _, block in scaled_count_blocks(N, Q, d, a_d) for c in block.tolist()]
+    else:
+        counts = banded_center_counts(N, Q, band, d, a_d)
+    records = []
+    for q, c in zip(range(N, Q + 1), counts):
+        count = c * q ** (d - 1)
+        lo_p, hi_p = root_enclosure(q, tau, SUM_BITS)
+        records.append(CoverRecord(q, count, Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p))
+    return records
 
 
 def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
@@ -374,16 +408,19 @@ def _table_blocks(N: int, Q: int):
 # roots of a count-table block are never held all at once
 ROOT_CHUNK = 1 << 10
 
-# The block rule of ``IntervalSum.add_consecutive``: TAYLOR_BLOCK
-# consecutive moduli share one root, through a Taylor expansion of degree
-# TAYLOR_DEGREE.  _TAYLOR_POWERS[h][j] = h^j for j <= TAYLOR_DEGREE + 1, and
-# a block's moments stay below 2^63 while its numerators are at most
-# _TAYLOR_NUM_MAX.  The table is a list, made an int64 array only when used:
-# numpy arithmetic at import raised the peak RSS of an import by 0.25 MB.
-TAYLOR_BLOCK = 32
+# The block rule of ``IntervalSum.add_consecutive``: H consecutive moduli,
+# H one of TAYLOR_LENGTHS, share one root through a Taylor expansion of
+# degree TAYLOR_DEGREE.  _TAYLOR_POWERS[h][j] = h^j for h < 128 and j <=
+# TAYLOR_DEGREE + 1, and the moments of a block of H moduli stay below 2^63
+# while its numerators are at most _TAYLOR_NUM_MAX[H].  The table is a list,
+# made an int64 array only when used: numpy arithmetic at import raised the
+# peak RSS of an import by 0.25 MB.
+TAYLOR_LENGTHS = (128, 64, 32)
 TAYLOR_DEGREE = 6
-_TAYLOR_POWERS = [[h**j for j in range(TAYLOR_DEGREE + 2)] for h in range(TAYLOR_BLOCK)]
-_TAYLOR_NUM_MAX = ((1 << 63) - 1) // sum(row[-1] for row in _TAYLOR_POWERS)
+_TAYLOR_POWERS = [[h**j for j in range(TAYLOR_DEGREE + 2)] for h in range(TAYLOR_LENGTHS[0])]
+_TAYLOR_NUM_MAX = {
+    H: ((1 << 63) - 1) // sum(row[-1] for row in _TAYLOR_POWERS[:H]) for H in TAYLOR_LENGTHS
+}
 
 
 def _taylor_coefficients(u: int, v: int) -> list[int]:
@@ -435,8 +472,8 @@ class IntervalSum:
     term: it splits tau = k + w/v with 0 <= w < v and takes R = floor(2^bits
     q^(w/v)); each term is rounded outward against q^k R, the terms of a
     call are summed in local integers, and the totals are added to lo and
-    hi once.  ``add_consecutive`` rounds blocks of TAYLOR_BLOCK consecutive
-    moduli at once from a Taylor expansion and hands a block to
+    hi once.  ``add_consecutive`` rounds blocks of H consecutive moduli, H
+    in TAYLOR_LENGTHS, at once from a Taylor expansion and hands a block to
     ``add_ratios`` only when the expansion is too coarse for it.
 
     Nesting: with r = floor(2^bits q^tau), the one root an unsplit rounding
@@ -447,7 +484,7 @@ class IntervalSum:
     tau is w = 0, where 2^bits q^0 is exact and the term is floored and
     ceiled at numerator 2^bits / q^k.
 
-    Block rule: for q = q0 + h, 0 <= h < H = TAYLOR_BLOCK, and x = h / q0,
+    Block rule: for q = q0 + h, 0 <= h < H, and x = h / q0 >= 0,
     q^-s = q0^-s (1 + x)^-s with s = tau.  The j-th derivative of f(x) = (1
     + x)^-s is j! C_j (1 + x)^(-s-j), C_j = binom(-s, j), so Taylor's
     theorem with Lagrange remainder gives, for some xi in [0, x],
@@ -468,7 +505,9 @@ class IntervalSum:
     q0^(w/v)): the lower end floored against R + 1, the upper end ceiled
     against R, one root per block instead of one per term.  A lower end
     below 0 (h / q0 too large for the expansion) divides to at most 0,
-    still below the sum.
+    still below the sum.  Nothing here depends on H: the remainder keeps
+    its sign for every h >= 0, so any block length is sound, and H only
+    moves the width of the interval and the int64 range of the moments.
     """
 
     def __init__(self, bits: int = SUM_BITS):
@@ -509,31 +548,45 @@ class IntervalSum:
         q0 >= 1 and numerators >= 0 in a 1-D array: int64, or object when
         some numerator does not fit in int64.
 
-        The moduli are cut into blocks of TAYLOR_BLOCK from q0 on, and each
-        block is rounded by the block rule (proof at ``IntervalSum``): its
-        moments M_j, j <= TAYLOR_DEGREE + 1, come from one int64 matmul
-        against the table of h^j, which is exact while max(num) * sum_h
-        h^(m+1) < 2^63.  A block whose numerators break that guard, or
-        whose Taylor interval is wider than 2 units of 2^-bits per nonzero
-        term, is rounded term by term in ``add_ratios`` instead, at most
-        ROOT_CHUNK terms per call.
+        The moduli are cut into spans of at most ROOT_CHUNK blocks, and the
+        blocks of a span, H moduli each, are rounded by the block rule
+        (proof at ``IntervalSum``): their moments M_j, j <= TAYLOR_DEGREE +
+        1, come from one int64 matmul against the table of h^j, which is
+        exact while max(num) * sum_{h<H} h^(m+1) < 2^63, that is while the
+        numerators are at most _TAYLOR_NUM_MAX[H].  Each span takes the
+        longest H of TAYLOR_LENGTHS with H <= q >> 8 at its first modulus q
+        (so h / q < 2^-8, where a degree-6 expansion is far inside the width
+        allowance) whose guard all of the span's numerators meet, and 32
+        otherwise.  A span ends early where the next longer H would start to
+        be allowed, so the lengths step up at q = 2^14 and 2^15.  A block of
+        32 whose numerators break the guard, or any block whose Taylor
+        interval is wider than 2 units of 2^-bits per nonzero term, is
+        rounded term by term in ``add_ratios`` instead, at most ROOT_CHUNK
+        terms per call.
         """
         _check_exponent(u, v)
-        H = TAYLOR_BLOCK
-        span = ROOT_CHUNK * H  # at most ROOT_CHUNK block roots at once
-        for start in range(0, len(numerators), span):
-            part = numerators[start : start + span]
+        start, size = 0, len(numerators)
+        while start < size:
+            q = q0 + start
+            for H in TAYLOR_LENGTHS:  # ends at 32 if no break
+                end = start + ROOT_CHUNK * H
+                if q < H << 9:  # 2H is allowed from q = H << 9 on
+                    end = min(end, start - (q - (H << 9)) // H * H)
+                part = numerators[start:end]
+                if H <= q >> 8 and part.max() <= _TAYLOR_NUM_MAX[H]:
+                    break
             if len(part) % H:
                 part = np.concatenate((part, np.zeros(-len(part) % H, dtype=part.dtype)))
-            self._add_blocks(part.reshape(-1, H), q0 + start, u, v)
+            self._add_blocks(part.reshape(-1, H), q, u, v)
+            start = end
 
     def _add_blocks(self, nums: np.ndarray, q0: int, u: int, v: int) -> None:
-        """``add_consecutive`` for the rows of nums, row i holding the
-        numerators of q0 + TAYLOR_BLOCK i + h."""
-        bits, H = self.bits, TAYLOR_BLOCK
+        """``add_consecutive`` for the rows of nums, H = nums.shape[1] wide,
+        row i holding the numerators of q0 + H i + h."""
+        bits, H = self.bits, nums.shape[1]
         k, w = divmod(u, v)
-        fits = nums.max(axis=1) <= _TAYLOR_NUM_MAX
-        powers = np.array(_TAYLOR_POWERS, dtype=np.int64)
+        fits = nums.max(axis=1) <= _TAYLOR_NUM_MAX[H]
+        powers = np.array(_TAYLOR_POWERS[:H], dtype=np.int64)
         moments = np.where(fits[:, None], nums, 0).astype(np.int64, copy=False) @ powers
         nonzero = np.count_nonzero(nums, axis=1)
         taylor = np.flatnonzero(fits & (nonzero > 0)).tolist()
@@ -582,6 +635,37 @@ class IntervalSum:
         return Fraction(self.lo, 1 << self.bits), Fraction(self.hi, 1 << self.bits)
 
 
+def _add_ratios_by_k(group, numerators, qs, w: int, v: int, roots) -> None:
+    """``add_ratios`` of numerator / q^(k + w/v) into acc for each (k, acc)
+    of group, k >= 0, with one big division per term and bound.
+
+    Each term is rounded as in ``add_ratios`` at the least k, k0, and
+    divided by q^(k - k0) for every other k: floor(floor(n / a) / b) =
+    floor(n / (a b)) for integers n and a, b >= 1, and ceil(n / a) =
+    -floor(-n / a), so every bound is the integer ``add_ratios`` gives.
+    roots are those of ``add_ratios``, needed when w > 0.
+    """
+    bits = group[0][1].bits
+    k0 = min(k for k, _ in group)
+    if w:
+        shift, step = 2 * bits, 1
+    else:
+        shift, step, roots = bits, 0, itertools.repeat(1)
+    los, negs = [], []  # floor(n / (q^k0 (R + step))) and -ceil(n / (q^k0 R))
+    for numerator, q, root in zip(numerators, qs, roots):
+        num, qk = numerator << shift, q**k0
+        los.append(num // (qk * (root + step)))
+        negs.append(-num // (qk * root))
+    for k, acc in group:
+        if k == k0:
+            acc.lo += sum(los)
+            acc.hi -= sum(negs)
+        else:
+            pows = [q ** (k - k0) for q in qs]
+            acc.lo += sum(map(operator.floordiv, los, pows))
+            acc.hi -= sum(map(operator.floordiv, negs, pows))
+
+
 def tail_sums(
     taus,
     d: int,
@@ -603,7 +687,9 @@ def tail_sums(
     the q with a nonzero count, for other bands.  Each tau adds them in
     ``add_ratios`` calls of at most ROOT_CHUNK terms, and the taus with
     the same fractional part w/v share that chunk's roots floor(2^bits
-    q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).
+    q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).  Two or more
+    such taus also share each term's big division (``_add_ratios_by_k``);
+    a tau alone in its w/v goes through ``add_ratios``.
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
@@ -618,17 +704,23 @@ def tail_sums(
         counts = banded_center_counts(N, Q, band, d, a_d)
         blocks = [([q for q, c in zip(range(N, Q + 1), counts) if c], [c for c in counts if c])]
     accs = [IntervalSum(bits) for _ in taus]
-    exponents = [tau - (d - 1) for tau in taus]
-    splits = [(a.numerator % a.denominator, a.denominator) for a in exponents]
-    rooted = {(w, v) for w, v in splits if w}
+    groups: dict[tuple[int, int], list[tuple[int, IntervalSum]]] = {}
+    for tau, acc in zip(taus, accs):
+        a = tau - (d - 1)
+        k, w = divmod(a.numerator, a.denominator)
+        groups.setdefault((w, a.denominator), []).append((k, acc))
     for qs, cs in blocks:
         for start in range(0, len(qs), ROOT_CHUNK):
             part = slice(start, start + ROOT_CHUNK)
             chunk = qs[part]
             nums = [2 * c for c in cs[part]]
-            roots = {(w, v): _split_roots(chunk, w, v, bits) for w, v in rooted}
-            for a, split, acc in zip(exponents, splits, accs):
-                acc.add_ratios(nums, chunk, a.numerator, a.denominator, roots.get(split))
+            for (w, v), group in groups.items():
+                roots = _split_roots(chunk, w, v, bits) if w else None
+                if len(group) == 1:
+                    [(k, acc)] = group
+                    acc.add_ratios(nums, chunk, k * v + w, v, roots)
+                else:
+                    _add_ratios_by_k(group, nums, chunk, w, v, roots)
     return [acc.interval() for acc in accs]
 
 

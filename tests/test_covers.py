@@ -13,18 +13,23 @@ from diocurve.arithmetic import (
     divisors,
     factorize,
     get_sieve,
+    root_enclosure,
 )
 from diocurve.covers import (
+    _TAYLOR_NUM_MAX,
+    _TAYLOR_POWERS,
     COUNT_BLOCK,
     ROOT_CHUNK,
     SUM_BITS,
     TABLE_QMAX,
+    TAYLOR_LENGTHS,
     GcdBand,
     IntervalSum,
     _ceil_qpow,
     banded_center_count,
     banded_center_counts,
     cover_measure,
+    cover_measures,
     divisor_sum_center_bound,
     restricted_series_partial,
     scaled_count_blocks,
@@ -184,6 +189,41 @@ def test_cover_measure_fractional_tau_enclosure():
     # measure^2 * 5^7 should straddle (2*15)^2
     assert rec.measure_lo**2 * 5**7 <= 900 <= rec.measure_hi**2 * 5**7
     assert rec.measure_hi - rec.measure_lo < Fraction(1, 2**80)
+
+
+@pytest.mark.parametrize("band", ("full", "1/2,1/4", "0,1/3", "1/3,2/3"))
+def test_cover_measures_match_per_q_oracle(band):
+    band = GcdBand.parse(band)
+    cases = [
+        (Fraction(7, 2), 2, 1, 1, 300),
+        (3, 2, 12, 95, 160),
+        (Fraction(13, 4), 3, -8, 1, 120),
+        (Fraction(9, 2), 4, 2, 250, 300),
+    ]
+    if band.is_full:  # the count table serves up to 2^24, factorizing past it
+        cases += [(3, 2, 1, (1 << 24) - 4, 1 << 24), (3, 2, 1, (1 << 24) - 1, (1 << 24) + 2)]
+    for tau, d, a_d, N, Q in cases:
+        got = cover_measures(N, Q, tau, d, a_d, band)
+        assert [rec.q for rec in got] == list(range(N, Q + 1))
+        for rec in got:
+            q = rec.q
+            count = banded_center_count_per_q(q, band, d, a_d) * q ** (d - 1)
+            lo_p, hi_p = root_enclosure(q, Fraction(tau), SUM_BITS)
+            assert rec.center_count == count, (q, tau, d, a_d)
+            assert (rec.measure_lo, rec.measure_hi) == (2 * count / hi_p, 2 * count / lo_p)
+        assert got[-1] == cover_measure(Q, tau, d, a_d, band)
+
+
+def test_cover_measures_validate():
+    assert cover_measures(12, 11, 3, 2, 1) == []
+    with pytest.raises(ValueError, match="cover measure needs tau > d, got tau=2, d=2"):
+        cover_measures(12, 11, 2, 2, 1)
+    for band in (GcdBand.full(), GcdBand.parse("1/4,1/2")):
+        for N, d, a_d in ((0, 2, 1), (1, 1, 1), (1, 2, 0)):
+            with pytest.raises(ValueError) as err:
+                cover_measures(N, 10, 7, d, a_d, band)
+            with pytest.raises(ValueError, match=str(err.value)):
+                banded_center_counts(N, 10, band, d, a_d)
 
 
 def test_exact_union_vs_formula():
@@ -487,6 +527,33 @@ def test_tail_sums_share_roots_across_taus(monkeypatch):
     assert sorted(calls) == sorted((n, w, v) for n in chunks for w, v in ((1, 2), (1, 4)))
 
 
+def test_tail_sums_share_divisions_within_a_split(monkeypatch):
+    # a tau alone in its w/v goes through add_ratios; two or more taus with
+    # the same w/v (integer taus too) are rounded once, at the least k, and
+    # give the per-term oracle's integers
+    cases = (
+        ([Fraction(5, 2), Fraction(3), Fraction(7, 2)], 2, {(2, 1)}),
+        ([Fraction(3), Fraction(4), Fraction(5)], 2, set()),
+        ([Fraction(7, 3), Fraction(10, 3), Fraction(13, 3), Fraction(13, 4)], 2, {(9, 4)}),
+        ([Fraction(11, 2), Fraction(7, 2)], 3, set()),
+    )
+    expected = [
+        [_per_q_tail_sum(t, d, 1, 1, 700) for t in taus] for taus, d, _ in cases
+    ]
+    seen = []
+    add_ratios = IntervalSum.add_ratios
+
+    def record(self, numerators, qs, u, v, roots=None):
+        seen.append((u, v))
+        return add_ratios(self, numerators, qs, u, v, roots)
+
+    monkeypatch.setattr(IntervalSum, "add_ratios", record)
+    for (taus, d, alone), want in zip(cases, expected):
+        seen.clear()
+        assert tail_sums(taus, d, 1, 1, 700, GcdBand.full()) == want, taus
+        assert set(seen) == alone, taus
+
+
 def test_tail_sums_nest_outside_unsplit_rounding():
     # over the threshold schedule 2^2..2^14 each segment's sum contains the
     # unsplit rounding's sum and is at most twice as wide
@@ -702,13 +769,19 @@ def _record_per_term(monkeypatch):
     return seen
 
 
+# the block length steps up from 32 to 64 at q = 2^14 and to 128 at 2^15
+_SWITCH_WINDOWS = [((1 << 14) - 150, (1 << 14) + 150), ((1 << 15) - 150, (1 << 15) + 150)]
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_restricted_series_block_rule_encloses_exact_sum(s, monkeypatch):
     # windows of q where blocks take the Taylor rule, one across the count
-    # table's edge at 2^16: two partial sums enclose the exact sum between
+    # table's edge at 2^16 and two where the block length steps up: two
+    # partial sums enclose the exact sum between
     per_term = _record_per_term(monkeypatch)
     edge = ((1 << 16) - 150, (1 << 16) + 150)
     windows = ((3, 2 * 1009, (6000, 6300)), (3, 2 * 1009, edge), (Fraction(5, 2), 6, edge))
+    windows += tuple((z, 6, window) for z in (2, 3) for window in _SWITCH_WINDOWS)
     for z, n, (Q0, Q1) in windows:
         per_term.clear()
         lo0, hi0 = restricted_series_partial(z, s, n, Q0)
@@ -722,17 +795,96 @@ def test_restricted_series_block_rule_encloses_exact_sum(s, monkeypatch):
 @pytest.mark.parametrize("s", [Fraction(6, 5), Fraction(7, 5), Fraction(13, 4)])
 def test_restricted_series_block_rule_overlaps_bisection_oracle(s, monkeypatch):
     per_term = _record_per_term(monkeypatch)
-    Q0, Q1, bits = (1 << 15) - 100, (1 << 15) + 100, 192
-    lo0, hi0 = restricted_series_partial(2, s, 1, Q0)
-    lo1, hi1 = restricted_series_partial(2, s, 1, Q1)
-    assert not any(Q0 < q <= Q1 for _, q in per_term)
-    bounds = [
-        ratio_with_root_bounds(2 ** omega(q), q, s.numerator, s.denominator, bits)
-        for q in range(Q0 + 1, Q1 + 1)
+    bits = 192
+    for Q0, Q1 in [((1 << 15) - 100, (1 << 15) + 100)] + _SWITCH_WINDOWS:
+        per_term.clear()
+        lo0, hi0 = restricted_series_partial(2, s, 1, Q0)
+        lo1, hi1 = restricted_series_partial(2, s, 1, Q1)
+        assert not any(Q0 < q <= Q1 for _, q in per_term), Q0
+        bounds = [
+            ratio_with_root_bounds(2 ** omega(q), q, s.numerator, s.denominator, bits)
+            for q in range(Q0 + 1, Q1 + 1)
+        ]
+        oracle_lo = Fraction(sum(lo for lo, _ in bounds), 1 << bits)
+        oracle_hi = Fraction(sum(hi for _, hi in bounds), 1 << bits)
+        assert oracle_lo <= hi1 - lo0 and lo1 - hi0 <= oracle_hi, Q0
+
+
+def _record_block_lengths(monkeypatch):
+    """The (first modulus, H, rows) of each span that reaches
+    ``IntervalSum._add_blocks``."""
+    seen = []
+    add_blocks = IntervalSum._add_blocks
+
+    def record(self, nums, q0, u, v):
+        seen.append((q0, nums.shape[1], nums.shape[0]))
+        return add_blocks(self, nums, q0, u, v)
+
+    monkeypatch.setattr(IntervalSum, "_add_blocks", record)
+    return seen
+
+
+@pytest.mark.parametrize("z", [2, 3])
+def test_block_length_grows_with_q(z, monkeypatch):
+    spans = _record_block_lengths(monkeypatch)
+    restricted_series_partial(z, Fraction(6, 5), 6, 3 << 15)
+    for q0, H, _ in spans:
+        assert H == (128 if q0 >= 1 << 15 else 64 if q0 >= 1 << 14 else 32), (q0, H)
+    # each length starts within one block of its switch point, and the
+    # spans cover [2, 3 * 2^15] with no gap (the last block of a count
+    # table block is padded)
+    assert [(q0, H) for q0, H, _ in spans if q0 - H < H << 8 <= q0] == [
+        (2 + 512 * 32, 64),
+        (2 + 512 * 32 + 256 * 64, 128),
     ]
-    oracle_lo = Fraction(sum(lo for lo, _ in bounds), 1 << bits)
-    oracle_hi = Fraction(sum(hi for _, hi in bounds), 1 << bits)
-    assert oracle_lo <= hi1 - lo0 and lo1 - hi0 <= oracle_hi
+    for (q0, H, rows), (following, _, _) in zip(spans, spans[1:]):
+        assert q0 < following <= q0 + H * rows
+    q0, H, rows = spans[-1]
+    assert q0 + H * rows > 3 << 15
+
+
+def test_block_length_follows_the_moment_guard(monkeypatch):
+    spans = _record_block_lengths(monkeypatch)
+    q0, n = 1 << 16, 3 * 128
+    for num, H in (
+        (_TAYLOR_NUM_MAX[128], 128),
+        (_TAYLOR_NUM_MAX[128] + 1, 64),
+        (_TAYLOR_NUM_MAX[64], 64),
+        (_TAYLOR_NUM_MAX[64] + 1, 32),
+    ):
+        spans.clear()
+        nums = np.zeros(n, dtype=np.int64)
+        nums[n // 2] = num  # one large numerator sets the span's length
+        IntervalSum(64).add_consecutive(nums, q0, 6, 5)
+        assert [h for _, h, _ in spans] == [H], num
+    # below 2^15 the length is capped by q whatever the numerators
+    spans.clear()
+    IntervalSum(64).add_consecutive(np.ones(n, dtype=np.int64), 1 << 14, 6, 5)
+    assert [h for _, h, _ in spans] == [64]
+
+
+def test_taylor_moments_exact_at_each_length_bound():
+    for H in TAYLOR_LENGTHS:
+        bound = _TAYLOR_NUM_MAX[H]
+        rows = _TAYLOR_POWERS[:H]
+        nums = np.full((1, H), bound, dtype=np.int64)
+        got = (nums @ np.array(rows, dtype=np.int64)).tolist()[0]
+        assert got == [sum(bound * row[j] for row in rows) for j in range(len(rows[0]))], H
+        # the bound is the largest that keeps the top moment below 2^63
+        top = sum(row[-1] for row in rows)
+        assert bound * top < 1 << 63 <= (bound + 1) * top
+
+
+def test_block_length_rule_narrows_the_series(monkeypatch):
+    # the benchmark's series inputs: the enclosure overlaps the one with
+    # every block held at 32 moduli, and is no wider
+    cases = [(z, s, n) for z in (2, 3) for s in (Fraction(6, 5), Fraction(7, 5)) for n in (6, 12)]
+    grown = [restricted_series_partial(z, s, n, 1 << 18) for z, s, n in cases]
+    monkeypatch.setattr(covers, "TAYLOR_LENGTHS", (32,))
+    for case, (lo, hi) in zip(cases, grown):
+        lo32, hi32 = restricted_series_partial(*case, 1 << 18)
+        assert max(lo, lo32) <= min(hi, hi32), case
+        assert hi - lo <= hi32 - lo32, case
 
 
 @pytest.mark.parametrize("bits", [32, 48, 64])
