@@ -4,8 +4,9 @@ The hot inner loops of this package (smallest-prime-factor sieve, brute
 enumeration of one d-th power residue set, the per-prime slice pass that
 factors one block of consecutive integers, and the omega table built on
 it) are integer-only and fit in int64 for every modulus the library
-accepts.  The brute-force count twins of the closed forms live with the
-tests (tests/oracles.py).
+accepts; each kernel refuses, before it allocates, an input that would
+leave that range.  The brute-force count twins of the closed forms live
+with the tests (tests/oracles.py).
 
 Everything exact and big-integer (rational scans, Hensel lifts, certified
 interval sums) lives outside this module in plain Python.
@@ -28,7 +29,10 @@ def backend_name() -> str:
 
 
 def spf_sieve(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (spf[0]=0, spf[1]=1)."""
+    """spf[n] = smallest prime factor of n (spf[0]=0, spf[1]=1); refuses
+    limit >= 2^31, where the int32 table would wrap."""
+    if limit >= 1 << 31:
+        raise ValueError(f"spf_sieve needs limit < 2^31 (int32), got {limit}")
     spf = np.arange(limit + 1, dtype=np.int32)
     # ascending primes + minimum keeps the first (smallest) hit
     for i in range(2, math.isqrt(limit) + 1):
@@ -41,7 +45,19 @@ def spf_sieve(limit: int) -> np.ndarray:
 # d-th power residue enumeration
 
 
+# the largest q with q^2 < 2^63: a product of two residues mod q stays in
+# int64
+POWMOD_QMAX = 3_037_000_499
+
+
+def _check_powmod_modulus(q: int) -> None:
+    if q > POWMOD_QMAX:
+        raise ValueError(f"modulus must be <= {POWMOD_QMAX} for int64 products, got {q}")
+
+
 def _powmod(base: np.ndarray, exp: int, q: int) -> np.ndarray:
+    """base^exp mod q elementwise, for q <= POWMOD_QMAX."""
+    _check_powmod_modulus(q)
     x = np.full(base.shape, 1 % q, dtype=np.int64)
     b = base % q
     while exp:
@@ -53,7 +69,9 @@ def _powmod(base: np.ndarray, exp: int, q: int) -> np.ndarray:
 
 
 def residue_set(q: int, d: int, ad: int = 1) -> np.ndarray:
-    """Sorted array of {ad * m^d mod q : m in Z/qZ}, by enumeration."""
+    """Sorted array of {ad * m^d mod q : m in Z/qZ}, by enumeration, for
+    q <= POWMOD_QMAX."""
+    _check_powmod_modulus(q)
     m = np.arange(q, dtype=np.int64)
     x = _powmod(m, d, q)
     return np.unique((ad % q) * x % q)
@@ -89,7 +107,9 @@ def prime_exponents(lo: int, rem: np.ndarray, primes):
 
 def omega_table(lo: int, hi: int, primes) -> np.ndarray:
     """omega[i] = number of distinct prime factors of lo + i, for lo + i in
-    [lo, hi] with lo >= 1; primes ascend past isqrt(hi)."""
+    [lo, hi] with lo >= 1 and hi < 2^63; primes ascend past isqrt(hi)."""
+    if hi >= 1 << 63:
+        raise ValueError(f"omega_table needs hi < 2^63 (int64), got {hi}")
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     w = np.zeros(len(rem), dtype=np.uint8)
     for p, start, _ in prime_exponents(lo, rem, primes):

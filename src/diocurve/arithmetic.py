@@ -162,8 +162,14 @@ def factorize(n: int) -> Factorization:
         return Factorization(1, ())
     if n <= DEFAULT_SIEVE_LIMIT:
         return Factorization(n, tuple(get_sieve(n).factor_pairs(n)))
-    # beyond the sieve: strip sieve primes, then MR + rho on the remainder
-    sieve = get_sieve(min(DEFAULT_SIEVE_LIMIT, _MIN_SIEVE_LIMIT << 4))
+    return Factorization(n, tuple(_factor_pairs_beyond_sieve(n)))
+
+
+def _factor_pairs_beyond_sieve(n: int) -> list[tuple[int, int]]:
+    """The (p, k) of n >= 1 by prime: strip the primes of the shared sieve,
+    grown to at most min(isqrt(n), 2^20), while p^2 <= the cofactor, then
+    split what is left by Miller-Rabin and Brent's rho."""
+    sieve = get_sieve(min(math.isqrt(n), _MIN_SIEVE_LIMIT << 4))
     pairs: dict[int, int] = {}
     rem = n
     for p in map(int, sieve.primes):
@@ -183,7 +189,24 @@ def factorize(n: int) -> Factorization:
         g = _brent_rho(m)
         stack.append(g)
         stack.append(m // g)
-    return Factorization(n, tuple(sorted(pairs.items())))
+    return sorted(pairs.items())
+
+
+def factor_pairs_over(N: int, Q: int):
+    """A function q -> the (p, k) of q by prime, for the q in [N, Q].
+
+    The shared sieve grows to Q only when the range holds at least
+    isqrt(Q) moduli (a sieve of Q then costs about as much as trial
+    division of the range), or when it already covers Q; Q must also be at
+    most DEFAULT_SIEVE_LIMIT.  Otherwise each q is factorized on its own
+    (``_factor_pairs_beyond_sieve``), so a few q just below the limit do
+    not build a sieve of it.
+    """
+    if Q <= DEFAULT_SIEVE_LIMIT and (
+        Q - N + 1 >= math.isqrt(Q) or (_sieve is not None and _sieve.limit >= Q)
+    ):
+        return get_sieve(Q).factor_pairs
+    return _factor_pairs_beyond_sieve
 
 
 def _as_factorization(f: Union[int, Factorization]) -> Factorization:

@@ -4,13 +4,21 @@ function N(Q) read from its hits.
 Every hit predicate is decided in exact integer arithmetic: alpha is an
 exact rational (dyadic when randomly drawn, with enough bits that no
 scanned q can produce a boundary tie), and comparisons against q^(u/v)
-use the integer power rule.  The scan tests only the one or two integers
-b nearest q^d alpha whenever the approximation radius is below 1/2.
-Otherwise (q = 1, or tau <= d) one integer root gives the exact window of
-admissible b.  Band membership of each candidate's gcd is two integer
+use the integer power rule.  When tau > d the approximation radius
+r = q^(d - tau) is at most 1, and the scan tests only the two integers b
+nearest q^d alpha.  Band membership of each candidate's gcd is two integer
 comparisons against the band's cuts, walked along the q with a candidate
 (``GcdBand.cut_walk``): consecutive q step a cut by at most 1, and only a
 sparse q takes an integer root to seed it again.
+
+When tau <= d (the wide regime, r >= 1) the block stage ``_wide_hits``
+takes, around the centre c0 = floor(q^d alpha), the offsets [1 - R, R]
+with R = ceil(r): a proved superset of the admissible b, whose interior
+[2 - R, R - 2] is admissible with no test.  numpy forms the residues,
+their gcds with q and the band cuts for blocks of a few thousand
+candidates; only the survivors return to Python, where the three boundary
+offsets take the exact integer test and the residue class is read from
+the q's factor pairs.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -30,10 +38,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import Rational, factorize, iroot
-from .covers import GcdBand
+from .arithmetic import Rational, factor_pairs_over, factorize, iroot
+from .covers import GcdBand, _ceil_qpow, _ceil_qpow_walk
 from .curve import ConstrainedHit
-from .residues import is_power_residue, is_primitive_power_residue
+from .residues import _solvable, is_power_residue, is_primitive_power_residue
 
 
 MIN_ALPHA_BITS = 128
@@ -88,26 +96,39 @@ def _exact_hits(
 ) -> list[ConstrainedHit]:
     """All hits at the moduli qs (increasing), each decided exactly.
 
-    With alpha = an/ad, t = q^d and tau = u/v, a numerator b is admissible
-    when D = |t an - b ad| satisfies D^v qu < rhs, where qu = q^max(u, 0)
-    and rhs = (ad t)^v q^max(-u, 0).  Below radius 1/2 only the two b
-    nearest t alpha can be admissible, and each is tested.  Otherwise (the
-    wide regime: q = 1, or tau <= d) the admissible b form one window.
-    dmax = iroot((rhs - 1) // qu, v) is the largest integer D with
-    D^v qu < rhs, because D^v qu < rhs <=> D^v qu <= rhs - 1 <=>
-    D^v <= (rhs - 1) // qu.  So b is admissible exactly when
-    t an - dmax <= b ad <= t an + dmax, that is when b lies in
-    [ceil((t an - dmax) / ad), floor((t an + dmax) / ad)].
+    With alpha = an/ad, t = q^d, tau = u/v, c0 = t an // ad and
+    rem = t an - c0 ad in [0, ad), a numerator b = c0 + off is admissible
+    when D = |rem - off ad| = |t an - b ad| satisfies D^v q^u < (ad t)^v,
+    that is when |q^d alpha - b| < r = q^(d - tau).
+
+    When tau > d, only off = 0 and off = 1 can be admissible, and each is
+    tested: q^u >= t^v, so every D >= ad fails the test, and off <= -1
+    gives D >= rem + ad, off >= 2 gives D > (off - 1) ad >= ad.
+
+    When tau <= d, every q goes through the block stage ``_wide_hits``.
+    With R = ceil(r), the least integer R >= 1 with R^v q^u >= t^v, its
+    candidates are off in [1 - R, R]:
+    * a superset.  An admissible b has D^v q^u < (ad t)^v <= (R ad)^v q^u,
+      so D < R ad.  Off >= R + 1 gives D = off ad - rem > (off - 1) ad >=
+      R ad, and off <= -R gives D = rem - off ad >= -off ad >= R ad.
+    * the interior off in [2 - R, R - 2] is admissible with no test.  By
+      the least R, (R - 1)^v q^u < t^v, so every D <= (R - 1) ad passes.
+      For 1 <= off <= R - 2, D = off ad - rem <= off ad < (R - 1) ad; for
+      2 - R <= off <= 0, D = rem - off ad < (1 - off) ad <= (R - 1) ad.
+    So only the offsets {1 - R, R - 1, R} take the test D^v q^u < (ad t)^v.
 
     Each admissible b is kept when gcd(b, q) lies between the band's cuts
-    at q, walked by ``GcdBand.cut_walk`` over the q with a candidate; FULL's
-    cuts admit every gcd.
+    at q: walked by ``GcdBand.cut_walk`` over the q with a candidate when
+    tau > d, and read for a whole block of q by ``GcdBand.cut_arrays``
+    when tau <= d.  FULL's cuts admit every gcd.
     """
+    if tau <= d:
+        return _wide_hits(alpha, d, a_d, tau, band, qs, flags)
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
+    hits: list[ConstrainedHit] = []
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
     cuts_at = band.cut_walk()  # called only at the q with a candidate
-    hits: list[ConstrainedHit] = []
     for q in qs:
         # a gcd costs less than the window and drops q before it; factorize
         # costs more, so it runs only at the few q with a candidate
@@ -115,18 +136,10 @@ def _exact_hits(
             continue
         t = q**d
         num = t * an
-        rhs = (ad * t) ** v * q ** max(0, -u)
-        qu = q ** max(0, u)
-        # radius >= 1/2 can admit more than b0 and b0 + 1; decided exactly:
-        # q^(d - tau) >= 1/2  <=>  2^v q^(dv - u) >= 1
-        if d * v >= u or 2**v >= q ** (u - d * v):
-            dmax = iroot((rhs - 1) // qu, v)
-            candidates = range(-((dmax - num) // ad), (num + dmax) // ad + 1)
-        else:
-            b0, rem = divmod(num, ad)
-            candidates = [
-                b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs
-            ]
+        rhs = (ad * t) ** v
+        qu = q**u
+        b0, rem = divmod(num, ad)
+        candidates = [b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs]
         if not candidates:
             continue
         if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
@@ -139,6 +152,102 @@ def _exact_hits(
             if not residue_test(b % q, q, d, a_d):
                 continue
             hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
+    return hits
+
+
+# candidates per block of the wide stage, so its int64 arrays stay a few
+# hundred kB however wide a window is
+_WIDE_BLOCK = 1 << 13
+# q, window offsets and residues of the wide stage stay below this
+_WIDE_LIMIT = 1 << 62
+
+
+def _wide_hits(
+    alpha: Fraction,
+    d: int,
+    a_d: int,
+    tau: Fraction,
+    band: GcdBand,
+    qs: Iterable[int],
+    flags: HitFlags,
+) -> list[ConstrainedHit]:
+    """The hits at the moduli qs (increasing) for tau <= d, where the
+    radius r = q^(d - tau) is at least 1.
+
+    Per q, Python works out only the centre c0 = floor(q^d alpha), c0 mod q
+    and R = ceil(r), walked as the band cuts are.  The window of offsets
+    [1 - R, R] around c0 (its proofs at ``_exact_hits``) goes through numpy
+    in blocks of at most _WIDE_BLOCK candidates, a wider window split over
+    several: (c0 mod q + off) mod q, its gcd with q, and the band cuts at q
+    (``GcdBand.cut_arrays``).  Python then tests each survivor: the
+    boundary offsets {1 - R, R - 1, R} by D^v q^u < (ad t)^v, and
+    --omega-max and the residue class from the q's factor pairs, read once
+    per q (``arithmetic.factor_pairs_over`` on the range scanned so far).
+    --coprime drops a q before its centre is worked out: a_d has no bound,
+    so gcd(q, d a_d) is taken in Python.  ``find_hits`` refuses a q or an
+    R at or above _WIDE_LIMIT = 2^62, so every value the arrays hold stays
+    below 2^63 in absolute value.
+    """
+    an, ad = alpha.numerator, alpha.denominator
+    u, v = tau.numerator, tau.denominator
+    radius_at = _ceil_qpow_walk(d - tau)
+    dad = d * abs(a_d)
+    hits: list[ConstrainedHit] = []
+    first_q = None
+    memo: dict = {}
+    # one row per segment, a q and a run of its window's offsets: the int64
+    # columns (q, c0 mod q, first offset - its index in the block, length),
+    # and the Python ints (c0, t an - c0 ad, R)
+    rows: list[tuple[int, int, int, int]] = []
+    exact: list[tuple[int, int, int]] = []
+    filled = 0
+
+    def flush() -> None:
+        if not rows:
+            return
+        q, c0_mod, shift, lens = np.array(rows, dtype=np.int64).T
+        lo, hi = band.cut_arrays(q)
+        seg = np.repeat(np.arange(len(rows)), lens)
+        off = np.arange(len(seg)) + shift[seg]
+        qq = q[seg]
+        res = (c0_mod[seg] + off) % qq
+        g = np.gcd(res, qq)
+        keep = (g >= lo[seg]) & (g < hi[seg])
+        pairs_of = factor_pairs_over(first_q, rows[-1][0])
+        last_q = pairs = None
+        for i, o, r, gi in np.array((seg, off, res, g))[:, keep].T.tolist():
+            qi = rows[i][0]
+            c0, rem, R = exact[i]
+            dist = abs(rem - o * ad)
+            if (o <= 1 - R or o >= R - 1) and dist**v * qi**u >= (ad * qi**d) ** v:
+                continue
+            if qi != last_q:
+                last_q, pairs = qi, pairs_of(qi)
+            if flags.omega_max is not None and len(pairs) > flags.omega_max:
+                continue
+            if _solvable(r, pairs, d, a_d, flags.primitive_only, memo):
+                hits.append(ConstrainedHit(qi, c0 + o, Fraction(dist, ad * qi**d), gi))
+        rows.clear()
+        exact.clear()
+
+    for q in qs:
+        if flags.coprime_to_d_ad and math.gcd(q, dad) != 1:
+            continue
+        if first_q is None:
+            first_q = q
+        c0, rem = divmod(q**d * an, ad)
+        R = radius_at(q)
+        off, end = 1 - R, R + 1
+        while off < end:
+            n = min(end - off, _WIDE_BLOCK - filled)
+            rows.append((q, c0 % q, off - filled, n))
+            exact.append((c0, rem, R))
+            off += n
+            filled += n
+            if filled == _WIDE_BLOCK:
+                flush()
+                filled = 0
+    flush()
     return hits
 
 
@@ -223,6 +332,9 @@ def find_hits(
     For a dyadic alpha with tau > d and qmax^d < 2^63, only the survivors of
     the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
     hit, so the result is that of the exact scan over every q <= qmax.
+    For tau <= d the block stage holds q and its window offsets in int64,
+    so a scan whose qmax or radius ceil(qmax^(d - tau)) reaches 2^62 is
+    refused before any allocation.
     """
     value = Fraction(alpha)
     if not 0 <= value <= 1:
@@ -234,6 +346,11 @@ def find_hits(
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
+    if tau <= d and (qmax >= _WIDE_LIMIT or _ceil_qpow(qmax, d - tau) >= _WIDE_LIMIT):
+        raise ValueError(
+            f"tau <= d keeps q and ceil(q^(d - tau)) below 2^62 (int64), "
+            f"got qmax = {qmax} at tau = {tau}, d = {d}"
+        )
     ad = value.denominator
     if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:
         qs: Iterable[int] = _dyadic_survivors(value, d, tau, qmax)

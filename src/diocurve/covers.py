@@ -65,6 +65,7 @@ from .arithmetic import (
     _root_descent,
     _root_seed,
     divisors,
+    factor_pairs_over,
     factorize,
     get_sieve,
     iroot,
@@ -83,9 +84,30 @@ def _ceil_qpow(q: int, x: Fraction) -> int:
     return r if r**v == n else r + 1
 
 
+def _ceil_qpow_array(q: np.ndarray, x: Fraction) -> np.ndarray:
+    """ceil(q^x) at every entry of a nondecreasing int64 array q >= 1, for
+    0 <= x <= 1 (so every value fits int64): one integer root at each end
+    of q and one per step of ceil(q^x) between them, or one per entry when
+    there are more steps than entries.
+
+    With x = num/den, an integer q has q^x > c exactly when q^num > c^den,
+    that is when q > s_c = iroot(c^den, num).  So with ca and cb the values
+    at the ends, ceil(q^x) = ca + #{c in [ca, cb) : s_c < q} for every q in
+    between: each c < ca lies below q^x, and no c >= cb does.  The s_c
+    ascend, so one ``np.searchsorted`` counts them.  For x <= 1 and
+    consecutive q there are at most len(q) steps, each below q[-1].
+    """
+    num, den = x.numerator, x.denominator
+    ca, cb = _ceil_qpow(int(q[0]), x), _ceil_qpow(int(q[-1]), x)
+    if cb - ca > len(q):
+        return np.array([_ceil_qpow(n, x) for n in q.tolist()], dtype=np.int64)
+    steps = [iroot(c**den, num) for c in range(ca, cb)]
+    return ca + np.searchsorted(np.array(steps, dtype=np.int64), q, side="left")
+
+
 def _ceil_qpow_walk(x: Fraction):
-    """A function q -> ceil(q^x), 0 <= x <= 1, for q >= 1 given in
-    nondecreasing order across its calls.
+    """A function q -> ceil(q^x), x >= 0, for q >= 1 given in nondecreasing
+    order across its calls.
 
     It holds c <= ceil(q^x), starting from c = 0.  At each q, with x =
     num/den: c^den >= q^num means c >= q^x, so c = ceil(q^x); otherwise
@@ -93,8 +115,9 @@ def _ceil_qpow_walk(x: Fraction):
     ``_ceil_qpow``.  ceil(q^x) is nondecreasing in q, so c stays <=
     ceil(q'^x) for every later q' >= q.  For x <= 1, (q + 1)^x <= q^x + 1
     (t -> t^x is subadditive), so ceil(q^x) rises by at most 1 from q to
-    q + 1: over consecutive q only the first call seeds.  A decreasing q
-    is refused, as the kept c could then exceed ceil(q^x).
+    q + 1: over consecutive q only the first call seeds (for x > 1 most
+    calls seed).  A decreasing q is refused, as the kept c could then
+    exceed ceil(q^x).
     """
     num, den = x.numerator, x.denominator
     c = last = 0
@@ -185,6 +208,14 @@ class GcdBand:
             return lambda q: (1, q + 1)
         lo_at, hi_at = _ceil_qpow_walk(self.eps), _ceil_qpow_walk(self._upper)
         return lambda q: (lo_at(q), hi_at(q))
+
+    def cut_arrays(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cuts (lo, hi) of ``cut_walk`` at every entry of a
+        nondecreasing int64 array q >= 1, as two int64 arrays
+        (``_ceil_qpow_array``)."""
+        if self.is_full:
+            return np.ones_like(q), q + 1
+        return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self._upper)
 
     def cuts(self, q: int) -> tuple[int, int]:
         """The cuts (lo, hi) of ``cut_walk`` at one q >= 1."""
@@ -283,18 +314,18 @@ def banded_center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int) -> lis
     ``residues._valuation_counts(p, k, d, a_d)``.  Summed over the divisors
     g in the band; divisors with a zero count are never tested for band
     membership.  Over the full band the sum is r_d(q / gcd(q, a_d)).
-    Each q is factorized once; the nonzero branches (p^s, N_p(s)) of each
-    p^k are worked out once per call, and the band cuts are walked
-    (``GcdBand.cut_walk``).  Validates like ``scaled_count_blocks`` at q =
-    N; an empty range (N > Q) gives [].  Checked against enumeration and
-    the per-q oracle in the test suite.
+    Each q is factorized once, from the shared sieve only when the range
+    is long enough to pay for it (``arithmetic.factor_pairs_over``: at
+    least isqrt(Q) moduli, or a sieve that already covers Q); the nonzero
+    branches (p^s, N_p(s)) of each p^k are worked out once per call, and
+    the band cuts are walked (``GcdBand.cut_walk``).  Validates like
+    ``scaled_count_blocks`` at q = N; an empty range (N > Q) gives [].
+    Checked against enumeration and the per-q oracle in the test suite.
     """
     if N > Q:
         return []
     _check(N, d, a_d)
-    factor_pairs = (
-        get_sieve(Q).factor_pairs if Q <= DEFAULT_SIEVE_LIMIT else lambda q: factorize(q).factors
-    )
+    factor_pairs = factor_pairs_over(N, Q)
     cuts_at = band.cut_walk()
     branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
     out = []

@@ -16,10 +16,16 @@ fails it (kept as ``zero_class_count_alt`` for regression), as does the
 divisor-sum banded count (``covers.divisor_sum_center_bound``).  Every
 function that takes a_d rejects a_d = 0.
 
+Membership has one body, ``_solvable``: it takes q's factor pairs and
+reads ``_solution_class`` per prime power, keeping the verdicts of the
+small prime powers in a memo its caller owns.  ``is_power_residue`` and
+``is_primitive_power_residue`` are thin wrappers that factorize q; the
+wide hit scan calls the body with the factor pairs it already holds.
+
 ``solution_witness`` finds the least solution x by scanning every class
 mod q.  No library path calls it: the hit scan decides solvability with
-``is_power_residue`` and ``is_primitive_power_residue`` and records no
-witness.  It stays as a small scan-based reference.
+``_solvable`` and records no witness.  It stays as a small scan-based
+reference.
 """
 
 from __future__ import annotations
@@ -181,23 +187,41 @@ def _solution_class(b: int, p: int, k: int, d: int, a_d: int):
     return (j, t) if ok else None
 
 
+# prime powers whose verdicts ``_solvable`` keeps: at most the sum of those
+# moduli, a few thousand residues, whatever the scan
+_MEMO_BELOW = 1 << 8
+
+
+def _solvable(b: int, pairs, d: int, a_d: int, unit: bool, memo: dict) -> bool:
+    """Does a_d * x^d = b (mod q) have a solution, a unit x when unit is
+    set, for the q with factor pairs (p, k)?  Decided per prime power by
+    ``_solution_class``: a unit solution is one with t = 0.  The verdict
+    at (p^k, b mod p^k) for p^k < _MEMO_BELOW is kept in memo, so a memo
+    serves one (d, a_d, unit) only."""
+    for p, k in pairs:
+        pk = p**k
+        key = (pk, b % pk)
+        ok = memo.get(key)
+        if ok is None:
+            solution = _solution_class(b, p, k, d, a_d)
+            ok = solution is not None and not (unit and solution[1])
+            if pk < _MEMO_BELOW:
+                memo[key] = ok
+        if not ok:
+            return False
+    return True
+
+
 def is_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution?  Decided per prime power."""
     _check(q, d, a_d)
-    for p, k in factorize(q).factors:
-        if _solution_class(b, p, k, d, a_d) is None:
-            return False
-    return True
+    return _solvable(b, factorize(q).factors, d, a_d, False, {})
 
 
 def is_primitive_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution with x a unit mod q?"""
     _check(q, d, a_d)
-    for p, k in factorize(q).factors:
-        solution = _solution_class(b, p, k, d, a_d)
-        if solution is None or solution[1] != 0:
-            return False
-    return True
+    return _solvable(b, factorize(q).factors, d, a_d, True, {})
 
 
 def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:

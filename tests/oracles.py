@@ -3,21 +3,30 @@ omega by trial division, outward rounding of numerator / q^(u/v) with
 roots found by bisection (split at the integer part of u/v, as the sums
 round, and unsplit), the exact union measure of one cover layer, the
 truncated Euler product of the omega series, gcd-band membership by two
-power comparisons, and the per-q banded center count.
+power comparisons, the per-q banded center count, and the hit scan one q
+at a time with one integer root per wide window.
 
 Test-side only: no library code calls these.  The residue oracles
 enumerate every m modulo q with the numpy kernels, so they are exact for
 every modulus the tests use.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from diocurve._kernels import _powmod, residue_set
-from diocurve.arithmetic import Rational, cmp_frac_qpow, factorize, get_sieve
+from diocurve.arithmetic import Rational, cmp_frac_qpow, factorize, get_sieve, iroot
 from diocurve.covers import _ceil_qpow
-from diocurve.residues import _check, _valuation_counts, power_residues
+from diocurve.curve import ConstrainedHit
+from diocurve.residues import (
+    _check,
+    _valuation_counts,
+    is_power_residue,
+    is_primitive_power_residue,
+    power_residues,
+)
 
 
 def residue_profiles(qlo: int, qhi: int, d: int):
@@ -189,3 +198,47 @@ def banded_center_count_per_q(q: int, band, d: int, a_d: int) -> int:
     else:
         lo, hi = _ceil_qpow(q, band.eps), _ceil_qpow(q, band.eps + band.delta)
     return sum(t for g, t in terms if lo <= g < hi)
+
+
+def per_q_window_hits(alpha: Fraction, d: int, a_d: int, tau: Fraction, band, qs, flags):
+    """The hits at the moduli qs (increasing), one q at a time, each window
+    taken by one integer root.
+
+    With alpha = an/ad, t = q^d and tau = u/v, b is admissible when
+    D = |t an - b ad| satisfies D^v q^u < (ad t)^v.  Below radius 1/2 the
+    two b nearest t alpha are tested.  Otherwise dmax = iroot(((ad t)^v -
+    1) // q^u, v) is the largest D that passes, and the window is every b
+    with t an - dmax <= b ad <= t an + dmax.  Each b is then kept when
+    gcd(b, q) lies between the band's walked cuts and b mod q passes
+    ``is_power_residue`` (``is_primitive_power_residue`` for unit-class
+    numerators).
+    """
+    an, ad = alpha.numerator, alpha.denominator
+    u, v = tau.numerator, tau.denominator
+    residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
+    cuts_at = band.cut_walk()
+    hits = []
+    for q in qs:
+        if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
+            continue
+        t = q**d
+        num = t * an
+        rhs = (ad * t) ** v
+        qu = q**u
+        # radius >= 1/2  <=>  2^v q^(dv - u) >= 1
+        if d * v >= u or 2**v >= q ** (u - d * v):
+            dmax = iroot((rhs - 1) // qu, v)
+            candidates = range(-((dmax - num) // ad), (num + dmax) // ad + 1)
+        else:
+            b0, rem = divmod(num, ad)
+            candidates = [b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs]
+        if not candidates:
+            continue
+        if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
+            continue
+        lo, hi = cuts_at(q)
+        for b in candidates:
+            g = math.gcd(b, q)
+            if lo <= g < hi and residue_test(b % q, q, d, a_d):
+                hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
+    return hits

@@ -73,6 +73,26 @@ def test_factorize_beyond_sieve():
             assert is_probable_prime(p)
 
 
+def test_factor_pairs_over_grows_the_sieve_only_for_long_ranges(monkeypatch):
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    # [2^20 - 100, 2^20] holds fewer than isqrt(2^20) = 1024 moduli
+    short = arithmetic.factor_pairs_over((1 << 20) - 100, 1 << 20)
+    for q in range((1 << 20) - 100, (1 << 20) + 1):
+        assert short(q) == trial_division(q)
+    assert arithmetic._sieve.limit == 1 << 16
+    # 1100 moduli up to 2^17 + 1: the sieve grows to cover them
+    long = arithmetic.factor_pairs_over((1 << 17) - 1098, (1 << 17) + 1)
+    assert arithmetic._sieve.limit == 1 << 18
+    for q in range((1 << 17) - 1098, (1 << 17) + 2):
+        assert long(q) == trial_division(q)
+    # a sieve that already covers Q serves a range of any length
+    assert arithmetic.factor_pairs_over(1000, 1000) == arithmetic._sieve.factor_pairs
+    # past DEFAULT_SIEVE_LIMIT each q is factored on its own
+    past = arithmetic.factor_pairs_over(1, arithmetic.DEFAULT_SIEVE_LIMIT + 1)
+    assert past(2**25 + 1) == trial_division(2**25 + 1)
+    assert arithmetic._sieve.limit == 1 << 18
+
+
 def test_factorization_validates():
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # primes out of order

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diocurve import _kernels
+from diocurve import _kernels, counting
 from diocurve.arithmetic import iroot
+from diocurve.cli import main
 from diocurve.counting import (
     HitFlags,
     _dyadic_survivors,
@@ -20,7 +21,7 @@ from diocurve.counting import (
 )
 from diocurve.covers import GcdBand
 from diocurve.residues import is_power_residue, is_primitive_power_residue
-from oracles import band_contains_by_powers
+from oracles import band_contains_by_powers, per_q_window_hits
 
 FULL = GcdBand.full()
 
@@ -388,6 +389,58 @@ def test_exact_hits_matches_neighbourhood_walk():
                             )
                             expected = walk_hits(alpha, d, a_d, tau, inside, qmax, flags)
                             assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
+
+
+# (d, tau) -> qmax: a few thousand candidates per scan however wide the
+# windows; at tau = d + 1/8 the radius is at least 1/2 up to q = 2^8, where
+# the oracle takes the window by a root and the scan tests two b
+WIDE_CASES = {
+    (2, Fraction(1, 2)): 25, (2, Fraction(3, 2)): 150, (2, Fraction(7, 4)): 300,
+    (2, Fraction(2)): 300, (2, Fraction(17, 8)): 300,
+    (3, Fraction(1, 2)): 10, (3, Fraction(3, 2)): 25, (3, Fraction(7, 4)): 40,
+    (3, Fraction(3)): 300, (3, Fraction(25, 8)): 300,
+    (4, Fraction(1, 2)): 7, (4, Fraction(3, 2)): 10, (4, Fraction(7, 4)): 12,
+    (4, Fraction(4)): 300, (4, Fraction(33, 8)): 300,
+}
+
+
+def test_wide_stage_matches_per_q_window(monkeypatch):
+    # a block of 11 candidates: one q's window spans several blocks, and a
+    # block several q; every band and flag combination at every (d, tau),
+    # with (a_d, alpha) rotating so that each flag combination, each band
+    # and each (d, tau) meets all 16 pairs
+    monkeypatch.setattr(counting, "_WIDE_BLOCK", 11)
+    alphas = (
+        Fraction(0),
+        Fraction(1),
+        Fraction(5741, 9973),
+        Fraction(random.Random(20131307).getrandbits(128) | 1, 1 << 128),
+    )
+    bands = [FULL] + [GcdBand.parse(t) for t in ("1/4,1/4", "0,1/2", "1/3,2/3", "1/2,1/4")]
+    combos = [
+        HitFlags(p, c, m)
+        for p in (False, True)
+        for c in (False, True)
+        for m in (None, 2)
+    ]
+    for case, ((d, tau), qmax) in enumerate(WIDE_CASES.items()):
+        for i, band in enumerate(bands):
+            for j, flags in enumerate(combos):
+                a_d, alpha = (1, -1, 2, -6)[(i + j) % 4], alphas[(j // 4 + 2 * i + case) % 4]
+                got = find_hits(alpha, d, a_d, tau, band, qmax, flags)
+                expected = per_q_window_hits(alpha, d, a_d, tau, band, range(1, qmax + 1), flags)
+                assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
+
+
+def test_wide_scan_refuses_int64_overflow(capsys):
+    # at tau <= d the radius ceil(qmax^(d - tau)) or qmax itself reaching
+    # 2^62 is refused before anything is allocated
+    for tau, qmax in ((Fraction(1, 2), 1 << 42), (Fraction(2), 1 << 62)):
+        with pytest.raises(ValueError, match="below 2\\^62"):
+            find_hits(Fraction(1, 3), 2, 1, tau, FULL, qmax)
+    argv = ["scan", "--poly", "0,0,-1", "--tau", "1/2", "--alpha", "1/3", "--qmax", str(1 << 42)]
+    assert main(argv) == 2
+    assert "below 2^62" in capsys.readouterr().err
 
 
 def test_corollary_search_statistic():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diocurve import _kernels, covers
+from diocurve import _kernels, arithmetic, covers
 from diocurve.arithmetic import (
+    Factorization,
     cmp_frac_qpow,
     divisor_count,
     distinct_prime_count,
@@ -37,6 +38,7 @@ from diocurve.covers import (
     tail_sums,
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
+import oracles
 from oracles import (
     band_contains_by_powers,
     banded_center_count_per_q,
@@ -167,6 +169,58 @@ def test_cut_walk_seeds_once_over_consecutive_q(monkeypatch):
     squares = [n * n for n in range(2, 200)]
     assert [lo for lo, _ in _walked(GcdBand.parse("1/2,1/4"), squares)] == list(range(2, 200))
     assert seeds == [4] + squares
+
+
+def test_cut_arrays_match_ceil_qpow():
+    # consecutive, sparse and repeated q, and squares, where a cut rises
+    # by more than 1 between entries
+    arrays = [
+        np.arange(1, 3000),
+        np.arange((1 << 20) - 7, (1 << 20) + 500),
+        np.array([n * n for n in range(1, 1 << 10)]),
+        np.array([5, 5, 5, 6, 1000, 1000, 5000]),
+        np.array([1, 2, 1 << 20, 1 << 30]),  # more steps than entries
+        np.array([1]),
+    ]
+    for text in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20", "0,1", "full"):
+        band = GcdBand.parse(text)
+        for q in arrays:
+            lo, hi = band.cut_arrays(q.astype(np.int64))
+            assert lo.dtype == hi.dtype == np.int64
+            expected = [band.cuts(x) for x in q.tolist()]
+            assert list(zip(lo.tolist(), hi.tolist())) == expected, (text, q[0])
+
+
+def _trial_pairs(n):
+    """The (p, k) of n by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_short_range_near_the_sieve_limit_does_not_build_the_sieve(monkeypatch):
+    # a count for a few q just below DEFAULT_SIEVE_LIMIT = 2^24 factors each
+    # q on its own; the per-q oracle factors by trial division here
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    monkeypatch.setattr(
+        oracles, "factorize", lambda n: Factorization(n, tuple(_trial_pairs(n)))
+    )
+    top = arithmetic.DEFAULT_SIEVE_LIMIT
+    band = GcdBand.parse("1/4,1/2")
+    counts = banded_center_counts(top - 64, top - 1, band, 2, 1)
+    record = cover_measure(top - 3, 3, 2, 1, band)
+    assert arithmetic._sieve.limit < top
+    assert counts == [banded_center_count_per_q(q, band, 2, 1) for q in range(top - 64, top)]
+    assert any(counts)
+    assert record.center_count == banded_center_count_per_q(top - 3, band, 2, 1) * (top - 3)
+    assert arithmetic._sieve.limit < top
 
 
 def test_cover_measure_examples():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diocurve import _kernels
@@ -71,3 +72,19 @@ def test_omega_block_away_from_one():
     lo, hi = (1 << 20) - 500, (1 << 20) + 500
     a = _kernels.omega_table(lo, hi, brute_primes(math.isqrt(hi) + 1))
     assert a.tolist() == [omega(n) for n in range(lo, hi + 1)]
+
+
+def test_kernels_refuse_out_of_int64_range_before_allocating():
+    # each of these would allocate gigabytes if the check came second
+    with pytest.raises(ValueError, match="2\\^31"):
+        _kernels.spf_sieve(1 << 31)
+    with pytest.raises(ValueError, match="3037000499"):
+        _kernels.residue_set(3_037_000_500, 2)
+    with pytest.raises(ValueError, match="3037000499"):
+        _kernels._powmod(np.arange(3, dtype=np.int64), 2, 3_037_000_500)
+    with pytest.raises(ValueError, match="2\\^63"):
+        _kernels.omega_table(1, 1 << 63, [2, 3])
+    # at the largest accepted modulus every product still fits in int64
+    q = _kernels.POWMOD_QMAX
+    base = np.array([q - 1, q - 2, 123456789], dtype=np.int64)
+    assert _kernels._powmod(base, 5, q).tolist() == [pow(b, 5, q) for b in base.tolist()]
