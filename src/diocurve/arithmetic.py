@@ -26,6 +26,8 @@ from . import _kernels
 
 DEFAULT_SIEVE_LIMIT = 1 << 24
 _MIN_SIEVE_LIMIT = 1 << 16
+# sieve entries per comparison when the primes are listed
+_PRIME_CHUNK = 1 << 16
 
 # deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -69,11 +71,18 @@ class SpfSieve:
 
     @property
     def primes(self):
+        """The primes up to limit, ascending: the n >= 2 with spf[n] = n,
+        compared _PRIME_CHUNK entries at a time, so the listing holds no
+        array of the sieve's length besides the sieve itself."""
         if self._primes is None:
             import numpy as np
 
-            idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-            self._primes = np.nonzero(self.spf == idx)[0][2:]
+            spf, n = self.spf, self.limit + 1
+            chunks = []
+            for lo in range(0, n, _PRIME_CHUNK):
+                hi = min(lo + _PRIME_CHUNK, n)
+                chunks.append(np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo)
+            self._primes = np.concatenate(chunks)[2:]
         return self._primes
 
     def factor_pairs(self, n: int) -> list[tuple[int, int]]:

@@ -17,8 +17,13 @@ with R = ceil(r): a proved superset of the admissible b, whose interior
 [2 - R, R - 2] is admissible with no test.  numpy forms the residues,
 their gcds with q and the band cuts for blocks of a few thousand
 candidates; only the survivors return to Python, where the three boundary
-offsets take the exact integer test and the residue class is read from
-the q's factor pairs.
+offsets take the exact integer test.
+
+Both stages share one filter path: --coprime drops a q once, before the
+stage is picked, and --omega-max and the residue class read the q's factor
+pairs, the class through ``residues._solvable`` with one memo per scan.
+The wrappers ``is_power_residue`` and ``is_primitive_power_residue`` serve
+only the API.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -41,7 +46,7 @@ import numpy as np
 from .arithmetic import Rational, factor_pairs_over, factorize, iroot
 from .covers import GcdBand, _ceil_qpow, _ceil_qpow_walk
 from .curve import ConstrainedHit
-from .residues import _solvable, is_power_residue, is_primitive_power_residue
+from .residues import _solvable
 
 
 MIN_ALPHA_BITS = 128
@@ -120,20 +125,21 @@ def _exact_hits(
     Each admissible b is kept when gcd(b, q) lies between the band's cuts
     at q: walked by ``GcdBand.cut_walk`` over the q with a candidate when
     tau > d, and read for a whole block of q by ``GcdBand.cut_arrays``
-    when tau <= d.  FULL's cuts admit every gcd.
+    when tau <= d.  FULL's cuts admit every gcd.  --coprime drops a q
+    here, before either stage, by a gcd in Python (a_d has no bound).
+    When tau > d, a q is factorized once, after the band keeps a candidate.
     """
+    if flags.coprime_to_d_ad:
+        dad = d * abs(a_d)
+        qs = (q for q in qs if math.gcd(q, dad) == 1)
     if tau <= d:
         return _wide_hits(alpha, d, a_d, tau, band, qs, flags)
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     hits: list[ConstrainedHit] = []
-    residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
+    memo: dict = {}
     cuts_at = band.cut_walk()  # called only at the q with a candidate
     for q in qs:
-        # a gcd costs less than the window and drops q before it; factorize
-        # costs more, so it runs only at the few q with a candidate
-        if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
-            continue
         t = q**d
         num = t * an
         rhs = (ad * t) ** v
@@ -142,16 +148,17 @@ def _exact_hits(
         candidates = [b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs]
         if not candidates:
             continue
-        if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
-            continue
         lo, hi = cuts_at(q)
-        for b in candidates:
-            g = math.gcd(b, q)  # gcd(0, q) = q by convention
-            if not lo <= g < hi:
-                continue
-            if not residue_test(b % q, q, d, a_d):
-                continue
-            hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
+        # gcd(0, q) = q by convention
+        kept = [(b, g) for b in candidates if lo <= (g := math.gcd(b, q)) < hi]
+        if not kept:
+            continue
+        pairs = factorize(q).factors
+        if flags.omega_max is not None and len(pairs) > flags.omega_max:
+            continue
+        for b, g in kept:
+            if _solvable(b % q, pairs, d, a_d, flags.primitive_only, memo):
+                hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
     return hits
 
 
@@ -183,15 +190,12 @@ def _wide_hits(
     boundary offsets {1 - R, R - 1, R} by D^v q^u < (ad t)^v, and
     --omega-max and the residue class from the q's factor pairs, read once
     per q (``arithmetic.factor_pairs_over`` on the range scanned so far).
-    --coprime drops a q before its centre is worked out: a_d has no bound,
-    so gcd(q, d a_d) is taken in Python.  ``find_hits`` refuses a q or an
-    R at or above _WIDE_LIMIT = 2^62, so every value the arrays hold stays
-    below 2^63 in absolute value.
+    ``find_hits`` refuses a q or an R at or above _WIDE_LIMIT = 2^62, so
+    every value the arrays hold stays below 2^63 in absolute value.
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     radius_at = _ceil_qpow_walk(d - tau)
-    dad = d * abs(a_d)
     hits: list[ConstrainedHit] = []
     first_q = None
     memo: dict = {}
@@ -231,8 +235,6 @@ def _wide_hits(
         exact.clear()
 
     for q in qs:
-        if flags.coprime_to_d_ad and math.gcd(q, dad) != 1:
-            continue
         if first_q is None:
             first_q = q
         c0, rem = divmod(q**d * an, ad)
@@ -341,6 +343,8 @@ def find_hits(
         raise ValueError(f"alpha must lie in [0, 1], got {value}")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
+    if d < 2:
+        raise ValueError(f"power degree must be >= 2, got {d}")
     if a_d == 0:
         raise ValueError("a_d must be nonzero")
     tau = Fraction(tau)

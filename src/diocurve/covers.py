@@ -24,21 +24,22 @@ Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
 certifiably contains the true sum while denominators stay bounded (exact
 rational accumulation would blow up on ranges like q <= 2^16).  Tail sums
-round term by term (``IntervalSum.add_ratios``), each layer measure 2
-count(q) q^(d-1) / q^tau as 2 count(q) / q^(tau-d+1), and the tail sums
-of several taus share one count pass per block (``tail_sums``).  Each term
-numerator / q^(k + w/v), 0 <= w < v, is rounded against q^k times R =
-floor(2^bits q^(w/v)), a root of q^w alone: its interval contains the one
-that the root of the whole power q^(k v + w) would give (proof at
-``IntervalSum``).  The roots come from float seeds worked out for up to
-ROOT_CHUNK moduli at a time, each settled by the exact integer descent of
-``iroot``, and the taus of one ``tail_sums`` call with the same w/v share
-them and one big division per term.  The omega series rounds blocks of H
-consecutive moduli at once (``IntervalSum.add_consecutive``): a Taylor
-expansion of q^-s around the block's first modulus q0, with a remainder of
-known sign, needs one root of q0 and two divisions per block.  H grows
-with q0, 32 below 2^14, 64 below 2^15 and 128 from there, while the
-block's numerators stay small enough for exact int64 moments at that H.
+round term by term, each layer measure 2 count(q) q^(d-1) / q^tau as 2
+count(q) / q^(tau-d+1), and the tail sums of several taus share one count
+pass per block (``tail_sums``).  Each term numerator / q^(k + w/v), 0 <= w
+< v, is rounded against q^k times R = floor(2^bits q^(w/v)), a root of q^w
+alone: its interval contains the one that the root of the whole power
+q^(k v + w) would give (proof at ``IntervalSum``).  One loop rounds every
+term (``_add_terms``): the taus of one w/v go through it together, up to
+ROOT_CHUNK moduli at a time, and share its roots (float seeds, each
+settled by the exact integer descent of ``iroot``) and one big division
+per term; ``IntervalSum.add_ratios`` is its one-tau case.  The omega
+series rounds blocks of H consecutive moduli at once
+(``IntervalSum.add_consecutive``): a Taylor expansion of q^-s around the
+block's first modulus q0, with a remainder of known sign, needs one root
+of q0 and two divisions per block.  H grows with q0, 32 below 2^14, 64
+below 2^15 and 128 from there, while the block's numerators stay small
+enough for exact int64 moments at that H.
 A block goes term by term instead when its numerators are too large for
 exact int64 moments even at 32, or its Taylor interval is wider than 2
 units of 2^-bits per term.  Tail sums keep term-by-term rounding: at the
@@ -53,7 +54,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -186,11 +186,6 @@ class GcdBand:
     def is_full(self) -> bool:
         return self.eps is None
 
-    @cached_property
-    def _upper(self) -> Fraction:
-        # eps + delta, worked out once per band
-        return self.eps + self.delta
-
     def cut_walk(self):
         """A function q -> (lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) for
         q >= 1 given in nondecreasing order across its calls, so that an
@@ -206,7 +201,7 @@ class GcdBand:
         """
         if self.is_full:
             return lambda q: (1, q + 1)
-        lo_at, hi_at = _ceil_qpow_walk(self.eps), _ceil_qpow_walk(self._upper)
+        lo_at, hi_at = _ceil_qpow_walk(self.eps), _ceil_qpow_walk(self.eps + self.delta)
         return lambda q: (lo_at(q), hi_at(q))
 
     def cut_arrays(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +210,7 @@ class GcdBand:
         (``_ceil_qpow_array``)."""
         if self.is_full:
             return np.ones_like(q), q + 1
-        return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self._upper)
+        return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self.eps + self.delta)
 
     def cuts(self, q: int) -> tuple[int, int]:
         """The cuts (lo, hi) of ``cut_walk`` at one q >= 1."""
@@ -435,7 +430,7 @@ def _table_blocks(N: int, Q: int):
 
 
 # ``tail_sums`` and the per-term fallback of ``add_consecutive`` round at
-# most this many terms per ``add_ratios`` call, so the float seeds and
+# most this many terms per ``_add_terms`` call, so the float seeds and
 # roots of a count-table block are never held all at once
 ROOT_CHUNK = 1 << 10
 
@@ -548,31 +543,13 @@ class IntervalSum:
         self.lo = 0
         self.hi = 0
 
-    def add_ratios(self, numerators, qs, u: int, v: int, roots=None) -> None:
+    def add_ratios(self, numerators, qs, u: int, v: int) -> None:
         """Add numerator / q^(u/v) (u, v > 0) for each pair of numerators and
-        qs, every term rounded outward.
-
-        roots, if given, holds R = floor(2^bits q^(w/v)) for each q, with
-        w = u mod v > 0, as ``_split_roots`` returns them; they are taken
-        from there otherwise.  Callers that sum several exponents with the
-        same w/v over the same qs work the roots out once.
-        """
+        qs, every term rounded outward: the one-group case of
+        ``_add_terms``."""
         _check_exponent(u, v)
-        bits = self.bits
         k, w = divmod(u, v)
-        if w:
-            shift, step = 2 * bits, 1
-            if roots is None:
-                roots = _split_roots(qs, w, v, bits)
-        else:
-            shift, step, roots = bits, 0, itertools.repeat(1)
-        lo = hi = 0
-        for numerator, q, root in zip(numerators, qs, roots):
-            num, qk = numerator << shift, q**k
-            lo += num // (qk * (root + step))
-            hi -= -num // (qk * root)
-        self.lo += lo
-        self.hi += hi
+        _add_terms([(k, self)], numerators, qs, w, v)
 
     def add_consecutive(self, numerators: np.ndarray, q0: int, u: int, v: int) -> None:
         """Add numerators[h] / (q0 + h)^(u/v) (u, v > 0) for every h, with
@@ -666,20 +643,23 @@ class IntervalSum:
         return Fraction(self.lo, 1 << self.bits), Fraction(self.hi, 1 << self.bits)
 
 
-def _add_ratios_by_k(group, numerators, qs, w: int, v: int, roots) -> None:
-    """``add_ratios`` of numerator / q^(k + w/v) into acc for each (k, acc)
-    of group, k >= 0, with one big division per term and bound.
+def _add_terms(group, numerators, qs, w: int, v: int) -> None:
+    """Add numerator / q^(k + w/v) into acc, rounded outward, for each (k,
+    acc) of group (k >= 0, every acc at the same bits) and each pair of
+    numerators and qs: the one term-rounding loop of the certified sums.
 
-    Each term is rounded as in ``add_ratios`` at the least k, k0, and
-    divided by q^(k - k0) for every other k: floor(floor(n / a) / b) =
-    floor(n / (a b)) for integers n and a, b >= 1, and ceil(n / a) =
-    -floor(-n / a), so every bound is the integer ``add_ratios`` gives.
-    roots are those of ``add_ratios``, needed when w > 0.
+    Each term is rounded once, at the least k, k0, against q^k0 R (upper)
+    and q^k0 (R + 1) (lower), R = floor(2^bits q^(w/v)) from
+    ``_split_roots`` (R = 1 at scale 2^0 when w = 0), and the bounds are
+    summed in local integers.  Every other k divides the rounded bounds by
+    q^(k - k0): floor(floor(n / a) / b) = floor(n / (a b)) for integers n
+    and a, b >= 1, and ceil(n / a) = -floor(-n / a), so each bound is the
+    integer that rounding at k alone gives, from one big division per term.
     """
     bits = group[0][1].bits
     k0 = min(k for k, _ in group)
     if w:
-        shift, step = 2 * bits, 1
+        shift, step, roots = 2 * bits, 1, _split_roots(qs, w, v, bits)
     else:
         shift, step, roots = bits, 0, itertools.repeat(1)
     los, negs = [], []  # floor(n / (q^k0 (R + step))) and -ceil(n / (q^k0 R))
@@ -715,12 +695,11 @@ def tail_sums(
     and q^k (R + 1), so each rounded bound is the same integer, from a
     smaller numerator.  The counts come once per count-table block for
     the full band, and from one ``banded_center_counts`` pass, kept for
-    the q with a nonzero count, for other bands.  Each tau adds them in
-    ``add_ratios`` calls of at most ROOT_CHUNK terms, and the taus with
-    the same fractional part w/v share that chunk's roots floor(2^bits
-    q^(w/v)): 5/2, 7/2 and 9/2 all take isqrt(q << 2 bits).  Two or more
-    such taus also share each term's big division (``_add_ratios_by_k``);
-    a tau alone in its w/v goes through ``add_ratios``.
+    the q with a nonzero count, for other bands.  The taus with the same
+    fractional part w/v are rounded together, at most ROOT_CHUNK terms per
+    ``_add_terms`` call: they share the chunk's roots floor(2^bits
+    q^(w/v)) (5/2, 7/2 and 9/2 all take isqrt(q << 2 bits)) and each
+    term's big division.
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
@@ -746,12 +725,7 @@ def tail_sums(
             chunk = qs[part]
             nums = [2 * c for c in cs[part]]
             for (w, v), group in groups.items():
-                roots = _split_roots(chunk, w, v, bits) if w else None
-                if len(group) == 1:
-                    [(k, acc)] = group
-                    acc.add_ratios(nums, chunk, k * v + w, v, roots)
-                else:
-                    _add_ratios_by_k(group, nums, chunk, w, v, roots)
+                _add_terms(group, nums, chunk, w, v)
     return [acc.interval() for acc in accs]
 
 
@@ -771,7 +745,7 @@ def tail_sum(
     The full band takes its counts from ``scaled_count_blocks``, one table
     per block; other bands count the range in one ``banded_center_counts``
     pass and skip the q with no center.
-    Each block is rounded in one ``IntervalSum.add_ratios`` pass.  Empty
+    The terms are rounded by ``_add_terms``, ROOT_CHUNK at a time.  Empty
     range (N > Q) sums to zero.  Monotone nondecreasing in Q.
     """
     return tail_sums([tau], d, a_d, N, Q, band, bits=bits)[0]

@@ -18,9 +18,10 @@ function that takes a_d rejects a_d = 0.
 
 Membership has one body, ``_solvable``: it takes q's factor pairs and
 reads ``_solution_class`` per prime power, keeping the verdicts of the
-small prime powers in a memo its caller owns.  ``is_power_residue`` and
-``is_primitive_power_residue`` are thin wrappers that factorize q; the
-wide hit scan calls the body with the factor pairs it already holds.
+small prime powers in a memo its caller owns.  Both stages of the hit
+scan call it with the factor pairs they already hold and one memo per
+scan.  ``is_power_residue`` and ``is_primitive_power_residue`` are thin
+wrappers that factorize q, and serve only the API.
 
 ``solution_witness`` finds the least solution x by scanning every class
 mod q.  No library path calls it: the hit scan decides solvability with

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,29 @@ def test_factorize_beyond_sieve():
         for p, e in f.factors:
             assert e >= 1
             assert is_probable_prime(p)
+
+
+def test_sieve_primes_match_trial_division():
+    # chunk edges (2^16 - 1, 2^16, 2^16 + 1) and a limit that is not a
+    # power of two
+    for limit in (2, 3, 30, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_003):
+        primes = arithmetic.SpfSieve(limit).primes
+        want = [n for n in range(2, limit + 1) if trial_division(n) == [(n, 1)]]
+        assert primes.tolist() == want, limit
+
+
+def test_sieve_primes_hold_no_array_of_the_sieve_length():
+    # a full-length index array would be 8 bytes per sieve entry, 8 MB here;
+    # the chunked listing holds about twice the primes' own bytes
+    sieve = arithmetic.SpfSieve(1 << 20)
+    tracemalloc.start()
+    try:
+        primes = sieve.primes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 82_025
+    assert peak < 2 * primes.nbytes + (1 << 20), peak
 
 
 def test_factor_pairs_over_grows_the_sieve_only_for_long_ranges(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diocurve import _kernels, counting
+from diocurve import _kernels, counting, residues
 from diocurve.arithmetic import iroot
 from diocurve.cli import main
 from diocurve.counting import (
@@ -78,6 +78,36 @@ def test_find_hits_numerators_in_residue_set():
     assert hits
     for h in hits:
         assert h.b % h.q in _kernels.residue_set(h.q, 2, 1).tolist()
+
+
+@pytest.mark.parametrize("primitive", (False, True))
+def test_narrow_scan_factorizes_each_hit_modulus_once(monkeypatch, primitive):
+    # --omega-max and the residue test read one factorization per q, taken
+    # only once the band has kept a candidate; residues' own factorize
+    # serves the API wrappers, which the scan no longer calls
+    calls = []
+    for module in (counting, residues):
+        factorize = module.factorize
+
+        def counted(n, factorize=factorize):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(module, "factorize", counted)
+    alpha = Fraction(5741, 9973)
+    for b in (FULL, GcdBand(Fraction(0), Fraction(1, 2))):
+        calls.clear()
+        flags = HitFlags(primitive_only=primitive, omega_max=2)
+        hits = find_hits(alpha, 2, 1, Fraction(5, 2), b, 3000, flags)
+        assert hits
+        assert len(calls) == len(set(calls))
+        assert {h.q for h in hits} <= set(calls)
+        an, ad = alpha.numerator, alpha.denominator
+        for q in calls:  # each q factorized has a candidate in the band
+            t = q * q
+            b0 = t * an // ad
+            near = [c for c in (b0, b0 + 1) if (t * an - c * ad) ** 2 * q**5 < (ad * t) ** 2]
+            assert any(b.contains(math.gcd(c, q), q) for c in near), q
 
 
 def test_find_hits_band_and_flag_filters():
@@ -430,6 +460,13 @@ def test_wide_stage_matches_per_q_window(monkeypatch):
                 got = find_hits(alpha, d, a_d, tau, band, qmax, flags)
                 expected = per_q_window_hits(alpha, d, a_d, tau, band, range(1, qmax + 1), flags)
                 assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
+
+
+def test_find_hits_refuses_degree_below_two():
+    # in both stages, before any q is scanned
+    for tau in (Fraction(1, 2), Fraction(5, 2)):
+        with pytest.raises(ValueError, match="power degree must be >= 2, got 1"):
+            find_hits(Fraction(1, 3), 1, 1, tau, FULL, 4)
 
 
 def test_wide_scan_refuses_int64_overflow(capsys):

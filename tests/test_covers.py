@@ -582,30 +582,34 @@ def test_tail_sums_share_roots_across_taus(monkeypatch):
 
 
 def test_tail_sums_share_divisions_within_a_split(monkeypatch):
-    # a tau alone in its w/v goes through add_ratios; two or more taus with
-    # the same w/v (integer taus too) are rounded once, at the least k, and
-    # give the per-term oracle's integers
+    # the taus with one w/v (integer taus too) are rounded in one
+    # ``_add_terms`` call per chunk, once at the least k, and give the
+    # per-term oracle's integers; [1, 700] is one chunk of 700 terms
     cases = (
-        ([Fraction(5, 2), Fraction(3), Fraction(7, 2)], 2, {(2, 1)}),
-        ([Fraction(3), Fraction(4), Fraction(5)], 2, set()),
-        ([Fraction(7, 3), Fraction(10, 3), Fraction(13, 3), Fraction(13, 4)], 2, {(9, 4)}),
-        ([Fraction(11, 2), Fraction(7, 2)], 3, set()),
+        ([Fraction(5, 2), Fraction(3), Fraction(7, 2)], 2, {(1, 2, (1, 2)), (0, 1, (2,))}),
+        ([Fraction(3), Fraction(4), Fraction(5)], 2, {(0, 1, (2, 3, 4))}),
+        (
+            [Fraction(7, 3), Fraction(10, 3), Fraction(13, 3), Fraction(13, 4)],
+            2,
+            {(1, 3, (1, 2, 3)), (1, 4, (2,))},
+        ),
+        ([Fraction(11, 2), Fraction(7, 2)], 3, {(1, 2, (1, 3))}),
     )
     expected = [
         [_per_q_tail_sum(t, d, 1, 1, 700) for t in taus] for taus, d, _ in cases
     ]
     seen = []
-    add_ratios = IntervalSum.add_ratios
+    add_terms = covers._add_terms
 
-    def record(self, numerators, qs, u, v, roots=None):
-        seen.append((u, v))
-        return add_ratios(self, numerators, qs, u, v, roots)
+    def record(group, numerators, qs, w, v):
+        seen.append((w, v, tuple(sorted(k for k, _ in group)), len(qs)))
+        return add_terms(group, numerators, qs, w, v)
 
-    monkeypatch.setattr(IntervalSum, "add_ratios", record)
-    for (taus, d, alone), want in zip(cases, expected):
+    monkeypatch.setattr(covers, "_add_terms", record)
+    for (taus, d, groups), want in zip(cases, expected):
         seen.clear()
         assert tail_sums(taus, d, 1, 1, 700, GcdBand.full()) == want, taus
-        assert set(seen) == alone, taus
+        assert sorted(seen) == sorted(group + (700,) for group in groups), taus
 
 
 def test_tail_sums_nest_outside_unsplit_rounding():
@@ -623,8 +627,10 @@ def test_tail_sums_nest_outside_unsplit_rounding():
 
 
 def test_tail_sums_check_every_tau_before_summing(monkeypatch):
+    # a bad tau is refused before any count is taken or any term rounded
     calls = []
-    monkeypatch.setattr(IntervalSum, "add_ratios", lambda self, *args: calls.append(args))
+    for name in ("_add_terms", "scaled_count_blocks", "banded_center_counts"):
+        monkeypatch.setattr(covers, name, lambda *args, name=name: calls.append(name))
     for band in (GcdBand.full(), GcdBand.parse("1/4,1/2")):
         for d, second in ((2, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(3))):
             with pytest.raises(ValueError, match=f"needs tau > d, got tau={second}, d={d}"):
@@ -815,9 +821,9 @@ def _record_per_term(monkeypatch):
     seen = []
     add_ratios = IntervalSum.add_ratios
 
-    def record(self, numerators, qs, u, v, roots=None):
+    def record(self, numerators, qs, u, v):
         seen.extend(zip(numerators, qs))
-        return add_ratios(self, numerators, qs, u, v, roots)
+        return add_ratios(self, numerators, qs, u, v)
 
     monkeypatch.setattr(IntervalSum, "add_ratios", record)
     return seen
