@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from . import _kernels
 
 DEFAULT_SIEVE_LIMIT = 1 << 24
@@ -62,28 +64,30 @@ class Factorization:
 
 
 class SpfSieve:
-    """Smallest-prime-factor table, immutable once built."""
+    """Smallest-prime-factor table, immutable once built; the listing of
+    its primes grows as calls ask for it."""
 
     def __init__(self, limit: int):
         self.limit = int(limit)
         self.spf = _kernels.spf_sieve(self.limit)
-        self._primes = None
+        self._primes = np.zeros(0, dtype=np.intp)  # the primes up to _listed
+        self._listed = 1
 
-    @property
-    def primes(self):
-        """The primes up to limit, ascending: the n >= 2 with spf[n] = n,
-        compared _PRIME_CHUNK entries at a time, so the listing holds no
-        array of the sieve's length besides the sieve itself."""
-        if self._primes is None:
-            import numpy as np
-
-            spf, n = self.spf, self.limit + 1
-            chunks = []
-            for lo in range(0, n, _PRIME_CHUNK):
-                hi = min(lo + _PRIME_CHUNK, n)
-                chunks.append(np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo)
-            self._primes = np.concatenate(chunks)[2:]
-        return self._primes
+    def primes(self, bound: int):
+        """The primes p <= min(bound, limit), ascending: the n >= 2 with
+        spf[n] = n.  The listing is kept, and grown only as far as a call
+        asks, _PRIME_CHUNK sieve entries at a time, so a small bound on a
+        large sieve lists only the primes it needs, and no array of the
+        sieve's length is held besides the sieve itself."""
+        bound = min(bound, self.limit)
+        if bound > self._listed:
+            stop = min(bound | (_PRIME_CHUNK - 1), self.limit) + 1
+            chunks = [self._primes]
+            for lo in range(self._listed + 1, stop, _PRIME_CHUNK):
+                hi = min(lo + _PRIME_CHUNK, stop)
+                chunks.append(np.flatnonzero(self.spf[lo:hi] == np.arange(lo, hi)) + lo)
+            self._primes, self._listed = np.concatenate(chunks), stop - 1
+        return self._primes[: np.searchsorted(self._primes, bound, side="right")]
 
     def factor_pairs(self, n: int) -> list[tuple[int, int]]:
         spf = self.spf
@@ -178,10 +182,10 @@ def _factor_pairs_beyond_sieve(n: int) -> list[tuple[int, int]]:
     """The (p, k) of n >= 1 by prime: strip the primes of the shared sieve,
     grown to at most min(isqrt(n), 2^20), while p^2 <= the cofactor, then
     split what is left by Miller-Rabin and Brent's rho."""
-    sieve = get_sieve(min(math.isqrt(n), _MIN_SIEVE_LIMIT << 4))
+    root = min(math.isqrt(n), _MIN_SIEVE_LIMIT << 4)
     pairs: dict[int, int] = {}
     rem = n
-    for p in map(int, sieve.primes):
+    for p in map(int, get_sieve(root).primes(root)):
         if p * p > rem:
             break
         while rem % p == 0:

@@ -4,21 +4,22 @@ counts, certified tail sums, and the omega-weighted restricted series.
 Every count here is a product over the prime powers p^k || q of
 ``residues._valuation_counts``, the number of residues a_d G_d(p^k) of
 each p-valuation.  Banded center counts keep, at every q, the divisors
-gcd(b, q) in the band, a whole range of q in one pass
-(``banded_center_counts``): each q is factorized once, the valuation
-branches of each p^k are worked out once per range, and the band cuts are
-walked from q to q (``GcdBand.cut_walk``) instead of taking two integer
-roots per q.  Enumeration and the per-q form stay in the test suite as
-oracles.  Full-band tail sums take their counts r_d(q /
-gcd(q, a_d)), the sums of those lists, from a sieve-built table, one
-numpy block of at most 2^16 moduli at a time (``scaled_count_blocks``),
-instead of factorizing each q.  The
-omega-weighted series walks the same blocks and takes omega(q) from the
-same per-prime slice pass (``_kernels.prime_exponents``).  The
-divisor-sum form, an upper bound that over-counts, is kept only as the
-documented reference ``divisor_sum_center_bound``.  The exact union
-measure of a layer and the truncated Euler product, which validate the
-formula measure and the series, live with the test oracles.
+gcd(b, q) in the band.  One function, ``center_counts``, supplies them
+to cover measures and tail sums alike, and makes the one choice between
+two ways of counting a range of q.  The full band over at least TABLE_MIN
+moduli with Q < 2^48 reads a sieve-built table of r_d(q / gcd(q, a_d)),
+one numpy block of at most 2^16 moduli at a time, instead of factorizing
+each q.  Every other range takes one per-q pass: each q is factorized
+once, the valuation branches of each p^k are worked out once per range,
+and the band cuts are walked from q to q (``GcdBand.cut_walk``) instead
+of taking two integer roots per q.  Enumeration and the per-q form stay in
+the test suite as oracles.  The omega-weighted series walks the table's
+blocks and takes omega(q) from the same per-prime slice pass
+(``_kernels.prime_exponents``).  The divisor-sum form, an upper bound that
+over-counts, is kept only as the documented reference
+``divisor_sum_center_bound``.  The exact union measure of a layer and the
+truncated Euler product, which validate the formula measure and the
+series, live with the test oracles.
 
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
@@ -271,55 +272,75 @@ def cover_measures(
     a_d: int,
     band: GcdBand = GcdBand.full(),
 ) -> list[CoverRecord]:
-    """``cover_measure`` at every q in [N, Q], from one count pass: the
-    count table (``scaled_count_blocks``) for the full band up to
-    DEFAULT_SIEVE_LIMIT, one ``banded_center_counts`` pass otherwise (past
-    that limit it factorizes each q, where the table would sieve and walk
-    every prime up to isqrt(Q) even for one q).  q^tau is enclosed per q
-    (``root_enclosure``), so each record holds the same exact rationals as
-    a call at that q alone.  Validates tau > d, then like
-    ``banded_center_counts``; an empty range (N > Q) gives [].
+    """``cover_measure`` at every q in [N, Q], from one ``center_counts``
+    pass.  q^tau is enclosed per q (``root_enclosure``), so each record
+    holds the same exact rationals as a call at that q alone.  Validates
+    tau > d, then like ``center_counts``; an empty range (N > Q) gives [].
     """
     tau = Fraction(tau)
     if tau <= d:
         raise ValueError(f"cover measure needs tau > d, got tau={tau}, d={d}")
-    if band.is_full and Q <= DEFAULT_SIEVE_LIMIT:
-        counts = [c for _, block in scaled_count_blocks(N, Q, d, a_d) for c in block.tolist()]
-    else:
-        counts = banded_center_counts(N, Q, band, d, a_d)
     records = []
-    for q, c in zip(range(N, Q + 1), counts):
-        count = c * q ** (d - 1)
-        lo_p, hi_p = root_enclosure(q, tau, SUM_BITS)
-        records.append(CoverRecord(q, count, Fraction(2 * count) / hi_p, Fraction(2 * count) / lo_p))
+    for lo, counts in center_counts(N, Q, band, d, a_d):
+        for q, c in zip(itertools.count(lo), counts):
+            count = c * q ** (d - 1)
+            lo_p, hi_p = root_enclosure(q, tau, SUM_BITS)
+            twice = Fraction(2 * count)
+            records.append(CoverRecord(q, count, twice / hi_p, twice / lo_p))
     return records
 
 
 def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
     """#{b in a_d G_d(q) : gcd(b, q) in the band}, exactly, at every q:
-    the one-q case of ``banded_center_counts``."""
-    return banded_center_counts(q, q, band, d, a_d)[0]
+    the one-q case of ``center_counts``."""
+    return next(center_counts(q, q, band, d, a_d))[1][0]
 
 
-def banded_center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int) -> list[int]:
-    """``banded_center_count`` at every q in [N, Q], in one pass.
+# A full-band range of at least TABLE_MIN moduli reads the count table;
+# shorter ranges factor each q.  Chosen from a sweep of count-only times,
+# table against per-q pass, in ms, over L moduli from Q + 1000, each in a
+# fresh process (sieve and prime listing built by the call; 2-vCPU box):
+#
+#     Q     L = 2      4      8     16     32     64
+#     2^32     4/1    2/1    4/3    4/4   3/16   3/35
+#     2^40   24/30  30/44  33/89 34/114 36/161 36/250
+#     2^44  119/65 145/81 143/74 115/150 101/225 156/236
+#     2^47  532/43 495/36 474/90 413/171 498/404 507/740
+#
+# At 16 the wrong side costs at most about 3x (2^40, L = 15, and 2^47, L =
+# 16); at 8 it costs 5x (2^47, L = 8).
+TABLE_MIN = 16
+
+
+def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
+    """``banded_center_count`` at every q in [N, Q], as (first q, list of
+    counts) pairs over consecutive blocks: the one count source of
+    ``cover_measures`` and ``tail_sums``.
 
     Multiplicative per divisor: the residues with gcd(b, q) = g number
     prod over p^k || q of N_p(v_p(g)), where N_p is
     ``residues._valuation_counts(p, k, d, a_d)``.  Summed over the divisors
-    g in the band; divisors with a zero count are never tested for band
-    membership.  Over the full band the sum is r_d(q / gcd(q, a_d)).
-    Each q is factorized once, from the shared sieve only when the range
-    is long enough to pay for it (``arithmetic.factor_pairs_over``: at
-    least isqrt(Q) moduli, or a sieve that already covers Q); the nonzero
-    branches (p^s, N_p(s)) of each p^k are worked out once per call, and
-    the band cuts are walked (``GcdBand.cut_walk``).  Validates like
-    ``scaled_count_blocks`` at q = N; an empty range (N > Q) gives [].
-    Checked against enumeration and the per-q oracle in the test suite.
+    g in the band; over the full band the sum is r_d(q / gcd(q, a_d)).
+
+    The full band over at least TABLE_MIN moduli with Q < TABLE_QMAX reads
+    the sieve-built count table, one block of at most COUNT_BLOCK moduli at
+    a time (``_count_block``).  Every other range takes one per-q pass:
+    each q is factorized once, from the shared sieve only when the range
+    is long enough to pay for it (``arithmetic.factor_pairs_over``), the
+    nonzero branches (p^s, N_p(s)) of each p^k are worked out once per
+    call, divisors with a zero count are never tested for band membership,
+    and the band cuts are walked (``GcdBand.cut_walk``).  Validates like
+    ``scaled_power_residue_count`` at q = N, before it yields; an empty
+    range (N > Q) yields nothing.  Checked against enumeration and the
+    per-q oracle in the test suite.
     """
     if N > Q:
-        return []
+        return
     _check(N, d, a_d)
+    if band.is_full and Q - N + 1 >= TABLE_MIN and Q < TABLE_QMAX:
+        for lo, hi, primes in _table_blocks(N, Q):
+            yield lo, _count_block(lo, hi, d, abs(a_d), primes).tolist()
+        return
     factor_pairs = factor_pairs_over(N, Q)
     cuts_at = band.cut_walk()
     branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -335,7 +356,7 @@ def banded_center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int) -> lis
             terms = [(g * ps, t * n) for g, t in terms for ps, n in branch]
         lo, hi = cuts_at(q)
         out.append(sum(t for g, t in terms if lo <= g < hi))
-    return out
+    yield N, out
 
 
 def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
@@ -373,7 +394,15 @@ def _mod_each(a: int, m: np.ndarray) -> np.ndarray:
 
 
 def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
-    """r_d(q / gcd(q, a)) for q in [lo, hi]; primes ascend past isqrt(hi)."""
+    """r_d(q / gcd(q, a)) for q in [lo, hi], a > 0; primes ascend past
+    isqrt(hi).
+
+    Multiplicative: each prime p <= isqrt(q) is divided out of q with its
+    exponent e and contributes r_d(p^(e - min(e, v_p(a)))), the sum of
+    ``residues._valuation_counts(p, e, d, a)``; the cofactor left is 1 or
+    one prime P, which contributes r_d(P) = 1 + (P-1)/gcd(P-1, d), or 1
+    when P | a.
+    """
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     count = np.ones(len(rem), dtype=np.int64)
     for p, start, e in _kernels.prime_exponents(lo, rem, primes):
@@ -389,35 +418,12 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
     return count
 
 
-def scaled_count_blocks(N: int, Q: int, d: int, a_d: int):
-    """r_d(q / gcd(q, a_d)) for every q in [N, Q], as (first q, int64 array)
-    pairs over consecutive blocks of at most COUNT_BLOCK moduli.
-
-    Multiplicative: each prime p <= isqrt(q) of the shared sieve is divided
-    out of q with its exponent e and contributes r_d(p^(e - min(e,
-    v_p(a_d)))), the sum of ``residues._valuation_counts(p, e, d, a_d)``;
-    the cofactor left is 1 or one prime P, which contributes r_d(P) = 1 +
-    (P-1)/gcd(P-1, d), or 1 when P | a_d.  Validates like
-    ``scaled_power_residue_count`` at q = N; an empty range yields nothing.
-    """
-    if N > Q:
-        return iter(())
-    _check(N, d, a_d)
-    if Q >= TABLE_QMAX:
-        raise ValueError(f"count table needs Q < 2^48, got {Q}")
-    return (
-        (lo, _count_block(lo, hi, d, abs(a_d), primes))
-        for lo, hi, primes in _table_blocks(N, Q)
-    )
-
-
 def _table_blocks(N: int, Q: int):
     """(lo, hi, primes) for the blocks of at most COUNT_BLOCK moduli,
     aligned to its multiples, that cover [N, Q] in order; primes are the
     primes up to isqrt(Q), from the shared sieve."""
     root = math.isqrt(Q)
-    primes = get_sieve(root).primes
-    primes = primes[: np.searchsorted(primes, root, side="right")].tolist()
+    primes = get_sieve(root).primes(root).tolist()
     lo = N
     while lo <= Q:
         hi = min(lo | (COUNT_BLOCK - 1), Q)
@@ -693,9 +699,8 @@ def tail_sums(
     q^(d-1) / q^tau is summed as 2 count(q) / q^a, a = tau - d + 1 > 1:
     q^(d-1) divides its numerator and both of its rounding divisors q^k R
     and q^k (R + 1), so each rounded bound is the same integer, from a
-    smaller numerator.  The counts come once per count-table block for
-    the full band, and from one ``banded_center_counts`` pass, kept for
-    the q with a nonzero count, for other bands.  The taus with the same
+    smaller numerator.  The counts come from ``center_counts``, one block
+    at a time, kept for the q with a nonzero count.  The taus with the same
     fractional part w/v are rounded together, at most ROOT_CHUNK terms per
     ``_add_terms`` call: they share the chunk's roots floor(2^bits
     q^(w/v)) (5/2, 7/2 and 9/2 all take isqrt(q << 2 bits)) and each
@@ -705,27 +710,19 @@ def tail_sums(
     for tau in taus:
         if tau <= d:
             raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
-    if band.is_full:
-        blocks = (
-            (range(lo, lo + len(counts)), counts.tolist())
-            for lo, counts in scaled_count_blocks(N, Q, d, a_d)
-        )
-    else:
-        counts = banded_center_counts(N, Q, band, d, a_d)
-        blocks = [([q for q, c in zip(range(N, Q + 1), counts) if c], [c for c in counts if c])]
     accs = [IntervalSum(bits) for _ in taus]
     groups: dict[tuple[int, int], list[tuple[int, IntervalSum]]] = {}
     for tau, acc in zip(taus, accs):
         a = tau - (d - 1)
         k, w = divmod(a.numerator, a.denominator)
         groups.setdefault((w, a.denominator), []).append((k, acc))
-    for qs, cs in blocks:
+    for lo, counts in center_counts(N, Q, band, d, a_d):
+        qs = list(itertools.compress(range(lo, lo + len(counts)), counts))
+        nums = [2 * c for c in counts if c]
         for start in range(0, len(qs), ROOT_CHUNK):
             part = slice(start, start + ROOT_CHUNK)
-            chunk = qs[part]
-            nums = [2 * c for c in cs[part]]
             for (w, v), group in groups.items():
-                _add_terms(group, nums, chunk, w, v)
+                _add_terms(group, nums[part], qs[part], w, v)
     return [acc.interval() for acc in accs]
 
 
@@ -740,12 +737,9 @@ def tail_sum(
     bits: int = SUM_BITS,
 ) -> tuple[Fraction, Fraction]:
     """Certified interval containing sum_{q=N..Q} of the per-q layer measure
-    2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...).
-
-    The full band takes its counts from ``scaled_count_blocks``, one table
-    per block; other bands count the range in one ``banded_center_counts``
-    pass and skip the q with no center.
-    The terms are rounded by ``_add_terms``, ROOT_CHUNK at a time.  Empty
+    2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...),
+    taken from ``center_counts``; the q with no center are skipped.  The
+    terms are rounded by ``_add_terms``, ROOT_CHUNK at a time.  Empty
     range (N > Q) sums to zero.  Monotone nondecreasing in Q.
     """
     return tail_sums([tau], d, a_d, N, Q, band, bits=bits)[0]

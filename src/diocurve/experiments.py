@@ -23,10 +23,11 @@ constants below, the same for every experiment; reports do not echo them:
 * almost-everywhere claims are checked as supermajorities over seeded
   random alphas, never as universals.
 
-Each experiment visits its alphas one after another in seed order.  The
-per-alpha work is pure-Python big-integer arithmetic that holds the GIL,
-so a thread pool measured slower than this loop, and on the stabilization
-scan one alpha costs less than starting a worker process.
+Each experiment visits its alphas one after another in seed order, all
+through one scan loop (``_alpha_hits``).  The per-alpha work is
+pure-Python big-integer arithmetic that holds the GIL, so a thread pool
+measured slower than this loop, and on the stabilization scan one alpha
+costs less than starting a worker process.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ._version import __version__
 from .arithmetic import Rational, iroot
 from .counting import count_curve, dyadic_alphas, find_hits, required_alpha_bits
 from .covers import GcdBand, IntervalSum, tail_sums
-from .curve import IntPolynomial
+from .curve import ConstrainedHit, IntPolynomial
 from .residues import count_solutions
 
 
@@ -287,6 +288,12 @@ def threshold_experiment(
     return report
 
 
+def _alpha_hits(cfg: ExperimentConfig, band: GcdBand, qmax: int) -> list[list[ConstrainedHit]]:
+    """The hits of each alpha of ``cfg.alphas(qmax)`` for q <= qmax in the
+    given band, in seed order: the one per-alpha scan of the experiments."""
+    return [find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, band, qmax) for alpha in cfg.alphas(qmax)]
+
+
 def _per_alpha_fits(
     cfg: ExperimentConfig, band: GcdBand, schedule: Sequence[int]
 ) -> tuple[list[tuple[tuple[int, int], ...]], list[ExponentFit]]:
@@ -294,12 +301,7 @@ def _per_alpha_fits(
     schedule, and their fits over its top half."""
     qmax = iroot(schedule[-1], cfg.d)
     window = top_half_window(schedule)
-    curves = [
-        count_curve(
-            find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, band, qmax), schedule, cfg.d
-        )
-        for alpha in cfg.alphas(qmax)
-    ]
+    curves = [count_curve(hits, schedule, cfg.d) for hits in _alpha_hits(cfg, band, qmax)]
     fits = [fit_loglog([(Q, float(n)) for Q, n in c], window) for c in curves]
     return curves, fits
 
@@ -402,8 +404,7 @@ def svolume_experiment(
     mid_cut = iroot(schedule[len(schedule) // 2], cfg.d)
     rows = []
     stars = []
-    for i, alpha in enumerate(cfg.alphas(qmax)):
-        hits = find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, qmax)
+    for i, hits in enumerate(_alpha_hits(cfg, cfg.band, qmax)):
         qs = [h.q for h in hits]
         nums = [2 * count_solutions(h.b % h.q, h.q, cfg.d, cfg.a_d) for h in hits]
         half = bisect.bisect_right(qs, mid_cut)  # hits ascend in q
@@ -457,14 +458,7 @@ def stabilization_experiment(
         raise ValueError(
             f"stabilization window needs 1 <= q_lo <= q_hi, got [{q_lo}, {q_hi}]"
         )
-    counts = [
-        sum(
-            1
-            for h in find_hits(alpha, cfg.d, cfg.a_d, cfg.tau, cfg.band, q_hi)
-            if h.q >= q_lo
-        )
-        for alpha in cfg.alphas(q_hi)
-    ]
+    counts = [sum(h.q >= q_lo for h in hits) for hits in _alpha_hits(cfg, cfg.band, q_hi)]
     rows = [
         (i, q_lo, q_hi, c, "stable" if c == 0 else "new-hits")
         for i, c in enumerate(counts)

@@ -6,11 +6,11 @@ Two per-prime-power functions carry every count and test on the
 congruence: ``_solution_class`` reduces b = a_d x^d (mod p^k) to one unit
 class (membership, unit solutions and solution counts read it), and
 ``_valuation_counts`` counts the residues a_d G_d(p^k) by valuation (r_d,
-and the counts of ``covers.banded_center_count`` and
-``covers.scaled_count_blocks`` are sums of it).  Every closed-form count
-here has a brute-force enumeration twin in the test suite's oracles (or
-``power_residues``); the formulas are trusted only because the tests
-check them against exhaustive enumeration below a large threshold.
+and the counts of ``covers.center_counts``, table or per-q pass, are sums
+of it).  Every closed-form count here has a brute-force enumeration twin
+in the test suite's oracles (or ``power_residues``); the formulas are
+trusted only because the tests check them against exhaustive enumeration
+below a large threshold.
 Enumeration is authoritative throughout: one classical-looking count
 fails it (kept as ``zero_class_count_alt`` for regression), as does the
 divisor-sum banded count (``covers.divisor_sum_center_bound``).  Every

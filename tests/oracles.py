@@ -163,11 +163,8 @@ def euler_product_partial(z: Rational, s: int, n: int, prime_limit: int) -> Frac
     """Truncated Euler product prod_{pi coprime to n, pi <= limit}
     (1 + z / (pi^s - 1)); integer s only.  Cross-check for the series at s=2."""
     z = Fraction(z)
-    sieve = get_sieve(prime_limit)
     out = Fraction(1)
-    for p in map(int, sieve.primes):
-        if p > prime_limit:
-            break
+    for p in map(int, get_sieve(prime_limit).primes(prime_limit)):
         if n % p == 0:
             continue
         out *= 1 + z / (p**s - 1)

@@ -78,7 +78,7 @@ def test_sieve_primes_match_trial_division():
     # chunk edges (2^16 - 1, 2^16, 2^16 + 1) and a limit that is not a
     # power of two
     for limit in (2, 3, 30, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_003):
-        primes = arithmetic.SpfSieve(limit).primes
+        primes = arithmetic.SpfSieve(limit).primes(limit)
         want = [n for n in range(2, limit + 1) if trial_division(n) == [(n, 1)]]
         assert primes.tolist() == want, limit
 
@@ -89,12 +89,37 @@ def test_sieve_primes_hold_no_array_of_the_sieve_length():
     sieve = arithmetic.SpfSieve(1 << 20)
     tracemalloc.start()
     try:
-        primes = sieve.primes
+        primes = sieve.primes(1 << 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(primes) == 82_025
     assert peak < 2 * primes.nbytes + (1 << 20), peak
+
+
+def test_sieve_primes_list_only_up_to_the_bound_asked():
+    sieve = arithmetic.SpfSieve(1 << 20)
+    for bound in (1, 2, 100, 1000, 99, (1 << 16) + 5, 1 << 21):
+        want = [n for n in range(2, min(bound, 1 << 20) + 1) if trial_division(n) == [(n, 1)]]
+        assert sieve.primes(bound).tolist() == want, bound
+    # the listing is kept and grown: a smaller bound after a larger one
+    # reads the kept primes
+    assert sieve.primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_factorize_past_a_large_sieve_lists_only_the_primes_it_needs(monkeypatch):
+    # factorize(2^25 + 1) needs the primes up to isqrt(2^25 + 1) = 5792; a
+    # listing of every prime of a 2^22 sieve would hold 295,947 of them
+    # (2.4 MB of int64), one chunk of 2^16 sieve entries peaks near 0.65 MB
+    monkeypatch.setattr(arithmetic, "_sieve", arithmetic.SpfSieve(1 << 22))
+    tracemalloc.start()
+    try:
+        f = factorize((1 << 25) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.factors == ((3, 1), (11, 1), (251, 1), (4051, 1))
+    assert peak < 1 << 20, peak
 
 
 def test_factor_pairs_over_grows_the_sieve_only_for_long_ranges(monkeypatch):
@@ -218,8 +243,8 @@ def test_omega_growth_sanity_at_1e6():
     # The worst ratio omega(n) * loglog n / log n up to 10^6 is attained at the
     # primorial 510510 and equals 1.3719...; it is pinned here exactly so any
     # regression in omega shows up. (The asymptotic constant is 1.)
-    primes = arithmetic.get_sieve(1000).primes
-    w = [0] + _kernels.omega_table(1, 10**6, primes[primes <= 1000].tolist()).tolist()
+    primes = arithmetic.get_sieve(1000).primes(1000).tolist()
+    w = [0] + _kernels.omega_table(1, 10**6, primes).tolist()
     worst_n, worst = 0, 0.0
     for n in range(3, 10**6 + 1):
         ln = math.log(n)

@@ -207,7 +207,6 @@ def test_find_hits_nontrivial_ad():
     assert got == expected
 
 
-@pytest.mark.slow
 def test_find_hits_matches_full_scan_every_flag_combo():
     # spec-scale oracle equivalence: q <= 300, every flag combination
     tau = Fraction(5, 2)

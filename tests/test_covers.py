@@ -22,18 +22,18 @@ from diocurve.covers import (
     COUNT_BLOCK,
     ROOT_CHUNK,
     SUM_BITS,
+    TABLE_MIN,
     TABLE_QMAX,
     TAYLOR_LENGTHS,
     GcdBand,
     IntervalSum,
     _ceil_qpow,
     banded_center_count,
-    banded_center_counts,
+    center_counts,
     cover_measure,
     cover_measures,
     divisor_sum_center_bound,
     restricted_series_partial,
-    scaled_count_blocks,
     tail_sum,
     tail_sums,
 )
@@ -123,7 +123,7 @@ def test_cut_walk_matches_ceil_qpow():
     sequences = [range(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
     sequences += [
         [n * n for n in range(1, 1 << 10)],  # squares: a cut can rise by more than 1
-        get_sieve(1 << 16).primes[::7].tolist(),
+        get_sieve(1 << 16).primes(1 << 16)[::7].tolist(),
         gaps,
     ]
     for band in bands:
@@ -205,6 +205,18 @@ def _trial_pairs(n):
     return out + [(n, 1)] * (n > 1)
 
 
+def _counts(N, Q, band, d, a_d):
+    """``center_counts`` over [N, Q] as one list, checking that its blocks
+    are consecutive and hold Python ints."""
+    out = []
+    for lo, counts in center_counts(N, Q, band, d, a_d):
+        assert lo == N + len(out)
+        assert all(type(c) is int for c in counts)
+        out += counts
+    assert len(out) == max(Q - N + 1, 0)
+    return out
+
+
 def test_short_range_near_the_sieve_limit_does_not_build_the_sieve(monkeypatch):
     # a count for a few q just below DEFAULT_SIEVE_LIMIT = 2^24 factors each
     # q on its own; the per-q oracle factors by trial division here
@@ -214,7 +226,7 @@ def test_short_range_near_the_sieve_limit_does_not_build_the_sieve(monkeypatch):
     )
     top = arithmetic.DEFAULT_SIEVE_LIMIT
     band = GcdBand.parse("1/4,1/2")
-    counts = banded_center_counts(top - 64, top - 1, band, 2, 1)
+    counts = _counts(top - 64, top - 1, band, 2, 1)
     record = cover_measure(top - 3, 3, 2, 1, band)
     assert arithmetic._sieve.limit < top
     assert counts == [banded_center_count_per_q(q, band, 2, 1) for q in range(top - 64, top)]
@@ -254,7 +266,7 @@ def test_cover_measures_match_per_q_oracle(band):
         (Fraction(13, 4), 3, -8, 1, 120),
         (Fraction(9, 2), 4, 2, 250, 300),
     ]
-    if band.is_full:  # the count table serves up to 2^24, factorizing past it
+    if band.is_full:  # the count table serves past 2^24 too
         cases += [(3, 2, 1, (1 << 24) - 4, 1 << 24), (3, 2, 1, (1 << 24) - 1, (1 << 24) + 2)]
     for tau, d, a_d, N, Q in cases:
         got = cover_measures(N, Q, tau, d, a_d, band)
@@ -277,7 +289,7 @@ def test_cover_measures_validate():
             with pytest.raises(ValueError) as err:
                 cover_measures(N, 10, 7, d, a_d, band)
             with pytest.raises(ValueError, match=str(err.value)):
-                banded_center_counts(N, 10, band, d, a_d)
+                list(center_counts(N, 10, band, d, a_d))
 
 
 def test_exact_union_vs_formula():
@@ -356,9 +368,7 @@ def test_banded_center_counts_match_per_q_oracle():
             for a_d in (1, 12, -8):
                 oracle = [banded_center_count_per_q(q, band, d, a_d) for q in range(1, 4701)]
                 for N, Q in ranges:
-                    counts = banded_center_counts(N, Q, band, d, a_d)
-                    assert counts == oracle[N - 1 : Q], (text, d, a_d, N)
-                    assert all(type(c) is int for c in counts)
+                    assert _counts(N, Q, band, d, a_d) == oracle[N - 1 : Q], (text, d, a_d, N)
 
 
 def test_banded_center_count_validates():
@@ -374,9 +384,9 @@ def test_banded_center_count_validates():
         (1, 5, 2, 0, "a_d must be nonzero"),
     ):
         with pytest.raises(ValueError, match=message):
-            banded_center_counts(N, Q, band, d, a_d)
-    assert banded_center_counts(6, 5, band, 2, 1) == []
-    assert banded_center_counts(13, 12, GcdBand.full(), 2, 1) == []
+            list(center_counts(N, Q, band, d, a_d))
+    assert list(center_counts(6, 5, band, 2, 1)) == []
+    assert list(center_counts(13, 12, GcdBand.full(), 2, 1)) == []
     with pytest.raises(ValueError):
         cover_measure(12, 3, 2, 0, band)
 
@@ -390,14 +400,26 @@ def test_tail_sum_single_term_and_empty():
 
 
 def _table(N, Q, d, a_d):
-    """The builder's counts over [N, Q] as one list, checking that the
-    blocks are consecutive, aligned to COUNT_BLOCK and int64."""
-    out = []
-    for lo, counts in scaled_count_blocks(N, Q, d, a_d):
-        assert lo == N + len(out)
-        assert lo == N or lo % COUNT_BLOCK == 0
-        assert counts.dtype == np.int64 and 0 < len(counts) <= COUNT_BLOCK
-        out += counts.tolist()
+    """The count table's counts over [N, Q] as one list, read through
+    ``center_counts`` with TABLE_MIN = 1 so that every range takes the
+    table, checking that the blocks are consecutive, aligned to
+    COUNT_BLOCK and built in int64."""
+    count_block, dtypes, out = covers._count_block, [], []
+
+    def record(*args):
+        block = count_block(*args)
+        dtypes.append(block.dtype)
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "TABLE_MIN", 1)
+        mp.setattr(covers, "_count_block", record)
+        for lo, counts in center_counts(N, Q, GcdBand.full(), d, a_d):
+            assert lo == N + len(out)
+            assert lo == N or lo % COUNT_BLOCK == 0
+            assert 0 < len(counts) <= COUNT_BLOCK and all(type(c) is int for c in counts)
+            out += counts
+            assert dtypes[-1] == np.int64
     assert len(out) == max(Q - N + 1, 0)
     return out
 
@@ -425,11 +447,51 @@ def test_count_table_large_a_d_and_tiny_ranges():
         assert _table(N, Q, 3, 1) == [scaled_power_residue_count(q, 3, 1) for q in range(N, Q + 1)]
 
 
-def test_count_table_refuses_q_past_table_qmax():
-    with pytest.raises(ValueError, match="count table needs Q < 2"):
-        scaled_count_blocks(TABLE_QMAX - 5, TABLE_QMAX, 2, 1)
-    with pytest.raises(ValueError, match="count table needs Q < 2"):
-        tail_sum(3, 2, 1, TABLE_QMAX, TABLE_QMAX, GcdBand.full())
+def _probe_table_blocks(monkeypatch):
+    """A list that records the (N, Q) of each ``_table_blocks`` call."""
+    blocks = []
+    table_blocks = covers._table_blocks
+    monkeypatch.setattr(
+        covers, "_table_blocks", lambda N, Q: blocks.append((N, Q)) or table_blocks(N, Q)
+    )
+    return blocks
+
+
+def test_count_table_refuses_q_past_table_qmax(monkeypatch):
+    # past TABLE_QMAX the full band factors each q, however long the range
+    blocks = _probe_table_blocks(monkeypatch)
+    N = TABLE_QMAX - TABLE_MIN
+    assert _counts(N, TABLE_QMAX, GcdBand.full(), 2, 1) == [
+        banded_center_count_per_q(q, GcdBand.full(), 2, 1) for q in range(N, TABLE_QMAX + 1)
+    ]
+    assert blocks == []
+    for tau in (3, Fraction(7, 2)):
+        Q = TABLE_QMAX + 3
+        want = _per_q_tail_sum(Fraction(tau), 2, 1, TABLE_QMAX, Q)
+        assert tail_sum(tau, 2, 1, TABLE_QMAX, Q, GcdBand.full()) == want
+    assert blocks == []
+
+
+@pytest.mark.parametrize("N", (1000, 1 << 30))
+def test_center_counts_take_the_table_from_table_min_moduli(monkeypatch, N):
+    # below and past 2^24, TABLE_MIN - 1 full-band moduli take the per-q
+    # pass and TABLE_MIN moduli the table; a band never takes the table
+    blocks = _probe_table_blocks(monkeypatch)
+    full = GcdBand.full()
+    for L, used in ((TABLE_MIN - 1, []), (TABLE_MIN, [(N, N + TABLE_MIN - 1)])):
+        Q = N + L - 1
+        blocks.clear()
+        assert _counts(N, Q, full, 2, 1) == [
+            banded_center_count_per_q(q, full, 2, 1) for q in range(N, Q + 1)
+        ]
+        assert blocks == used, L
+    blocks.clear()
+    band = GcdBand.parse("1/4,1/2")
+    Q = N + 4 * TABLE_MIN
+    assert _counts(N, Q, band, 3, 12) == [
+        banded_center_count_per_q(q, band, 3, 12) for q in range(N, Q + 1)
+    ]
+    assert blocks == []
 
 
 def _encloses(lo, hi, numerator, q, u, v, bits):
@@ -629,7 +691,7 @@ def test_tail_sums_nest_outside_unsplit_rounding():
 def test_tail_sums_check_every_tau_before_summing(monkeypatch):
     # a bad tau is refused before any count is taken or any term rounded
     calls = []
-    for name in ("_add_terms", "scaled_count_blocks", "banded_center_counts"):
+    for name in ("_add_terms", "center_counts"):
         monkeypatch.setattr(covers, name, lambda *args, name=name: calls.append(name))
     for band in (GcdBand.full(), GcdBand.parse("1/4,1/2")):
         for d, second in ((2, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(3))):
@@ -1040,7 +1102,6 @@ def test_restricted_series_heavy_weight_regression():
     assert r_conv < r_div
 
 
-@pytest.mark.slow
 def test_restricted_series_dichotomy_full_scale():
     Qs = (2**16, 2**18, 2**20)
     for z, n in ((1, 1), (2, 6)):
