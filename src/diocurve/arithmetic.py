@@ -2,7 +2,13 @@
 
 A smallest-prime-factor sieve answers factorization queries in O(log n);
 beyond the sieve a deterministic Miller-Rabin test plus Brent's rho take
-over (good far past the 2^63 moduli ceiling this package supports).
+over (good far past the 2^63 moduli ceiling this package supports).  One
+rule, ``factor_pairs_over``, picks between them for a range [N, Q] (and
+``factorize`` is its one-n case): the sieve grows to Q <= 2^24 when the
+range holds at least isqrt(Q) moduli or Q is at most twice the sieve's
+limit, so q climbing one at a time doubles it and one lone n near 2^24
+does not build it.  The doubling costs once: a short range just above a
+sieve of Q/2 or more grows it, to at most twice its size.
 
 Quantities of the form q^(u/v) are never materialised as floats.  Order
 comparisons against them are decided by raising both sides to the v-th
@@ -168,14 +174,16 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Factorization of n >= 1; rejects n <= 0. Deterministic."""
+    """Factorization of n >= 1; rejects n <= 0. Deterministic.
+
+    The one-n case of ``factor_pairs_over``: n comes from the shared sieve
+    when n is at most twice its limit, growing it to n, so calls that climb
+    n double the sieve and one call near 2^24 does not build it, unless a
+    sieve of 2^23 is already held: that call then pays once to double it.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return Factorization(1, ())
-    if n <= DEFAULT_SIEVE_LIMIT:
-        return Factorization(n, tuple(get_sieve(n).factor_pairs(n)))
-    return Factorization(n, tuple(_factor_pairs_beyond_sieve(n)))
+    return Factorization(n, tuple(factor_pairs_over(n, n)(n)))
 
 
 def _factor_pairs_beyond_sieve(n: int) -> list[tuple[int, int]]:
@@ -206,18 +214,22 @@ def _factor_pairs_beyond_sieve(n: int) -> list[tuple[int, int]]:
 
 
 def factor_pairs_over(N: int, Q: int):
-    """A function q -> the (p, k) of q by prime, for the q in [N, Q].
+    """A function q -> the (p, k) of q by prime, for the q in [N, Q]: the
+    one choice between the shared sieve and trial division plus rho
+    (``_factor_pairs_beyond_sieve``).
 
-    The shared sieve grows to Q only when the range holds at least
-    isqrt(Q) moduli (a sieve of Q then costs about as much as trial
-    division of the range), or when it already covers Q; Q must also be at
-    most DEFAULT_SIEVE_LIMIT.  Otherwise each q is factorized on its own
-    (``_factor_pairs_beyond_sieve``), so a few q just below the limit do
-    not build a sieve of it.
+    The sieve grows to Q <= DEFAULT_SIEVE_LIMIT when the range holds at
+    least isqrt(Q) moduli (a sieve of Q then costs about as much as trial
+    division of the range), or when Q is at most twice the sieve's limit
+    (_MIN_SIEVE_LIMIT if none), so calls that climb q one at a time double
+    it.  Otherwise each q is factored on its own, so one q or a few just
+    below the limit do not build a sieve of it.  The doubling clause costs
+    once: after ``get_sieve(2^23)``, a short range just above it grows the
+    sieve (one banded ``cover_measure`` at 2^24 - 3 then takes about 0.3 s
+    instead of 2 ms), to at most twice the one already built.
     """
-    if Q <= DEFAULT_SIEVE_LIMIT and (
-        Q - N + 1 >= math.isqrt(Q) or (_sieve is not None and _sieve.limit >= Q)
-    ):
+    limit = _MIN_SIEVE_LIMIT if _sieve is None else _sieve.limit
+    if Q <= DEFAULT_SIEVE_LIMIT and (Q <= 2 * limit or Q - N + 1 >= math.isqrt(Q)):
         return get_sieve(Q).factor_pairs
     return _factor_pairs_beyond_sieve
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._version import __version__
-from .arithmetic import PreconditionError
+from .arithmetic import Factorization, PreconditionError, factor_pairs_over
 from .counting import HitFlags, count_curve, find_hits
 from .covers import GcdBand, cover_measures, restricted_series_partial, tail_sum
 from .curve import (
@@ -34,6 +34,7 @@ from .experiments import (
     threshold_experiment,
 )
 from .residues import (
+    _check,
     count_solutions,
     hensel_lift,
     power_residues,
@@ -132,6 +133,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def _band(text: str) -> GcdBand:
+    try:
+        return GcdBand.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _thread_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "cover", "--q", "one modulus", type=int)
     _option(p, "cover", "--qlo", "first modulus", type=int)
     _option(p, "cover", "--qhi", "last modulus", type=int)
-    _option(p, "cover", "--band", "gcd band, default full", type=GcdBand.parse)
+    _option(p, "cover", "--band", "gcd band, default full", type=_band)
     _option(p, "cover", "--z", "series weight z", type=_fraction)
     _option(p, "cover", "--s", "series exponent s", type=_fraction)
     _option(p, "cover", "--n", "series coprimality modulus, default 1", type=int)
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_fraction, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--band", type=GcdBand.parse, help="gcd band, default full")
+    p.add_argument("--band", type=_band, help="gcd band, default full")
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--coprime", action="store_true")
     p.add_argument("--omega-max", type=int)
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "experiment", "--tau", "approximation exponent, default 5/2", type=_fraction)
     _option(p, "experiment", "--seed", "alpha draw seed, default 0", type=int)
     _option(p, "experiment", "--taus", "semicolon list, e.g. '5/2;3;7/2', default 5/2")
-    _option(p, "experiment", "--band", "gcd band, default full", type=GcdBand.parse)
+    _option(p, "experiment", "--band", "gcd band, default full", type=_band)
     _option(p, "experiment", "--delta", "band width, default 1/4", type=_fraction)
     _option(p, "experiment", "--alpha-count", "seeded alphas, default 20", type=int)
     _option(p, "experiment", "--alpha-bits", "alpha bits, default 0: auto", type=int)
@@ -273,9 +281,12 @@ def _cmd_residues(args) -> Report:
     header = ["q", "u", "e", "r"]
     rows = []
     d, ad = args.d, args.ad
+    _check(qs[0], d, ad)  # the least q: every q is then >= 1
+    pairs_of = factor_pairs_over(qs[0], qs[-1])  # each q factored once, for all three counts
     for q in qs:
-        r = scaled_power_residue_count(q, d, ad)
-        row = (q, unity_roots_count(q, d), unit_power_count(q, d), r)
+        f = Factorization(q, tuple(pairs_of(q)))
+        r = scaled_power_residue_count(f, d, ad)
+        row = (q, unity_roots_count(f, d), unit_power_count(f, d), r)
         if args.elements:
             elems = power_residues(q, d, ad).elements
             row = row + (" ".join(map(str, elems)),)

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import Rational, factor_pairs_over, factorize, iroot
+from .arithmetic import Rational, factor_pairs_over, iroot
 from .covers import GcdBand, _ceil_qpow, _ceil_qpow_walk
 from .curve import ConstrainedHit
 from .residues import _solvable
@@ -127,7 +127,8 @@ def _exact_hits(
     tau > d, and read for a whole block of q by ``GcdBand.cut_arrays``
     when tau <= d.  FULL's cuts admit every gcd.  --coprime drops a q
     here, before either stage, by a gcd in Python (a_d has no bound).
-    When tau > d, a q is factorized once, after the band keeps a candidate.
+    When tau > d, a q is factorized once, after the band keeps a candidate,
+    from ``arithmetic.factor_pairs_over`` on the range scanned so far.
     """
     if flags.coprime_to_d_ad:
         dad = d * abs(a_d)
@@ -137,9 +138,12 @@ def _exact_hits(
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     hits: list[ConstrainedHit] = []
+    first_q = None
     memo: dict = {}
     cuts_at = band.cut_walk()  # called only at the q with a candidate
     for q in qs:
+        if first_q is None:
+            first_q = q
         t = q**d
         num = t * an
         rhs = (ad * t) ** v
@@ -153,7 +157,7 @@ def _exact_hits(
         kept = [(b, g) for b in candidates if lo <= (g := math.gcd(b, q)) < hi]
         if not kept:
             continue
-        pairs = factorize(q).factors
+        pairs = factor_pairs_over(first_q, q)(q)
         if flags.omega_max is not None and len(pairs) > flags.omega_max:
             continue
         for b, g in kept:

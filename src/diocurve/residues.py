@@ -23,6 +23,13 @@ scan call it with the factor pairs they already hold and one memo per
 scan.  ``is_power_residue`` and ``is_primitive_power_residue`` are thin
 wrappers that factorize q, and serve only the API.
 
+The functions that take q factor it once, after validating it
+(``_factor_pairs``): the wrappers above, ``count_solutions`` and the
+counts u_d, e_d, r_d and |a_d G_d(q)|.  The counts also take q's
+``Factorization``, so the ``residues`` command factors each q of a range
+once for all of them.  Everything else here takes factor pairs or one
+prime power.
+
 ``solution_witness`` finds the least solution x by scanning every class
 mod q.  No library path calls it: the hit scan decides solvability with
 ``_solvable`` and records no witness.  It stays as a small scan-based
@@ -33,9 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 from . import _kernels
-from .arithmetic import PreconditionError, factorize
+from .arithmetic import Factorization, PreconditionError, _as_factorization
 from .curve import IntPolynomial, eval_scaled
 
 ENUMERATION_LIMIT = 10**6
@@ -64,37 +72,41 @@ def _u_pp(p: int, k: int, d: int) -> int:
     return math.gcd(d, phi)
 
 
-def unity_roots_count(q: int, d: int) -> int:
+def _factor_pairs(q: Union[int, Factorization], d: int, a_d: int = 1):
+    """The (p, k) of a modulus q, given as an int or its Factorization,
+    after ``_check`` has validated q, d and a_d."""
+    _check(q.value if isinstance(q, Factorization) else q, d, a_d)
+    return _as_factorization(q).factors
+
+
+def unity_roots_count(q: Union[int, Factorization], d: int) -> int:
     """u_d(q): number of solutions of m^d = 1 (mod q)."""
-    _check(q, d)
     out = 1
-    for p, k in factorize(q).factors:
+    for p, k in _factor_pairs(q, d):
         out *= _u_pp(p, k, d)
     return out
 
 
-def unit_power_count(q: int, d: int) -> int:
+def unit_power_count(q: Union[int, Factorization], d: int) -> int:
     """e_d(q): number of distinct d-th powers of units mod q."""
-    _check(q, d)
     out = 1
-    for p, k in factorize(q).factors:
+    for p, k in _factor_pairs(q, d):
         out *= _phi_pp(p, k) // _u_pp(p, k, d)
     return out
 
 
-def power_residue_count(q: int, d: int) -> int:
+def power_residue_count(q: Union[int, Factorization], d: int) -> int:
     """r_d(q): number of distinct d-th powers mod q, zero included."""
-    _check(q, d)
+    return scaled_power_residue_count(q, d, 1)
+
+
+def scaled_power_residue_count(q: Union[int, Factorization], d: int, a_d: int) -> int:
+    """|{a_d * x : x a d-th power mod q}| = r_d(q / gcd(q, a_d)): per p^k ||
+    q, the sum of ``_valuation_counts``, r_d(p^(k - min(k, v_p(a_d))))."""
     out = 1
-    for p, k in factorize(q).factors:
-        out *= sum(_valuation_counts(p, k, d, 1))
+    for p, k in _factor_pairs(q, d, a_d):
+        out *= sum(_valuation_counts(p, k, d, a_d))
     return out
-
-
-def scaled_power_residue_count(q: int, d: int, a_d: int) -> int:
-    """|{a_d * x : x a d-th power mod q}| = r_d(q / gcd(q, a_d))."""
-    _check(q, d, a_d)
-    return power_residue_count(q // math.gcd(q, abs(a_d)), d)
 
 
 @dataclass(frozen=True)
@@ -215,14 +227,12 @@ def _solvable(b: int, pairs, d: int, a_d: int, unit: bool, memo: dict) -> bool:
 
 def is_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution?  Decided per prime power."""
-    _check(q, d, a_d)
-    return _solvable(b, factorize(q).factors, d, a_d, False, {})
+    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, False, {})
 
 
 def is_primitive_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution with x a unit mod q?"""
-    _check(q, d, a_d)
-    return _solvable(b, factorize(q).factors, d, a_d, True, {})
+    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, True, {})
 
 
 def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:
@@ -234,9 +244,8 @@ def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:
     (the test suite checks it for every modulus below a threshold); see
     ``zero_class_count_alt`` for a formula that does not.
     """
-    _check(q, d, a_d)
     total = 1
-    for p, k in factorize(q).factors:
+    for p, k in _factor_pairs(q, d, a_d):
         solution = _solution_class(b, p, k, d, a_d)
         if solution is None:
             return 0

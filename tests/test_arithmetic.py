@@ -22,6 +22,7 @@ from diocurve.arithmetic import (
     root_enclosure,
 )
 from diocurve.covers import GcdBand
+from diocurve.residues import count_solutions, is_power_residue, scaled_power_residue_count
 
 
 def trial_division(n):
@@ -139,6 +140,31 @@ def test_factor_pairs_over_grows_the_sieve_only_for_long_ranges(monkeypatch):
     # past DEFAULT_SIEVE_LIMIT each q is factored on its own
     past = arithmetic.factor_pairs_over(1, arithmetic.DEFAULT_SIEVE_LIMIT + 1)
     assert past(2**25 + 1) == trial_division(2**25 + 1)
+    assert arithmetic._sieve.limit == 1 << 18
+
+
+def test_one_modulus_near_the_limit_does_not_build_the_sieve(monkeypatch):
+    # one n near DEFAULT_SIEVE_LIMIT is factored past the sieve, whichever
+    # call factors it; only the primes up to isqrt(n) are sieved
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    n = arithmetic.DEFAULT_SIEVE_LIMIT - 3  # a prime
+    assert factorize(n).factors == tuple(trial_division(n)) == ((n, 1),)
+    square = pow(2, (n - 1) // 2, n) == 1  # Euler's criterion
+    assert is_power_residue(2, n, 2) == square
+    assert count_solutions(2, n, 2) == 2 * square
+    assert scaled_power_residue_count(n, 2, 1) == 1 + (n - 1) // 2
+    assert arithmetic._sieve.limit <= 1 << 16
+
+
+def test_single_factorizations_climbing_q_double_the_sieve(monkeypatch):
+    # single calls that climb q one at a time double the sieve as they go
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    limits = set()
+    for q in range(1, (1 << 17) + 11):
+        assert factorize(q).value == q
+        if q > 1:
+            limits.add(arithmetic._sieve.limit)
+    assert limits == {1 << 16, 1 << 17, 1 << 18}
     assert arithmetic._sieve.limit == 1 << 18
 
 

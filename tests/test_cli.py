@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from diocurve.cli import _FORM, _READS, build_parser, main
+from diocurve.residues import scaled_power_residue_count, unit_power_count, unity_roots_count
 
 
 def run_cli(*argv, expect=0):
@@ -220,6 +221,10 @@ def test_precondition_errors_exit_2(capsys):
         (["residues", "--q", "8", "--d", "2", "--ad", "0", "--elements"],
          "a_d must be nonzero"),
         (["residues", "--q", "8", "--d", "2", "--ad", "0"], "a_d must be nonzero"),
+        # a residues range is validated at its least q, before any q is factored
+        (["residues", "--qlo", "-3", "--qhi", "9", "--d", "2"], "modulus must be >= 1, got -3"),
+        (["residues", "--q", "0", "--d", "1"], "modulus must be >= 1, got 0"),
+        (["residues", "--qlo", "1", "--qhi", "9", "--d", "1"], "power degree must be >= 2, got 1"),
         (["experiment", "--kind", "critical-band", "--band", "1/4,1/4"],
          "--band serves --kind threshold, growth, svolume and stabilization, not critical-band"),
         (["experiment", "--kind", "critical-band", "--delta", "0"],
@@ -365,6 +370,38 @@ def test_residue_count_matches_listed_elements(capsys):
             assert len(rows) == 60
             for q, _, _, r, elements in rows:
                 assert int(r) == len(elements.split()), (d, ad, q)
+
+
+@pytest.mark.parametrize("d, ad", [(2, 1), (3, -12), (4, 6)])
+def test_residues_range_factors_each_q_once(capsys, factorizations, d, ad):
+    argv = ["residues", "--qlo", "1", "--qhi", "1000", "--d", str(d), "--ad", str(ad)]
+    assert main(argv) == 0
+    assert sorted(factorizations) == list(range(1, 1001))
+    rows = [tuple(map(int, l.split(","))) for l in body(capsys.readouterr().out)[1:]]
+    assert rows == [
+        (q, unity_roots_count(q, d), unit_power_count(q, d), scaled_power_residue_count(q, d, ad))
+        for q in range(1, 1001)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--poly", "0,0,-1", "--tau", "5/2", "--alpha", "1/3", "--qmax", "4"],
+        ["cover", "--tau", "3", "--d", "2", "--q", "5"],
+        ["experiment", "--kind", "threshold"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_band_errors_reach_the_user(capsys, argv):
+    # GcdBand's own message, not argparse's "invalid parse value"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--band", "1/2,3/4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --band: bad band '1/2,3/4': need 0 <= eps < eps + delta <= 1, " \
+        "got eps=1/2, delta=3/4" in err
+    assert "invalid parse value" not in err
 
 
 def test_banded_cover_validates_like_full(capsys):

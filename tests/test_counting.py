@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diocurve import _kernels, counting, residues
+from diocurve import _kernels, counting
 from diocurve.arithmetic import iroot
 from diocurve.cli import main
 from diocurve.counting import (
@@ -81,19 +81,11 @@ def test_find_hits_numerators_in_residue_set():
 
 
 @pytest.mark.parametrize("primitive", (False, True))
-def test_narrow_scan_factorizes_each_hit_modulus_once(monkeypatch, primitive):
+def test_narrow_scan_factorizes_each_hit_modulus_once(factorizations, primitive):
     # --omega-max and the residue test read one factorization per q, taken
-    # only once the band has kept a candidate; residues' own factorize
-    # serves the API wrappers, which the scan no longer calls
-    calls = []
-    for module in (counting, residues):
-        factorize = module.factorize
-
-        def counted(n, factorize=factorize):
-            calls.append(n)
-            return factorize(n)
-
-        monkeypatch.setattr(module, "factorize", counted)
+    # only once the band has kept a candidate; every factorization, the
+    # API wrappers' included, comes from the sieve or from past it
+    calls = factorizations
     alpha = Fraction(5741, 9973)
     for b in (FULL, GcdBand(Fraction(0), Fraction(1, 2))):
         calls.clear()

@@ -7,7 +7,6 @@ import pytest
 
 from diocurve import _kernels, arithmetic, covers
 from diocurve.arithmetic import (
-    Factorization,
     cmp_frac_qpow,
     divisor_count,
     distinct_prime_count,
@@ -38,7 +37,6 @@ from diocurve.covers import (
     tail_sums,
 )
 from diocurve.residues import power_residue_count, scaled_power_residue_count
-import oracles
 from oracles import (
     band_contains_by_powers,
     banded_center_count_per_q,
@@ -191,20 +189,6 @@ def test_cut_arrays_match_ceil_qpow():
             assert list(zip(lo.tolist(), hi.tolist())) == expected, (text, q[0])
 
 
-def _trial_pairs(n):
-    """The (p, k) of n by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            out.append((p, k))
-        p += 1
-    return out + [(n, 1)] * (n > 1)
-
-
 def _counts(N, Q, band, d, a_d):
     """``center_counts`` over [N, Q] as one list, checking that its blocks
     are consecutive and hold Python ints."""
@@ -219,11 +203,8 @@ def _counts(N, Q, band, d, a_d):
 
 def test_short_range_near_the_sieve_limit_does_not_build_the_sieve(monkeypatch):
     # a count for a few q just below DEFAULT_SIEVE_LIMIT = 2^24 factors each
-    # q on its own; the per-q oracle factors by trial division here
+    # q on its own, and so does the per-q oracle's factorize
     monkeypatch.setattr(arithmetic, "_sieve", None)
-    monkeypatch.setattr(
-        oracles, "factorize", lambda n: Factorization(n, tuple(_trial_pairs(n)))
-    )
     top = arithmetic.DEFAULT_SIEVE_LIMIT
     band = GcdBand.parse("1/4,1/2")
     counts = _counts(top - 64, top - 1, band, 2, 1)

@@ -107,6 +107,25 @@ def test_scaling_identity_vs_enumeration():
             assert scaled_power_residue_count(q, 2, a_d) == expected, (q, a_d)
 
 
+def test_counts_take_the_factorization_of_q():
+    # the same counts from q or from its Factorization, and the identity
+    # |a_d G_d(q)| = r_d(q / gcd(q, a_d)) for either
+    for q in (1, 8, 12, 360, 1001, 2**20 + 7, 2**40 + 15):
+        f = factorize(q)
+        for d in (2, 3, 4):
+            assert unity_roots_count(f, d) == unity_roots_count(q, d)
+            assert unit_power_count(f, d) == unit_power_count(q, d)
+            assert power_residue_count(f, d) == power_residue_count(q, d)
+            for a_d in (1, -6, 12, 2**45):
+                expected = power_residue_count(q // math.gcd(q, a_d), d)
+                assert scaled_power_residue_count(f, d, a_d) == expected, (q, d, a_d)
+                assert scaled_power_residue_count(q, d, a_d) == expected, (q, d, a_d)
+    with pytest.raises(ValueError, match="power degree must be >= 2, got 1"):
+        unity_roots_count(factorize(12), 1)
+    with pytest.raises(ValueError, match="a_d must be nonzero"):
+        scaled_power_residue_count(factorize(12), 2, 0)
+
+
 def test_membership_examples():
     assert is_power_residue(2, 7, 2, 1)  # 3^2 = 9 = 2
     assert not is_power_residue(5, 8, 2, 1)  # squares mod 8 = {0,1,4}
