@@ -16,14 +16,16 @@ takes, around the centre c0 = floor(q^d alpha), the offsets [1 - R, R]
 with R = ceil(r): a proved superset of the admissible b, whose interior
 [2 - R, R - 2] is admissible with no test.  numpy forms the residues,
 their gcds with q and the band cuts for blocks of a few thousand
-candidates; only the survivors return to Python, where the three boundary
-offsets take the exact integer test.
+candidates.  The band survivors then go through a numpy class stage in
+batches of a few thousand: one block pass factors a batch's q, and
+``residues._solvable_block`` decides the residue class of every survivor,
+with --primitive and --omega-max.  Only the class survivors return to
+Python, where the three boundary offsets take the exact integer test.
 
-Both stages share one filter path: --coprime drops a q once, before the
-stage is picked, and --omega-max and the residue class read the q's factor
-pairs, the class through ``residues._solvable`` with one memo per scan.
-The wrappers ``is_power_residue`` and ``is_primitive_power_residue`` serve
-only the API.
+--coprime drops a q once, before the stage is picked.  In the narrow
+stage, --omega-max and the residue class read the q's factor pairs, the
+class through ``residues._solvable`` with one memo per scan; the wrappers
+``is_power_residue`` and ``is_primitive_power_residue`` serve the API.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -43,10 +45,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arithmetic import Rational, factor_pairs_over, iroot
+from . import _kernels
+from .arithmetic import Rational, factor_pairs_over, get_sieve, iroot
 from .covers import GcdBand, _ceil_qpow, _ceil_qpow_walk
 from .curve import ConstrainedHit
-from .residues import _solvable
+from .residues import _solvable, _solvable_block
 
 
 MIN_ALPHA_BITS = 128
@@ -128,7 +131,8 @@ def _exact_hits(
     when tau <= d.  FULL's cuts admit every gcd.  --coprime drops a q
     here, before either stage, by a gcd in Python (a_d has no bound).
     When tau > d, a q is factorized once, after the band keeps a candidate,
-    from ``arithmetic.factor_pairs_over`` on the range scanned so far.
+    from ``arithmetic.factor_pairs_over`` on the range scanned so far; when
+    tau <= d, the class stage of ``_wide_hits`` factors batches of q.
     """
     if flags.coprime_to_d_ad:
         dad = d * abs(a_d)
@@ -169,8 +173,22 @@ def _exact_hits(
 # candidates per block of the wide stage, so its int64 arrays stay a few
 # hundred kB however wide a window is
 _WIDE_BLOCK = 1 << 13
-# q, window offsets and residues of the wide stage stay below this
+# the radius R of the wide stage stays below this, so that its offsets and
+# residues before reduction fit int64
 _WIDE_LIMIT = 1 << 62
+# Band survivors per class batch of the wide stage.  Chosen from a sweep of
+# perfbench scan-wide (three 12 s runs per size, seeds 801-803, 2-vCPU box),
+# ranges over the runs:
+#
+#     batch   wall_s (ms)   peak_rss_mb
+#       256   63.9-67.8     35.41-35.44
+#       512   56.7-62.3     35.43-35.44
+#      1024   53.7-55.4     35.42-35.45
+#      2048   50.0-52.8     35.44-35.45
+#      4096   49.0-53.4     36.27-36.38
+#
+# Past 2048 the time stops falling and the peak RSS rises by about 0.9 MB.
+_CLASS_BATCH = 1 << 11
 
 
 def _wide_hits(
@@ -190,70 +208,83 @@ def _wide_hits(
     [1 - R, R] around c0 (its proofs at ``_exact_hits``) goes through numpy
     in blocks of at most _WIDE_BLOCK candidates, a wider window split over
     several: (c0 mod q + off) mod q, its gcd with q, and the band cuts at q
-    (``GcdBand.cut_arrays``).  Python then tests each survivor: the
-    boundary offsets {1 - R, R - 1, R} by D^v q^u < (ad t)^v, and
-    --omega-max and the residue class from the q's factor pairs, read once
-    per q (``arithmetic.factor_pairs_over`` on the range scanned so far).
-    ``find_hits`` refuses a q or an R at or above _WIDE_LIMIT = 2^62, so
-    every value the arrays hold stays below 2^63 in absolute value.
+    (``GcdBand.cut_arrays``).  The band survivors wait in batches of
+    _CLASS_BATCH, which may split a q's window and span several blocks, for
+    the class stage: ``_kernels.factor_pairs_block`` factors the batch's q
+    in block passes, with the primes up to the root of its last q, and
+    ``residues._solvable_block`` decides the residue class (a unit class
+    for --primitive) of every survivor, while --omega-max counts the rows
+    of each survivor's q.  Only the class survivors return to Python, where
+    the boundary offsets {1 - R, R - 1, R} take the exact test D^v q^u <
+    (ad t)^v.  No q is factorized alone, so the shared sieve grows at most
+    to the batches' roots.  ``find_hits`` refuses a q above
+    ``_kernels.POWMOD_QMAX`` and an R at or above _WIDE_LIMIT = 2^62, so
+    every value the arrays hold stays below 2^63 in absolute value and the
+    class stage's products of two residues fit int64.
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     radius_at = _ceil_qpow_walk(d - tau)
     hits: list[ConstrainedHit] = []
-    first_q = None
-    memo: dict = {}
-    # one row per segment, a q and a run of its window's offsets: the int64
-    # columns (q, c0 mod q, first offset - its index in the block, length),
-    # and the Python ints (c0, t an - c0 ad, R)
-    rows: list[tuple[int, int, int, int]] = []
-    exact: list[tuple[int, int, int]] = []
+    # one row per segment, a q and a run of its window's offsets: (q, c0 mod
+    # q, first offset - its index in the block, length, R)
+    rows: list[tuple[int, int, int, int, int]] = []
     filled = 0
+    # band survivors not yet through the class stage: (q, offset, residue,
+    # gcd, 1 at a boundary offset)
+    held = np.empty((0, 5), dtype=np.int64)
 
-    def flush() -> None:
-        if not rows:
-            return
-        q, c0_mod, shift, lens = np.array(rows, dtype=np.int64).T
+    def band_stage() -> None:
+        nonlocal held
+        q, c0_mod, shift, lens, radius = np.array(rows, dtype=np.int64).T
         lo, hi = band.cut_arrays(q)
         seg = np.repeat(np.arange(len(rows)), lens)
         off = np.arange(len(seg)) + shift[seg]
-        qq = q[seg]
+        qq, R = q[seg], radius[seg]
         res = (c0_mod[seg] + off) % qq
         g = np.gcd(res, qq)
         keep = (g >= lo[seg]) & (g < hi[seg])
-        pairs_of = factor_pairs_over(first_q, rows[-1][0])
-        last_q = pairs = None
-        for i, o, r, gi in np.array((seg, off, res, g))[:, keep].T.tolist():
-            qi = rows[i][0]
-            c0, rem, R = exact[i]
-            dist = abs(rem - o * ad)
-            if (o <= 1 - R or o >= R - 1) and dist**v * qi**u >= (ad * qi**d) ** v:
-                continue
-            if qi != last_q:
-                last_q, pairs = qi, pairs_of(qi)
-            if flags.omega_max is not None and len(pairs) > flags.omega_max:
-                continue
-            if _solvable(r, pairs, d, a_d, flags.primitive_only, memo):
-                hits.append(ConstrainedHit(qi, c0 + o, Fraction(dist, ad * qi**d), gi))
+        edge = (off <= 1 - R) | (off >= R - 1)
+        kept = np.stack([col[keep] for col in (qq, off, res, g, edge)], axis=1)
+        held = np.concatenate((held, kept))
         rows.clear()
-        exact.clear()
+
+    def class_stage(least: int) -> None:
+        """Put the held survivors through the class stage, _CLASS_BATCH at a
+        time, while at least `least` of them are held."""
+        nonlocal held
+        while len(held) >= least:
+            batch, held = held[:_CLASS_BATCH], held[_CLASS_BATCH:]
+            q = batch[:, 0]
+            root = math.isqrt(int(q[-1]))
+            pairs = _kernels.factor_pairs_block(q, get_sieve(root).primes(root).tolist())
+            keep = _solvable_block(batch[:, 2], pairs, d, a_d, flags.primitive_only)
+            if flags.omega_max is not None:
+                keep &= np.bincount(pairs[0], minlength=len(q)) <= flags.omega_max
+            for qi, o, _, gi, edge in batch[keep].tolist():
+                t = qi**d
+                c0, rem = divmod(t * an, ad)
+                dist = abs(rem - o * ad)
+                if edge and dist**v * qi**u >= (ad * t) ** v:
+                    continue
+                hits.append(ConstrainedHit(qi, c0 + o, Fraction(dist, ad * t), gi))
 
     for q in qs:
-        if first_q is None:
-            first_q = q
-        c0, rem = divmod(q**d * an, ad)
+        c0 = q**d * an // ad
         R = radius_at(q)
         off, end = 1 - R, R + 1
         while off < end:
             n = min(end - off, _WIDE_BLOCK - filled)
-            rows.append((q, c0 % q, off - filled, n))
-            exact.append((c0, rem, R))
+            rows.append((q, c0 % q, off - filled, n, R))
             off += n
             filled += n
             if filled == _WIDE_BLOCK:
-                flush()
+                band_stage()
                 filled = 0
-    flush()
+                class_stage(_CLASS_BATCH)
+    if rows:
+        band_stage()
+    class_stage(1)
     return hits
 
 
@@ -339,8 +370,12 @@ def find_hits(
     the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
     hit, so the result is that of the exact scan over every q <= qmax.
     For tau <= d the block stage holds q and its window offsets in int64,
-    so a scan whose qmax or radius ceil(qmax^(d - tau)) reaches 2^62 is
-    refused before any allocation.
+    and its class stage multiplies two residues mod p^j <= q, so a scan
+    whose qmax exceeds ``_kernels.POWMOD_QMAX`` (about 3.0e9, the largest q
+    with q^2 < 2^63) or whose radius ceil(qmax^(d - tau)) reaches 2^62 is
+    refused before any allocation.  Such a scan starts at q = 1 with at
+    least two candidates per q, so it would take more than 3e9 passes of
+    the per-q loop.
     """
     value = Fraction(alpha)
     if not 0 <= value <= 1:
@@ -354,10 +389,10 @@ def find_hits(
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    if tau <= d and (qmax >= _WIDE_LIMIT or _ceil_qpow(qmax, d - tau) >= _WIDE_LIMIT):
+    if tau <= d and (qmax > _kernels.POWMOD_QMAX or _ceil_qpow(qmax, d - tau) >= _WIDE_LIMIT):
         raise ValueError(
-            f"tau <= d keeps q and ceil(q^(d - tau)) below 2^62 (int64), "
-            f"got qmax = {qmax} at tau = {tau}, d = {d}"
+            f"tau <= d keeps q <= {_kernels.POWMOD_QMAX} and ceil(q^(d - tau)) "
+            f"below 2^62 (int64), got qmax = {qmax} at tau = {tau}, d = {d}"
         )
     ad = value.denominator
     if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:

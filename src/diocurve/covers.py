@@ -174,8 +174,12 @@ class GcdBand:
             return cls.full()
         try:
             eps_s, delta_s = text.split(",")
-            return cls(Fraction(eps_s), Fraction(delta_s))
-        except (ValueError, ZeroDivisionError) as exc:
+            eps, delta = Fraction(eps_s), Fraction(delta_s)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad band {text!r}: a band is 'full' or 'EPS,DELTA'") from None
+        try:
+            return cls(eps, delta)
+        except ValueError as exc:
             raise ValueError(f"bad band {text!r}: {exc}") from None
 
     def format(self) -> str:
@@ -379,18 +383,10 @@ def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
 # Blocks are aligned to multiples of COUNT_BLOCK, so memory stays flat for
 # any range.  Below TABLE_QMAX the primes up to isqrt(q) come from a sieve
 # of at most DEFAULT_SIEVE_LIMIT, and every value the builder holds (q, its
-# cofactors, r_d(q~) <= q, the limb steps of ``_mod_each``) is below 2^63.
+# cofactors, r_d(q~) <= q, the limb steps of ``_kernels._mod_each``) is
+# below 2^63.
 COUNT_BLOCK = 1 << 16
 TABLE_QMAX = DEFAULT_SIEVE_LIMIT**2
-
-
-def _mod_each(a: int, m: np.ndarray) -> np.ndarray:
-    """a mod m elementwise for an integer a >= 0 of any size and 0 < m <
-    2^48: Horner over 15-bit limbs keeps every step below 2^63."""
-    r = np.zeros_like(m)
-    for shift in range(a.bit_length() // 15 * 15, -1, -15):
-        r = ((r << 15) | ((a >> shift) & 0x7FFF)) % m
-    return r
 
 
 def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
@@ -413,7 +409,7 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
     big = rem > 1
     P = rem[big]
     factor = 1 + (P - 1) // np.gcd(P - 1, d)
-    factor[_mod_each(a, P) == 0] = 1  # P | a_d: q~ loses P
+    factor[_kernels._mod_each(a, P) == 0] = 1  # P | a_d: q~ loses P
     count[big] *= factor
     return count
 

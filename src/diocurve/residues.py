@@ -16,12 +16,18 @@ fails it (kept as ``zero_class_count_alt`` for regression), as does the
 divisor-sum banded count (``covers.divisor_sum_center_bound``).  Every
 function that takes a_d rejects a_d = 0.
 
-Membership has one body, ``_solvable``: it takes q's factor pairs and
-reads ``_solution_class`` per prime power, keeping the verdicts of the
-small prime powers in a memo its caller owns.  Both stages of the hit
-scan call it with the factor pairs they already hold and one memo per
-scan.  ``is_power_residue`` and ``is_primitive_power_residue`` are thin
-wrappers that factorize q, and serve only the API.
+Membership has one rule, ``_solution_class`` per prime power, in two
+forms.  ``_solvable`` takes q's factor pairs and reads ``_solution_class``
+per prime power, keeping the verdicts of the small prime powers in a memo
+its caller owns: the narrow stage of the hit scan calls it with the
+factor pairs it holds and one memo per scan, and ``is_power_residue`` and
+``is_primitive_power_residue`` are its API wrappers, which factorize q.
+``_solvable_block`` evaluates the same rule in numpy for every (entry,
+p^k || q) row of a block of moduli at once, in integers below 2^63 with
+no modular inverse; the wide stage of the hit scan calls it on its
+batches of band survivors.  The tests check the block form against
+``_solvable`` on every b mod q for q <= 300 and at the largest prime
+powers and primes below POWMOD_QMAX.
 
 The functions that take q factor it once, after validating it
 (``_factor_pairs``): the wrappers above, ``count_solutions`` and the
@@ -32,8 +38,8 @@ prime power.
 
 ``solution_witness`` finds the least solution x by scanning every class
 mod q.  No library path calls it: the hit scan decides solvability with
-``_solvable`` and records no witness.  It stays as a small scan-based
-reference.
+``_solvable`` or ``_solvable_block`` and records no witness.  It stays as
+a small scan-based reference.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import _kernels
 from .arithmetic import Factorization, PreconditionError, _as_factorization
@@ -223,6 +231,78 @@ def _solvable(b: int, pairs, d: int, a_d: int, unit: bool, memo: dict) -> bool:
         if not ok:
             return False
     return True
+
+
+def _solvable_block(b, pairs, d: int, a_d: int, unit: bool):
+    """``_solvable`` at every entry of an int64 array b, for moduli q_i <=
+    POWMOD_QMAX given by their factor pairs pairs = (at, p, k), flat int64
+    arrays as ``_kernels.factor_pairs_block`` returns them (row j is the
+    prime power p^k || q_at[j]): a bool array, True where a_d x^d = b_i
+    (mod q_i) has a solution, a unit x when unit is set.
+
+    Every row evaluates the rule of ``_solution_class`` at p^k, with r = b
+    mod p^k and no inverse, float or value of 2^63 or more:
+    * ps = gcd(r, p^k) is p^s, s = v_p(r), for r != 0, and p^k for r = 0:
+      the zero class is ps = p^k.  pb = gcd(a_d mod p^k, p^k) is p^beta,
+      beta = min(v_p(a_d), k).
+    * The zero class always has a solution, with t = ceil((k - beta) / d),
+      so t = 0 exactly when beta = k, that is pb = p^k.
+    * Otherwise there is a solution only if s - beta = d t for some t >= 0:
+      pb divides ps, and the exponent of p in ps / pb, counted by dividing
+      p out, is a multiple of d; t = 0 exactly when that exponent is 0.
+    * Then j = k - s >= 1 and pj = p^j = p^k / ps.  The unit part of b mod
+      p^k is u = r / ps < pj, and a' = (a_d mod pb pj) / pb is a_d / p^beta
+      mod pj: a_d = p^beta (a_d / p^beta) gives a_d mod p^(beta + j) =
+      p^beta (a_d / p^beta mod p^j), and pb pj = p^(k - (s - beta)) <= p^k.
+      The class of ``_solution_class`` is y = u a'^-1 mod pj, and a' is a
+      unit, so y = 1 mod m exactly when u = a' mod m, and y^e = 1 exactly
+      when u^e = a'^e (mod pj).
+    * For 2^j, j >= 3, y is a d-th power exactly when d is odd or y = 1 mod
+      m = 2^min(v_2(d) + 2, j) = min(2^(v_2(d) + 2), pj).  Otherwise the
+      unit group is cyclic and y is one exactly when y^e = 1 for e =
+      phi(pj) / gcd(d, phi(pj)); y = 1 passes this test too.
+    So a row passes exactly when ``_solution_class`` gives (j, t), with t =
+    0 when unit is set, and an entry is kept when all of its rows pass, as
+    in ``_solvable``; an entry with no rows (q = 1) is kept.  Every modulus
+    divides p^k <= q_i <= POWMOD_QMAX, so a product of two residues stays
+    in int64 (``_kernels._powmod``).
+    """
+    at, p, k = pairs
+    pk = p**k
+    r = b[at] % pk
+    amod = _kernels._mod_each(a_d, pk)
+    ps, pb = np.gcd(r, pk), np.gcd(amod, pk)
+    zero = ps == pk
+    x = np.where(zero, 1, ps // pb)  # p^(s - beta) when pb | ps, else 0
+    live = np.flatnonzero(x > 1)
+    x, p_live, e_live = x[live], p[live], np.zeros(len(live), dtype=np.int64)
+    while (step := x > 1).any():
+        x = np.where(step, x // p_live, x)
+        e_live += step
+    e = np.zeros_like(pk)
+    e[live] = e_live
+    ok = zero | ((ps >= pb) & (e % d == 0))
+    if unit:
+        ok &= np.where(zero, pb == pk, e == 0)
+    i = np.flatnonzero(ok & ~zero)
+    pi, psi, pbi = p[i], ps[i], pb[i]
+    pj = pk[i] // psi
+    u = r[i] // psi
+    a1 = amod[i] % (pbi * pj) // pbi
+    phi = pj // pi * (pi - 1)
+    ex = phi // np.gcd(phi, d)
+    powered = np.flatnonzero(a1 != 1)  # a'^e = 1 at every other row
+    pw = _kernels._powmod(
+        np.concatenate((u, a1[powered])),
+        np.concatenate((ex, ex[powered])),
+        np.concatenate((pj, pj[powered])),
+    )
+    rhs = np.ones_like(u)
+    rhs[powered] = pw[len(u) :]
+    m = np.minimum(pj, 1 << ((d & -d).bit_length() + 1))
+    two_adic = (pi == 2) & (pj >= 8)
+    ok[i] = np.where(two_adic, bool(d % 2) | ((u - a1) % m == 0), pw[: len(u)] == rhs)
+    return np.bincount(at[~ok], minlength=len(b)) == 0
 
 
 def is_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:

@@ -1,10 +1,10 @@
 """Brute-force enumeration oracles for the closed-form residue counts,
-omega by trial division, outward rounding of numerator / q^(u/v) with
-roots found by bisection (split at the integer part of u/v, as the sums
-round, and unsplit), the exact union measure of one cover layer, the
-truncated Euler product of the omega series, gcd-band membership by two
-power comparisons, the per-q banded center count, and the hit scan one q
-at a time with one integer root per wide window.
+factor pairs and omega by trial division, outward rounding of numerator /
+q^(u/v) with roots found by bisection (split at the integer part of u/v,
+as the sums round, and unsplit), the exact union measure of one cover
+layer, the truncated Euler product of the omega series, gcd-band
+membership by two power comparisons, the per-q banded center count, and
+the hit scan one q at a time with one integer root per wide window.
 
 Test-side only: no library code calls these.  The residue oracles
 enumerate every m modulo q with the numpy kernels, so they are exact for
@@ -56,6 +56,23 @@ def scaled_counts(qlo: int, qhi: int, d: int, ad: int) -> np.ndarray:
         [residue_set(q, d, ad).size for q in range(qlo, qhi + 1)],
         dtype=np.int64,
     )
+
+
+def trial_division(n: int) -> list[tuple[int, int]]:
+    """The (p, k) of n >= 1 by prime, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def omega(q: int) -> int:

@@ -23,23 +23,7 @@ from diocurve.arithmetic import (
 )
 from diocurve.covers import GcdBand
 from diocurve.residues import count_solutions, is_power_residue, scaled_power_residue_count
-
-
-def trial_division(n):
-    """Independent factorization oracle."""
-    out = []
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from oracles import trial_division
 
 
 def test_factorize_examples():
@@ -98,10 +82,21 @@ def test_sieve_primes_hold_no_array_of_the_sieve_length():
     assert peak < 2 * primes.nbytes + (1 << 20), peak
 
 
+def eratosthenes(limit):
+    """Independent primes oracle: the primes up to limit, by a sieve of
+    Eratosthenes on a bytearray."""
+    marks = bytearray([1]) * (limit + 1)
+    marks[: min(2, limit + 1)] = bytes(min(2, limit + 1))
+    for n in range(2, math.isqrt(limit) + 1):
+        if marks[n]:
+            marks[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+    return [n for n in range(limit + 1) if marks[n]]
+
+
 def test_sieve_primes_list_only_up_to_the_bound_asked():
     sieve = arithmetic.SpfSieve(1 << 20)
     for bound in (1, 2, 100, 1000, 99, (1 << 16) + 5, 1 << 21):
-        want = [n for n in range(2, min(bound, 1 << 20) + 1) if trial_division(n) == [(n, 1)]]
+        want = eratosthenes(min(bound, 1 << 20))
         assert sieve.primes(bound).tolist() == want, bound
     # the listing is kept and grown: a smaller bound after a larger one
     # reads the kept primes

@@ -404,6 +404,16 @@ def test_band_errors_reach_the_user(capsys, argv):
     assert "invalid parse value" not in err
 
 
+@pytest.mark.parametrize("text", ["x", "1/2", "1,2,3", "a,b", "1/0,1/2"])
+def test_band_parse_errors_name_the_format(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--tau", "3", "--d", "2", "--q", "5", "--band", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --band: bad band {text!r}: a band is 'full' or 'EPS,DELTA'" in err
+    assert "unpack" not in err and "Invalid literal" not in err
+
+
 def test_banded_cover_validates_like_full(capsys):
     for band in ("1/4,1/4", "full"):
         base = ["cover", "--tau", "3", "--band", band]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diocurve import _kernels, counting
+from diocurve import _kernels, arithmetic, counting
 from diocurve.arithmetic import iroot
 from diocurve.cli import main
 from diocurve.counting import (
@@ -427,10 +427,12 @@ WIDE_CASES = {
 
 def test_wide_stage_matches_per_q_window(monkeypatch):
     # a block of 11 candidates: one q's window spans several blocks, and a
-    # block several q; every band and flag combination at every (d, tau),
-    # with (a_d, alpha) rotating so that each flag combination, each band
-    # and each (d, tau) meets all 16 pairs
+    # block several q; a class batch of 37 survivors spans several blocks,
+    # and most batch ends split the survivors of one q; every band and flag
+    # combination at every (d, tau), with (a_d, alpha) rotating so that each
+    # flag combination, each band and each (d, tau) meets all 16 pairs
     monkeypatch.setattr(counting, "_WIDE_BLOCK", 11)
+    monkeypatch.setattr(counting, "_CLASS_BATCH", 37)
     alphas = (
         Fraction(0),
         Fraction(1),
@@ -469,6 +471,37 @@ def test_wide_scan_refuses_int64_overflow(capsys):
     argv = ["scan", "--poly", "0,0,-1", "--tau", "1/2", "--alpha", "1/3", "--qmax", str(1 << 42)]
     assert main(argv) == 2
     assert "below 2^62" in capsys.readouterr().err
+
+
+def test_wide_scan_refuses_moduli_past_the_powmod_bound(capsys, monkeypatch):
+    # the class stage multiplies two residues mod p^j <= q in int64; a scan
+    # that is not refused fails here instead of running for hours
+    monkeypatch.setattr(counting, "_exact_hits", lambda *args: pytest.fail("the scan started"))
+    qmax = _kernels.POWMOD_QMAX + 1
+    for tau in (Fraction(2), Fraction(7, 4)):
+        with pytest.raises(ValueError, match=f"q <= {_kernels.POWMOD_QMAX}"):
+            find_hits(Fraction(1, 3), 2, 1, tau, FULL, qmax)
+    argv = ["scan", "--poly", "0,0,-1", "--tau", "2", "--alpha", "1/3", "--qmax", str(qmax)]
+    assert main(argv) == 2
+    assert f"q <= {_kernels.POWMOD_QMAX}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("primitive", (False, True))
+def test_wide_scan_factorizes_no_single_modulus(factorizations, primitive):
+    # the class stage factors each batch of survivors in one block pass
+    flags = HitFlags(primitive_only=primitive, omega_max=2)
+    alpha = Fraction(5741, 9973)
+    for band in (FULL, GcdBand(Fraction(1, 4), Fraction(1, 4))):
+        assert find_hits(alpha, 2, -6, Fraction(7, 4), band, 3000, flags)
+    assert factorizations == []
+
+
+def test_wide_scan_grows_the_sieve_only_to_its_root(monkeypatch):
+    # primes up to isqrt(qmax) come from a sieve of 2^16, whatever qmax is
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    band = GcdBand(Fraction(1, 2), Fraction(1, 4))
+    assert find_hits(Fraction(5741, 9973), 2, 1, Fraction(2), band, (1 << 17) + 100)
+    assert arithmetic._sieve.limit == 1 << 16
 
 
 def test_corollary_search_statistic():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diocurve import _kernels
-from oracles import omega, residue_profiles, scaled_counts
+from oracles import omega, residue_profiles, scaled_counts, trial_division
 
 
 def brute_profile(q, d):
@@ -88,3 +88,49 @@ def test_kernels_refuse_out_of_int64_range_before_allocating():
     q = _kernels.POWMOD_QMAX
     base = np.array([q - 1, q - 2, 123456789], dtype=np.int64)
     assert _kernels._powmod(base, 5, q).tolist() == [pow(b, 5, q) for b in base.tolist()]
+
+
+def test_powmod_takes_exponents_and_moduli_per_element():
+    # at the largest accepted modulus, exponents up to 2^31 per element
+    q = _kernels.POWMOD_QMAX
+    rng = np.random.default_rng(26)
+    base = np.concatenate(([0, 1, q - 1, q - 2, -5], rng.integers(0, q, 200)))
+    top = 1 << 31
+    exp = np.concatenate(([0, top, top - 1, 2, 3], rng.integers(0, top, 200, endpoint=True)))
+    got = _kernels._powmod(base, exp, q).tolist()
+    assert got == [pow(b, e, q) for b, e in zip(base.tolist(), exp.tolist())]
+    # moduli per element too, down to 1, and a scalar exponent against them
+    mods = np.concatenate(([1, 2, q, q - 1], rng.integers(1, q, 200, endpoint=True)))
+    got = _kernels._powmod(base[: len(mods)], exp[: len(mods)], mods).tolist()
+    assert got == [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mods.tolist())]
+    assert _kernels._powmod(base[:4], 7, mods[:4]).tolist() == [
+        pow(b, 7, m) for b, m in zip(base[:4].tolist(), mods[:4].tolist())
+    ]
+    # an array of moduli is refused as a single one is, if any entry is too large
+    with pytest.raises(ValueError, match="3037000499"):
+        _kernels._powmod(base[:2], 2, np.array([5, q + 1], dtype=np.int64))
+
+
+def test_mod_each_takes_either_sign_and_any_size():
+    m = np.array([1, 2, 3, 97, (1 << 48) - 59, 12345678901], dtype=np.int64)
+    for a in (0, 1, -1, 6, -6, 3 << 70, -(3 << 70), (1 << 200) + 12345, -(7**90)):
+        assert _kernels._mod_each(a, m).tolist() == [a % x for x in m.tolist()], a
+
+
+def test_factor_pairs_block_matches_trial_division(monkeypatch):
+    # repeated entries, q = 1, prime powers and cofactors above the root; a
+    # span of 64 splits the entries over several passes, one gap jumps spans
+    rng = np.random.default_rng(7)
+    q = np.sort(np.concatenate((
+        [1, 1, 2, 4, 4, 97, 128, 243, 1000, 1000],
+        rng.integers(1, 5000, 300),
+        [1 << 20, (1 << 20) + 1, 1_048_583, 1023 * 1024],
+    ))).astype(np.int64)
+    primes = brute_primes(math.isqrt(int(q[-1])) + 1)
+    for span in (1 << 16, 64):
+        monkeypatch.setattr(_kernels, "_PAIRS_SPAN", span)
+        at, p, k = _kernels.factor_pairs_block(q, primes)
+        got = [[] for _ in q]
+        for i, pi, ki in zip(at.tolist(), p.tolist(), k.tolist()):
+            got[i].append((pi, ki))
+        assert [sorted(g) for g in got] == [trial_division(n) for n in q.tolist()], span

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from diocurve.arithmetic import PreconditionError, factorize
+from diocurve import _kernels
+from diocurve.arithmetic import PreconditionError, factorize, get_sieve, is_probable_prime
 from diocurve.curve import IntPolynomial, eval_scaled
 from diocurve.residues import (
     ENUMERATION_LIMIT,
@@ -20,6 +22,8 @@ from diocurve.residues import (
     unit_power_count,
     unity_roots_count,
     zero_class_count_alt,
+    _solvable,
+    _solvable_block,
 )
 
 
@@ -149,6 +153,56 @@ def test_membership_vs_enumeration():
                     assert is_primitive_power_residue(b, q, d, a_d) == (b in Gx), (
                         b, q, d, a_d,
                     )
+
+
+BLOCK_COEFFICIENTS = (1, -1, 2, -6, 12, 3 * 2**70)
+
+
+def block_verdicts(qs, bs, d, a_d, unit):
+    """The wide stage's class test at the moduli qs (nondecreasing) and
+    numerators bs, on the factor pairs of one ``factor_pairs_block`` pass."""
+    qs = np.array(qs, dtype=np.int64)
+    root = math.isqrt(int(qs[-1]))
+    pairs = _kernels.factor_pairs_block(qs, get_sieve(root).primes(root).tolist())
+    return _solvable_block(np.array(bs, dtype=np.int64), pairs, d, a_d, unit).tolist()
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_block_class_test_matches_solvable_below_300(d):
+    # every b mod q for every q <= 300 in one block
+    qs = [q for q in range(1, 301) for _ in range(q)]
+    bs = [b for q in range(1, 301) for b in range(q)]
+    pairs = {q: factorize(q).factors for q in range(1, 301)}
+    for a_d in BLOCK_COEFFICIENTS:
+        for unit in (False, True):
+            memo = {}
+            want = [_solvable(b, pairs[q], d, a_d, unit, memo) for q, b in zip(qs, bs)]
+            assert block_verdicts(qs, bs, d, a_d, unit) == want, (a_d, unit)
+
+
+def test_block_class_test_matches_solvable_at_edge_moduli():
+    # the deepest 2-adic and odd prime powers, the largest prime, and the
+    # square of the largest prime at the root of the int64 modulus bound
+    top = _kernels.POWMOD_QMAX
+    top_prime = next(n for n in range(top, 0, -1) if is_probable_prime(n))
+    root_prime = next(n for n in range(math.isqrt(top), 0, -1) if is_probable_prime(n))
+    rng = random.Random(26)
+    for q in (1 << 31, 3**19, 7**11, top_prime, root_prime**2):
+        pairs = factorize(q).factors
+        p = pairs[0][0]
+        for d in (2, 3, 4, 5):
+            for a_d in BLOCK_COEFFICIENTS:
+                # zero, units, multiples of p^s, and classes a_d x^d, x = p^s y
+                xs = [rng.randrange(q) for _ in range(20)]
+                xs += [p**s * rng.randrange(1, q) for s in range(4)]
+                bs = {0, 1, q - 1, *(rng.randrange(q) for _ in range(20))}
+                bs |= {p**s * rng.randrange(1, q) % q for s in range(1, 8)}
+                bs |= {a_d * pow(x, d, q) % q for x in xs}
+                bs = sorted(bs)
+                for unit in (False, True):
+                    want = [_solvable(b, pairs, d, a_d, unit, {}) for b in bs]
+                    got = block_verdicts([q] * len(bs), bs, d, a_d, unit)
+                    assert got == want, (q, d, a_d, unit)
 
 
 def test_count_solutions_examples():
