@@ -81,13 +81,15 @@ class SpfSieve:
 
     def primes(self, bound: int):
         """The primes p <= min(bound, limit), ascending: the n >= 2 with
-        spf[n] = n.  The listing is kept, and grown only as far as a call
-        asks, _PRIME_CHUNK sieve entries at a time, so a small bound on a
-        large sieve lists only the primes it needs, and no array of the
-        sieve's length is held besides the sieve itself."""
+        spf[n] = n.  The listing is kept, and grown only when a call asks
+        past it: to the bound, or to twice the listed length when that is
+        more, so rising bounds grow it at most log2(limit) times.  It
+        compares at most _PRIME_CHUNK sieve entries at a time, so a small
+        bound on a large sieve lists only the primes it needs, and no array
+        of the sieve's length is held besides the sieve itself."""
         bound = min(bound, self.limit)
         if bound > self._listed:
-            stop = min(bound | (_PRIME_CHUNK - 1), self.limit) + 1
+            stop = min(max(bound, 2 * self._listed), self.limit) + 1
             chunks = [self._primes]
             for lo in range(self._listed + 1, stop, _PRIME_CHUNK):
                 hi = min(lo + _PRIME_CHUNK, stop)

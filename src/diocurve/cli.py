@@ -378,6 +378,7 @@ def _cmd_scan(args) -> Report:
     d, a_d = poly.degree, poly.lead_negated
     flags = HitFlags(args.primitive, args.coprime, args.omega_max)
     hits = find_hits(args.alpha, d, a_d, args.tau, args.band, args.qmax, flags)
+    passed = flags.describe()
     echo = _echo(
         args,
         poly=poly.format(),
@@ -385,24 +386,14 @@ def _cmd_scan(args) -> Report:
         alpha=args.alpha,
         qmax=args.qmax,
         band=args.band.format(),
-        flags=flags.describe(),
+        flags=passed,
     )
     if args.curve:
         # the first power of two at or past qmax^d, so every hit is counted
         hi_exp = max(2, (args.qmax**d - 1).bit_length())
         rows = list(count_curve(hits, geometric_schedule(2, hi_exp), d))
         return Report(["Q", "N"], rows, echo)
-    rows = [
-        (
-            h.q,
-            h.b,
-            h.error.numerator,
-            h.error.denominator,
-            h.gcd_bq,
-            flags.describe(),
-        )
-        for h in hits
-    ]
+    rows = [(h.q, h.b, h.error.numerator, h.error.denominator, h.gcd_bq, passed) for h in hits]
     return Report(
         ["q", "b", "error_num", "error_den", "gcd_bq", "flags_passed"], rows, echo
     )

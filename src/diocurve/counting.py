@@ -14,10 +14,11 @@ sparse q takes an integer root to seed it again.
 When tau <= d (the wide regime, r >= 1) the block stage ``_wide_hits``
 takes, around the centre c0 = floor(q^d alpha), the offsets [1 - R, R]
 with R = ceil(r): a proved superset of the admissible b, whose interior
-[2 - R, R - 2] is admissible with no test.  numpy forms the residues,
-their gcds with q and the band cuts for blocks of a few thousand
-candidates.  The band survivors then go through a numpy class stage in
-batches of a few thousand: one block pass factors a batch's q, and
+[2 - R, R - 2] is admissible with no test.  Per q, Python works out only
+c0 mod q; numpy forms the radii and band cuts per chunk of q, and the
+residues and their gcds with q per block of a few thousand candidates.
+The band survivors go through a numpy class stage in batches of a few
+thousand: one block pass factors a batch's q, and
 ``residues._solvable_block`` decides the residue class of every survivor,
 with --primitive and --omega-max.  Only the class survivors return to
 Python, where the three boundary offsets take the exact integer test.
@@ -29,14 +30,15 @@ class through ``residues._solvable`` with one memo per scan; the wrappers
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
-discards the q whose q^d alpha lies provably too far from every integer;
-the exact scan then runs on the survivors only.  Every other input is
-scanned exactly at every q.
+discards, in blocks of q that cross octaves, the q whose q^d alpha lies
+provably too far from every integer; the exact scan then runs on the
+survivors only.  Every other input is scanned exactly at every q.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import _kernels
 from .arithmetic import Rational, factor_pairs_over, get_sieve, iroot
-from .covers import GcdBand, _ceil_qpow, _ceil_qpow_walk
+from .covers import GcdBand, _ceil_qpow, _ceil_qpow_array
 from .curve import ConstrainedHit
 from .residues import _solvable, _solvable_block
 
@@ -127,7 +129,7 @@ def _exact_hits(
 
     Each admissible b is kept when gcd(b, q) lies between the band's cuts
     at q: walked by ``GcdBand.cut_walk`` over the q with a candidate when
-    tau > d, and read for a whole block of q by ``GcdBand.cut_arrays``
+    tau > d, and read for a whole chunk of q by ``GcdBand.cut_arrays``
     when tau <= d.  FULL's cuts admit every gcd.  --coprime drops a q
     here, before either stage, by a gcd in Python (a_d has no bound).
     When tau > d, a q is factorized once, after the band keeps a candidate,
@@ -203,51 +205,32 @@ def _wide_hits(
     """The hits at the moduli qs (increasing) for tau <= d, where the
     radius r = q^(d - tau) is at least 1.
 
-    Per q, Python works out only the centre c0 = floor(q^d alpha), c0 mod q
-    and R = ceil(r), walked as the band cuts are.  The window of offsets
-    [1 - R, R] around c0 (its proofs at ``_exact_hits``) goes through numpy
-    in blocks of at most _WIDE_BLOCK candidates, a wider window split over
-    several: (c0 mod q + off) mod q, its gcd with q, and the band cuts at q
-    (``GcdBand.cut_arrays``).  The band survivors wait in batches of
-    _CLASS_BATCH, which may split a q's window and span several blocks, for
-    the class stage: ``_kernels.factor_pairs_block`` factors the batch's q
-    in block passes, with the primes up to the root of its last q, and
-    ``residues._solvable_block`` decides the residue class (a unit class
-    for --primitive) of every survivor, while --omega-max counts the rows
-    of each survivor's q.  Only the class survivors return to Python, where
-    the boundary offsets {1 - R, R - 1, R} take the exact test D^v q^u <
-    (ad t)^v.  No q is factorized alone, so the shared sieve grows at most
-    to the batches' roots.  ``find_hits`` refuses a q above
+    The q come in chunks of _WIDE_BLOCK // 2, whose windows of at least 2
+    candidates each fill a block.  Per q, Python works out only c0 mod q,
+    from the exact centre c0 = floor(q^d alpha); R = ceil(r) and the band
+    cuts come per chunk from ``_ceil_qpow_array``.  ``_window_blocks`` cuts
+    the windows of offsets [1 - R, R] around c0 (proofs at ``_exact_hits``)
+    into blocks of at most _WIDE_BLOCK candidates, where numpy forms (c0 mod
+    q + off) mod q, its gcd with q and the band test.  The survivors wait in
+    batches of _CLASS_BATCH, across q, blocks and chunks, for the class
+    stage: ``_kernels.factor_pairs_block`` factors the batch's q in block
+    passes, with the primes up to the root of its last q, and
+    ``residues._solvable_block`` decides the residue class (a unit class for
+    --primitive) of every survivor, while --omega-max counts the rows of
+    each survivor's q.  Only the class survivors return to Python, where the
+    boundary offsets {1 - R, R - 1, R} take the exact test
+    D^v q^u < (ad t)^v.  No q is factorized alone, so the shared sieve
+    grows at most to the batches' roots.  ``find_hits`` refuses a q above
     ``_kernels.POWMOD_QMAX`` and an R at or above _WIDE_LIMIT = 2^62, so
     every value the arrays hold stays below 2^63 in absolute value and the
     class stage's products of two residues fit int64.
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
-    radius_at = _ceil_qpow_walk(d - tau)
     hits: list[ConstrainedHit] = []
-    # one row per segment, a q and a run of its window's offsets: (q, c0 mod
-    # q, first offset - its index in the block, length, R)
-    rows: list[tuple[int, int, int, int, int]] = []
-    filled = 0
     # band survivors not yet through the class stage: (q, offset, residue,
     # gcd, 1 at a boundary offset)
     held = np.empty((0, 5), dtype=np.int64)
-
-    def band_stage() -> None:
-        nonlocal held
-        q, c0_mod, shift, lens, radius = np.array(rows, dtype=np.int64).T
-        lo, hi = band.cut_arrays(q)
-        seg = np.repeat(np.arange(len(rows)), lens)
-        off = np.arange(len(seg)) + shift[seg]
-        qq, R = q[seg], radius[seg]
-        res = (c0_mod[seg] + off) % qq
-        g = np.gcd(res, qq)
-        keep = (g >= lo[seg]) & (g < hi[seg])
-        edge = (off <= 1 - R) | (off >= R - 1)
-        kept = np.stack([col[keep] for col in (qq, off, res, g, edge)], axis=1)
-        held = np.concatenate((held, kept))
-        rows.clear()
 
     def class_stage(least: int) -> None:
         """Put the held survivors through the class stage, _CLASS_BATCH at a
@@ -269,23 +252,54 @@ def _wide_hits(
                     continue
                 hits.append(ConstrainedHit(qi, c0 + o, Fraction(dist, ad * t), gi))
 
-    for q in qs:
-        c0 = q**d * an // ad
-        R = radius_at(q)
-        off, end = 1 - R, R + 1
-        while off < end:
-            n = min(end - off, _WIDE_BLOCK - filled)
-            rows.append((q, c0 % q, off - filled, n, R))
-            off += n
-            filled += n
-            if filled == _WIDE_BLOCK:
-                band_stage()
-                filled = 0
-                class_stage(_CLASS_BATCH)
-    if rows:
-        band_stage()
+    def band_stage(seg: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """One block's band survivors, as rows of held.  Called through
+        starmap, so the caller holds no block array in the class stage."""
+        qq, R = q[seg], radius[seg]
+        res = (c0_mod[seg] + off) % qq
+        g = np.gcd(res, qq)
+        keep = (g >= lo[seg]) & (g < hi[seg])
+        edge = (off <= 1 - R) | (off >= R - 1)
+        return np.stack([col[keep] for col in (qq, off, res, g, edge)], axis=1)
+
+    qs = iter(qs)
+    while len(q := np.fromiter(itertools.islice(qs, _WIDE_BLOCK // 2), np.int64)):
+        c0_mod = np.array([p**d * an // ad % p for p in q.tolist()], dtype=np.int64)
+        radius = _ceil_qpow_array(q, d - tau)
+        lo, hi = band.cut_arrays(q)
+        for kept in itertools.starmap(band_stage, _window_blocks(radius)):
+            held = np.concatenate((held, kept))
+            class_stage(_CLASS_BATCH)
     class_stage(1)
     return hits
+
+
+def _piece_len(radius: np.ndarray) -> int:
+    """The length m of the longest prefix of a nondecreasing radius array
+    with m R[m - 1] < 2^61, so that its summed window length 2 sum R stays
+    below 2^62; or 1 (one window, 2R < 2^63) if R[0] >= 2^61."""
+    room = (_WIDE_LIMIT // 2 - 1) // np.arange(1, len(radius) + 1)
+    return max(1, int(np.count_nonzero(radius <= room)))
+
+
+def _window_blocks(radius: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The windows of offsets [1 - R, R] of a nondecreasing radius array in
+    blocks of at most _WIDE_BLOCK candidates: per block, each candidate's
+    entry and offset.  In a piece (``_piece_len``) window i ends at the
+    cumulative length ends[i]; a block [s, e) holds windows a to b, found by
+    ``np.searchsorted`` and laid out by ``np.repeat``, and candidate j of
+    window i has offset j - (ends[i] - R - 1)."""
+    start = 0
+    while start < len(radius):
+        stop = start + _piece_len(radius[start:])
+        ends = np.cumsum(2 * radius[start:stop])
+        base, total = ends - radius[start:stop] - 1, int(ends[-1])
+        for s in range(0, total, _WIDE_BLOCK):
+            e = min(s + _WIDE_BLOCK, total)
+            a, b = np.searchsorted(ends, (s, e - 1), side="right")
+            i = np.repeat(np.arange(a, b + 1), np.diff(np.minimum(ends[a : b + 1], e), prepend=s))
+            yield start + i, np.arange(s, e) - base[i]
+        start = stop
 
 
 # q per prefilter block, so the prefilter's arrays stay a few hundred kB
@@ -326,7 +340,8 @@ def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iter
       and T_k = 1 > 2^(E/v) for E < 0.
 
     A candidate at q therefore gives ||F|| < T_k + 2, both sides integers,
-    and that is the keep test.  No float enters it.
+    and that is the keep test, each q of a block of _PREFILTER_BLOCK q
+    against the bound of its own octave.  No float enters it.
     """
     m = alpha.denominator.bit_length() - 1
     a = alpha.numerator << 128 >> m  # A = floor(2^128 alpha)
@@ -334,21 +349,23 @@ def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iter
     lo1 = np.uint64(a >> 32 & _MASK32)  # L = lo1 2^32 + lo0
     lo0 = np.uint64(a & _MASK32)
     u, v = tau.numerator, tau.denominator
-    for k in range(qmax.bit_length()):
-        e = 64 * v + k * (d * v - u)
-        bound = iroot(1 << e, v) + 1 if e >= 0 else 1
-        # ||F|| <= 2^63, so a bound past 2^64 - 1 keeps the whole octave
-        keep_below = np.uint64(min(bound + 2, _MASK64))
-        top = min(2 << k, qmax + 1)
-        for start in range(1 << k, top, _PREFILTER_BLOCK):
-            q = np.arange(start, min(start + _PREFILTER_BLOCK, top), dtype=np.uint64)
-            t = q**d
-            t1, t0 = t >> 32, t & _MASK32
-            p00, p01, p10 = t0 * lo0, t0 * lo1, t1 * lo0
-            mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-            mulhi = t1 * lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-            frac = t * hi + mulhi  # wraps mod 2^64
-            yield from q[np.minimum(frac, -frac) < keep_below].tolist()
+    exps = [64 * v + k * (d * v - u) for k in range(qmax.bit_length())]
+    t_k = [iroot(1 << e, v) + 1 if e >= 0 else 1 for e in exps]
+    # ||F|| <= 2^63, so a bound past 2^64 - 1 keeps the whole octave
+    keep_below = np.array([min(t + 2, _MASK64) for t in t_k], dtype=np.uint64)
+    for start in range(1, qmax + 1, _PREFILTER_BLOCK):
+        stop = min(start + _PREFILTER_BLOCK, qmax + 1)
+        q = np.arange(start, stop, dtype=np.uint64)
+        t = q**d
+        t1, t0 = t >> 32, t & _MASK32
+        p00, p01, p10 = t0 * lo0, t0 * lo1, t1 * lo0
+        mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        mulhi = t1 * lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        frac = t * hi + mulhi  # wraps mod 2^64
+        octaves = range(start.bit_length() - 1, (stop - 1).bit_length())
+        sizes = [min(stop, 2 << k) - max(start, 1 << k) for k in octaves]
+        bound = np.repeat(keep_below[octaves.start : octaves.stop], sizes)
+        yield from q[np.minimum(frac, -frac) < bound].tolist()
 
 
 def find_hits(

@@ -87,16 +87,17 @@ def _ceil_qpow(q: int, x: Fraction) -> int:
 
 def _ceil_qpow_array(q: np.ndarray, x: Fraction) -> np.ndarray:
     """ceil(q^x) at every entry of a nondecreasing int64 array q >= 1, for
-    0 <= x <= 1 (so every value fits int64): one integer root at each end
-    of q and one per step of ceil(q^x) between them, or one per entry when
+    any x >= 0 with ceil(q[-1]^x) < 2^63: one integer root at each end of
+    q and one per step of ceil(q^x) between them, or one per entry when
     there are more steps than entries.
 
     With x = num/den, an integer q has q^x > c exactly when q^num > c^den,
     that is when q > s_c = iroot(c^den, num).  So with ca and cb the values
     at the ends, ceil(q^x) = ca + #{c in [ca, cb) : s_c < q} for every q in
     between: each c < ca lies below q^x, and no c >= cb does.  The s_c
-    ascend, so one ``np.searchsorted`` counts them.  For x <= 1 and
-    consecutive q there are at most len(q) steps, each below q[-1].
+    ascend and lie below q[-1], so one ``np.searchsorted`` counts them in
+    int64.  For x <= 1 and consecutive q there are at most len(q) steps;
+    for x > 1 most arrays take the per-entry roots.
     """
     num, den = x.numerator, x.denominator
     ca, cb = _ceil_qpow(int(q[0]), x), _ceil_qpow(int(q[-1]), x)

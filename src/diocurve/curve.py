@@ -82,7 +82,7 @@ class ConstrainedHit:
     gcd_bq: int
 
     def __post_init__(self):
-        if self.error < 0:
+        if self.error.numerator < 0:
             raise ValueError("error must be nonnegative")
 
 

@@ -214,7 +214,7 @@ class Report:
         """The echo and summary lines, then the CSV or JSON-lines body, each
         line ended by a newline."""
         if fmt == "csv":
-            rows = (",".join(str(x) for x in row) for row in self.rows)
+            rows = (",".join(map(str, row)) for row in self.rows)
             body = [",".join(self.header), *rows]
         elif fmt == "jsonl":
             body = [json.dumps(dict(zip(self.header, r)), default=str) for r in self.rows]

@@ -103,6 +103,31 @@ def test_sieve_primes_list_only_up_to_the_bound_asked():
     assert sieve.primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_sieve_primes_grow_only_as_far_as_asked(monkeypatch):
+    # a first small bound lists no whole chunk of 2^16 entries; each later
+    # listing stops at the bound, or at twice the listed length when that
+    # is more, for bounds around the chunk edges (real ones, and 64-entry
+    # chunks) and on a new sieve after the shared one grows
+    chunk = arithmetic._PRIME_CHUNK
+    for edge in (chunk, 64):
+        monkeypatch.setattr(arithmetic, "_PRIME_CHUNK", edge)
+        sieve = arithmetic.SpfSieve(1 << 18)
+        assert sieve.primes(90).tolist() == eratosthenes(90) and sieve._listed == 90
+        bounds = [k * edge + j for k in (1, 2, 3, 7) for j in (-1, 0, 1)]
+        for bound in bounds + [(1 << 18) - 1, 1 << 18, 1 << 19, 5, 300]:
+            listed = sieve._listed
+            assert sieve.primes(bound).tolist() == eratosthenes(min(bound, 1 << 18)), bound
+            grown = max(bound, 2 * listed) if bound > listed else listed
+            assert sieve._listed == min(grown, 1 << 18), (edge, bound)
+    monkeypatch.setattr(arithmetic, "_sieve", None)
+    small = arithmetic.get_sieve(100)
+    assert small.primes(1 << 15).tolist() == eratosthenes(1 << 15)
+    large = arithmetic.get_sieve((1 << 17) + 1)
+    assert large is not small and large.limit == 1 << 18
+    for bound in (97, 1 << 15, (1 << 17) + 3, 1 << 18):
+        assert large.primes(bound).tolist() == eratosthenes(bound), bound
+
+
 def test_factorize_past_a_large_sieve_lists_only_the_primes_it_needs(monkeypatch):
     # factorize(2^25 + 1) needs the primes up to isqrt(2^25 + 1) = 5792; a
     # listing of every prime of a 2^22 sieve would hold 295,947 of them

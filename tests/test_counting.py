@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from diocurve.counting import (
     find_hits,
     required_alpha_bits,
 )
-from diocurve.covers import GcdBand
+from diocurve.covers import GcdBand, _ceil_qpow_array
 from diocurve.residues import is_power_residue, is_primitive_power_residue
 from oracles import band_contains_by_powers, per_q_window_hits
 
@@ -299,6 +300,29 @@ def test_prefilter_keeps_every_q_with_a_candidate(d, excess, bits, q0, b_seed, s
             assert q in kept, (q, alpha, d, tau)
 
 
+@pytest.mark.parametrize("block", [4096, 100])
+def test_prefilter_compares_each_q_with_its_own_octave(monkeypatch, block):
+    # the survivors are exactly the q with ||F|| < T_k + 2 for the octave
+    # 2^k <= q < 2^(k+1) of each q, F worked out in Python integers; blocks
+    # of 4096 and of 100 q cross octave edges at different places
+    monkeypatch.setattr(counting, "_PREFILTER_BLOCK", block)
+    rng = random.Random(2027)
+    cases = ((2, Fraction(13, 4), 9000), (3, Fraction(7, 2), 5000), (2, Fraction(9, 4), 3000))
+    for d, tau, qmax in cases:
+        u, v = tau.numerator, tau.denominator
+        for bits in (128, 200):
+            alpha = Fraction(rng.getrandbits(bits) | 1, 1 << bits)
+            a = (alpha.numerator << 128 >> bits) % (1 << 128)
+            expected = []
+            for q in range(1, qmax + 1):
+                t, e = q**d, 64 * v + (q.bit_length() - 1) * (d * v - u)
+                f = (t * (a >> 64) + (t * (a % (1 << 64)) >> 64)) % (1 << 64)
+                if min(f, (1 << 64) - f) < (iroot(1 << e, v) + 1 if e >= 0 else 1) + 2:
+                    expected.append(q)
+            assert 0 < len(expected) < qmax / 2
+            assert list(_dyadic_survivors(alpha, d, tau, qmax)) == expected, (d, tau, bits)
+
+
 def test_find_hits_matches_exact_scan_on_prefilter_cases():
     # every input property the prefilter keys on, each compared with the
     # exact scan over every q <= qmax under every flag combination
@@ -426,13 +450,21 @@ WIDE_CASES = {
 
 
 def test_wide_stage_matches_per_q_window(monkeypatch):
-    # a block of 11 candidates: one q's window spans several blocks, and a
-    # block several q; a class batch of 37 survivors spans several blocks,
-    # and most batch ends split the survivors of one q; every band and flag
-    # combination at every (d, tau), with (a_d, alpha) rotating so that each
-    # flag combination, each band and each (d, tau) meets all 16 pairs
+    # a block of 11 candidates, so chunks of 5 q: one q's window spans
+    # several blocks, and a block several q; a class batch of 37 survivors
+    # spans several blocks and chunks, and most batch ends split the
+    # survivors of one q; every band and flag combination at every
+    # (d, tau), with (a_d, alpha) rotating so that each flag combination,
+    # each band and each (d, tau) meets all 16 pairs
     monkeypatch.setattr(counting, "_WIDE_BLOCK", 11)
     monkeypatch.setattr(counting, "_CLASS_BATCH", 37)
+    chunks = []
+
+    def radii(q, x):
+        chunks.append(len(q))
+        return _ceil_qpow_array(q, x)
+
+    monkeypatch.setattr(counting, "_ceil_qpow_array", radii)
     alphas = (
         Fraction(0),
         Fraction(1),
@@ -453,6 +485,48 @@ def test_wide_stage_matches_per_q_window(monkeypatch):
                 got = find_hits(alpha, d, a_d, tau, band, qmax, flags)
                 expected = per_q_window_hits(alpha, d, a_d, tau, band, range(1, qmax + 1), flags)
                 assert got == expected, (d, tau, a_d, band.format(), alpha, flags)
+    assert max(chunks) == 5 and len(chunks) > 1000
+
+
+def test_window_blocks_lay_out_every_window_once(monkeypatch):
+    # blocks of 7 candidates over random radii: windows span blocks and
+    # blocks span windows; only the last block of the array is short
+    monkeypatch.setattr(counting, "_WIDE_BLOCK", 7)
+    rng = random.Random(27)
+    for n in (1, 2, 5, 40):
+        radius = sorted(rng.randrange(1, 12) for _ in range(n))
+        blocks = list(counting._window_blocks(np.array(radius, dtype=np.int64)))
+        assert all(len(seg) == 7 for seg, _ in blocks[:-1]) and 1 <= len(blocks[-1][0]) <= 7
+        laid = [(int(i), int(o)) for seg, off in blocks for i, o in zip(seg, off)]
+        assert laid == [(i, o) for i, R in enumerate(radius) for o in range(1 - R, R + 1)], radius
+
+
+def test_window_pieces_keep_summed_lengths_below_2_62():
+    # radii near 2^61: each piece's windows sum to less than 2^62 (one
+    # window alone once R >= 2^61), each piece is as long as that allows,
+    # and the first block comes from the first window without any window
+    # laid out in full
+    top = 1 << 61
+    cases = [
+        [top - 1] * 3,
+        [top // 2 - 1, top // 2 - 1, top // 2, top - 2, top, (1 << 62) - 1],
+        [top // 3] * 2 + [top // 3 + 1] * 2,
+        [1 << 40] * 5000 + [1 << 49] * 3,
+    ]
+    for radius in cases:
+        r = np.array(radius, dtype=np.int64)
+        start = 0
+        while start < len(radius):
+            m = counting._piece_len(r[start:])
+            piece = radius[start : start + m]
+            assert 2 * sum(piece) < 1 << 62 or (m == 1 and piece[0] >= top), (radius, start)
+            if start + m < len(radius):
+                assert (m + 1) * radius[start + m] >= top, (radius, start)
+            start += m
+        seg, off = next(counting._window_blocks(r))
+        first = 1 - radius[0]
+        assert seg.tolist() == [0] * counting._WIDE_BLOCK
+        assert off.tolist() == list(range(first, first + counting._WIDE_BLOCK))
 
 
 def test_find_hits_refuses_degree_below_two():

@@ -27,6 +27,7 @@ from diocurve.covers import (
     GcdBand,
     IntervalSum,
     _ceil_qpow,
+    _ceil_qpow_array,
     banded_center_count,
     center_counts,
     cover_measure,
@@ -187,6 +188,22 @@ def test_cut_arrays_match_ceil_qpow():
             assert lo.dtype == hi.dtype == np.int64
             expected = [band.cuts(x) for x in q.tolist()]
             assert list(zip(lo.tolist(), hi.tolist())) == expected, (text, q[0])
+
+
+def test_ceil_qpow_array_matches_ceil_qpow_for_any_exponent():
+    # x > 1 as the wide scan's radius ceil(q^(d - tau)) takes it; near 2^40
+    # ceil(q^(3/2)) rises by about 1.5 * 2^20 per q, more steps than entries
+    arrays = [np.arange(1, 501), np.arange(37, 300), np.array([1, 1, 2, 64, 64, 65, 499])]
+    for x in map(Fraction, ("0", "1/4", "1/3", "1", "3/2", "5/2")):
+        for q in arrays:
+            got = _ceil_qpow_array(q.astype(np.int64), x)
+            assert got.dtype == np.int64
+            assert got.tolist() == [_ceil_qpow(n, x) for n in q.tolist()], (x, q[0])
+        if x <= Fraction(3, 2):  # ceil((2^40)^x) < 2^63
+            near = np.arange((1 << 40) - 5, (1 << 40) + 6, dtype=np.int64)
+            got = _ceil_qpow_array(near, x)
+            assert got.dtype == np.int64
+            assert got.tolist() == [_ceil_qpow(n, x) for n in near.tolist()], x
 
 
 def _counts(N, Q, band, d, a_d):
