@@ -7,9 +7,8 @@ scanned q can produce a boundary tie), and comparisons against q^(u/v)
 use the integer power rule.  When tau > d the approximation radius
 r = q^(d - tau) is at most 1, and the scan tests only the two integers b
 nearest q^d alpha.  Band membership of each candidate's gcd is two integer
-comparisons against the band's cuts, walked along the q with a candidate
-(``GcdBand.cut_walk``): consecutive q step a cut by at most 1, and only a
-sparse q takes an integer root to seed it again.
+comparisons against the band's cuts, taken at each q with a candidate by
+``GcdBand.cuts``: two integer roots at the sparse q that get that far.
 
 When tau <= d (the wide regime, r >= 1) the block stage ``_wide_hits``
 takes, around the centre c0 = floor(q^d alpha), the offsets [1 - R, R]
@@ -25,8 +24,8 @@ Python, where the three boundary offsets take the exact integer test.
 
 --coprime drops a q once, before the stage is picked.  In the narrow
 stage, --omega-max and the residue class read the q's factor pairs, the
-class through ``residues._solvable`` with one memo per scan; the wrappers
-``is_power_residue`` and ``is_primitive_power_residue`` serve the API.
+class through ``residues._solvable``; the wrappers ``is_power_residue``
+and ``is_primitive_power_residue`` serve the API.
 
 In the narrow regime tau > d, when alpha's denominator is a power of two
 and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
@@ -128,10 +127,10 @@ def _exact_hits(
     So only the offsets {1 - R, R - 1, R} take the test D^v q^u < (ad t)^v.
 
     Each admissible b is kept when gcd(b, q) lies between the band's cuts
-    at q: walked by ``GcdBand.cut_walk`` over the q with a candidate when
-    tau > d, and read for a whole chunk of q by ``GcdBand.cut_arrays``
-    when tau <= d.  FULL's cuts admit every gcd.  --coprime drops a q
-    here, before either stage, by a gcd in Python (a_d has no bound).
+    at q: taken by ``GcdBand.cuts`` at each q with a candidate when tau >
+    d, and read for a whole chunk of q by ``GcdBand.cut_arrays`` when tau
+    <= d.  FULL's cuts admit every gcd.  --coprime drops a q here, before
+    either stage, by a gcd in Python (a_d has no bound).
     When tau > d, a q is factorized once, after the band keeps a candidate,
     from ``arithmetic.factor_pairs_over`` on the range scanned so far; when
     tau <= d, the class stage of ``_wide_hits`` factors batches of q.
@@ -145,8 +144,6 @@ def _exact_hits(
     u, v = tau.numerator, tau.denominator
     hits: list[ConstrainedHit] = []
     first_q = None
-    memo: dict = {}
-    cuts_at = band.cut_walk()  # called only at the q with a candidate
     for q in qs:
         if first_q is None:
             first_q = q
@@ -158,7 +155,7 @@ def _exact_hits(
         candidates = [b for b, dist in ((b0, rem), (b0 + 1, ad - rem)) if dist**v * qu < rhs]
         if not candidates:
             continue
-        lo, hi = cuts_at(q)
+        lo, hi = band.cuts(q)
         # gcd(0, q) = q by convention
         kept = [(b, g) for b in candidates if lo <= (g := math.gcd(b, q)) < hi]
         if not kept:
@@ -167,7 +164,7 @@ def _exact_hits(
         if flags.omega_max is not None and len(pairs) > flags.omega_max:
             continue
         for b, g in kept:
-            if _solvable(b % q, pairs, d, a_d, flags.primitive_only, memo):
+            if _solvable(b % q, pairs, d, a_d, flags.primitive_only):
                 hits.append(ConstrainedHit(q, b, Fraction(abs(num - b * ad), ad * t), g))
     return hits
 
@@ -175,9 +172,9 @@ def _exact_hits(
 # candidates per block of the wide stage, so its int64 arrays stay a few
 # hundred kB however wide a window is
 _WIDE_BLOCK = 1 << 13
-# the radius R of the wide stage stays below this, so that its offsets and
-# residues before reduction fit int64
-_WIDE_LIMIT = 1 << 62
+# the radius R of the wide stage stays below this (2^50), so that the
+# windows of a chunk of _WIDE_BLOCK // 2 q sum to less than 2^63
+_WIDE_LIMIT = (1 << 62) // (_WIDE_BLOCK // 2)
 # Band survivors per class batch of the wide stage.  Chosen from a sweep of
 # perfbench scan-wide (three 12 s runs per size, seeds 801-803, 2-vCPU box),
 # ranges over the runs:
@@ -221,9 +218,10 @@ def _wide_hits(
     boundary offsets {1 - R, R - 1, R} take the exact test
     D^v q^u < (ad t)^v.  No q is factorized alone, so the shared sieve
     grows at most to the batches' roots.  ``find_hits`` refuses a q above
-    ``_kernels.POWMOD_QMAX`` and an R at or above _WIDE_LIMIT = 2^62, so
-    every value the arrays hold stays below 2^63 in absolute value and the
-    class stage's products of two residues fit int64.
+    ``_kernels.POWMOD_QMAX`` and an R at or above _WIDE_LIMIT = 2^50, so
+    the summed windows of a chunk, and every value the arrays hold, stay
+    below 2^63 in absolute value, and the class stage's products of two
+    residues fit int64.
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
@@ -274,32 +272,20 @@ def _wide_hits(
     return hits
 
 
-def _piece_len(radius: np.ndarray) -> int:
-    """The length m of the longest prefix of a nondecreasing radius array
-    with m R[m - 1] < 2^61, so that its summed window length 2 sum R stays
-    below 2^62; or 1 (one window, 2R < 2^63) if R[0] >= 2^61."""
-    room = (_WIDE_LIMIT // 2 - 1) // np.arange(1, len(radius) + 1)
-    return max(1, int(np.count_nonzero(radius <= room)))
-
-
 def _window_blocks(radius: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The windows of offsets [1 - R, R] of a nondecreasing radius array in
-    blocks of at most _WIDE_BLOCK candidates: per block, each candidate's
-    entry and offset.  In a piece (``_piece_len``) window i ends at the
-    cumulative length ends[i]; a block [s, e) holds windows a to b, found by
-    ``np.searchsorted`` and laid out by ``np.repeat``, and candidate j of
-    window i has offset j - (ends[i] - R - 1)."""
-    start = 0
-    while start < len(radius):
-        stop = start + _piece_len(radius[start:])
-        ends = np.cumsum(2 * radius[start:stop])
-        base, total = ends - radius[start:stop] - 1, int(ends[-1])
-        for s in range(0, total, _WIDE_BLOCK):
-            e = min(s + _WIDE_BLOCK, total)
-            a, b = np.searchsorted(ends, (s, e - 1), side="right")
-            i = np.repeat(np.arange(a, b + 1), np.diff(np.minimum(ends[a : b + 1], e), prepend=s))
-            yield start + i, np.arange(s, e) - base[i]
-        start = stop
+    """The windows of offsets [1 - R, R] of a radius array, R < _WIDE_LIMIT,
+    in blocks of at most _WIDE_BLOCK candidates: per block, each candidate's
+    entry and offset.  Window i ends at the cumulative length ends[i], below
+    2^63 for a chunk of _WIDE_BLOCK // 2 radii; a block [s, e) holds windows
+    a to b, found by ``np.searchsorted`` and laid out by ``np.repeat``, and
+    candidate j of window i has offset j - (ends[i] - R - 1)."""
+    ends = np.cumsum(2 * radius)
+    base, total = ends - radius - 1, int(ends[-1])
+    for s in range(0, total, _WIDE_BLOCK):
+        e = min(s + _WIDE_BLOCK, total)
+        a, b = np.searchsorted(ends, (s, e - 1), side="right")
+        i = np.repeat(np.arange(a, b + 1), np.diff(np.minimum(ends[a : b + 1], e), prepend=s))
+        yield i, np.arange(s, e) - base[i]
 
 
 # q per prefilter block, so the prefilter's arrays stay a few hundred kB
@@ -389,10 +375,11 @@ def find_hits(
     For tau <= d the block stage holds q and its window offsets in int64,
     and its class stage multiplies two residues mod p^j <= q, so a scan
     whose qmax exceeds ``_kernels.POWMOD_QMAX`` (about 3.0e9, the largest q
-    with q^2 < 2^63) or whose radius ceil(qmax^(d - tau)) reaches 2^62 is
-    refused before any allocation.  Such a scan starts at q = 1 with at
-    least two candidates per q, so it would take more than 3e9 passes of
-    the per-q loop.
+    with q^2 < 2^63) or whose radius ceil(qmax^(d - tau)) reaches 2^50 is
+    refused before any allocation.  Such a scan could never finish: the
+    first starts at q = 1 with at least two candidates per q, so it would
+    take more than 3e9 passes of the per-q loop, and the second has at
+    least 2^51 candidates at its last q alone.
     """
     value = Fraction(alpha)
     if not 0 <= value <= 1:
@@ -409,7 +396,7 @@ def find_hits(
     if tau <= d and (qmax > _kernels.POWMOD_QMAX or _ceil_qpow(qmax, d - tau) >= _WIDE_LIMIT):
         raise ValueError(
             f"tau <= d keeps q <= {_kernels.POWMOD_QMAX} and ceil(q^(d - tau)) "
-            f"below 2^62 (int64), got qmax = {qmax} at tau = {tau}, d = {d}"
+            f"below 2^50 (int64), got qmax = {qmax} at tau = {tau}, d = {d}"
         )
     ad = value.denominator
     if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:

@@ -9,17 +9,17 @@ to cover measures and tail sums alike, and makes the one choice between
 two ways of counting a range of q.  The full band over at least TABLE_MIN
 moduli with Q < 2^48 reads a sieve-built table of r_d(q / gcd(q, a_d)),
 one numpy block of at most 2^16 moduli at a time, instead of factorizing
-each q.  Every other range takes one per-q pass: each q is factorized
-once, the valuation branches of each p^k are worked out once per range,
-and the band cuts are walked from q to q (``GcdBand.cut_walk``) instead
-of taking two integer roots per q.  Enumeration and the per-q form stay in
-the test suite as oracles.  The omega-weighted series walks the table's
-blocks and takes omega(q) from the same per-prime slice pass
-(``_kernels.prime_exponents``).  The divisor-sum form, an upper bound that
-over-counts, is kept only as the documented reference
-``divisor_sum_center_bound``.  The exact union measure of a layer and the
-truncated Euler product, which validate the formula measure and the
-series, live with the test oracles.
+each q.  Every other range takes one per-q pass over the same blocks:
+each q is factorized once, the valuation branches of each p^k are worked
+out once per range, and each block takes its band cuts from one
+``GcdBand.cut_arrays`` call instead of two integer roots per q.
+Enumeration and the per-q form stay in the test suite as oracles.  The
+omega-weighted series walks the table's blocks and takes omega(q) from
+the same per-prime slice pass (``_kernels.prime_exponents``).  The
+divisor-sum form, an upper bound that over-counts, is kept only as the
+documented reference ``divisor_sum_center_bound``.  The exact union
+measure of a layer and the truncated Euler product, which validate the
+formula measure and the series, live with the test oracles.
 
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
@@ -86,56 +86,27 @@ def _ceil_qpow(q: int, x: Fraction) -> int:
 
 
 def _ceil_qpow_array(q: np.ndarray, x: Fraction) -> np.ndarray:
-    """ceil(q^x) at every entry of a nondecreasing int64 array q >= 1, for
-    any x >= 0 with ceil(q[-1]^x) < 2^63: one integer root at each end of
-    q and one per step of ceil(q^x) between them, or one per entry when
-    there are more steps than entries.
+    """ceil(q^x) at every entry of a nondecreasing array q >= 1, for any x
+    >= 0, in q's dtype: int64 when ceil(q[-1]^x) < 2^63, object (Python
+    ints) for any q.  One integer root at each end of q and one per step of
+    ceil(q^x) between them, or one per entry when there are more steps than
+    entries.
 
     With x = num/den, an integer q has q^x > c exactly when q^num > c^den,
     that is when q > s_c = iroot(c^den, num).  So with ca and cb the values
     at the ends, ceil(q^x) = ca + #{c in [ca, cb) : s_c < q} for every q in
     between: each c < ca lies below q^x, and no c >= cb does.  The s_c
     ascend and lie below q[-1], so one ``np.searchsorted`` counts them in
-    int64.  For x <= 1 and consecutive q there are at most len(q) steps;
-    for x > 1 most arrays take the per-entry roots.
+    q's dtype.  For x <= 1, (q + 1)^x <= q^x + 1 (t -> t^x is subadditive),
+    so over consecutive q there are fewer steps than entries; for x > 1
+    most arrays take the per-entry roots.
     """
     num, den = x.numerator, x.denominator
     ca, cb = _ceil_qpow(int(q[0]), x), _ceil_qpow(int(q[-1]), x)
     if cb - ca > len(q):
-        return np.array([_ceil_qpow(n, x) for n in q.tolist()], dtype=np.int64)
-    steps = [iroot(c**den, num) for c in range(ca, cb)]
-    return ca + np.searchsorted(np.array(steps, dtype=np.int64), q, side="left")
-
-
-def _ceil_qpow_walk(x: Fraction):
-    """A function q -> ceil(q^x), x >= 0, for q >= 1 given in nondecreasing
-    order across its calls.
-
-    It holds c <= ceil(q^x), starting from c = 0.  At each q, with x =
-    num/den: c^den >= q^num means c >= q^x, so c = ceil(q^x); otherwise
-    c < q^x and c + 1 is tried the same way; otherwise c is seeded again by
-    ``_ceil_qpow``.  ceil(q^x) is nondecreasing in q, so c stays <=
-    ceil(q'^x) for every later q' >= q.  For x <= 1, (q + 1)^x <= q^x + 1
-    (t -> t^x is subadditive), so ceil(q^x) rises by at most 1 from q to
-    q + 1: over consecutive q only the first call seeds (for x > 1 most
-    calls seed).  A decreasing q is refused, as the kept c could then
-    exceed ceil(q^x).
-    """
-    num, den = x.numerator, x.denominator
-    c = last = 0
-
-    def at(q: int) -> int:
-        nonlocal c, last
-        if q < last:
-            raise ValueError(f"cut walk needs nondecreasing q, got {q} after {last}")
-        last, t = q, q**num
-        if c**den < t:
-            c += 1
-            if c**den < t:
-                c = _ceil_qpow(q, x)
-        return c
-
-    return at
+        return np.array([_ceil_qpow(n, x) for n in q.tolist()], dtype=q.dtype)
+    steps = np.array([iroot(c**den, num) for c in range(ca, cb)], dtype=q.dtype)
+    return ca + np.searchsorted(steps, q, side="left").astype(q.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -192,35 +163,27 @@ class GcdBand:
     def is_full(self) -> bool:
         return self.eps is None
 
-    def cut_walk(self):
-        """A function q -> (lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) for
-        q >= 1 given in nondecreasing order across its calls, so that an
-        integer g is in the band at q exactly when lo <= g < hi.
+    def cuts(self, q: int) -> tuple[int, int]:
+        """(lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) at one q >= 1, so
+        that an integer g is in the band at q exactly when lo <= g < hi.
 
         g >= q^eps holds for an integer g exactly when g >= ceil(q^eps).
         g < x holds exactly when g < ceil(x): if x is an integer the two
         are the same, otherwise g < x means g <= floor(x) = ceil(x) - 1.
-        Each cut is walked by ``_ceil_qpow_walk``: over consecutive q it
-        takes one integer root at the first q only, and a sparse sequence
-        takes one wherever a cut rises by more than 1.  FULL gives (1,
+        Each cut takes one integer root (``_ceil_qpow``).  FULL gives (1,
         q + 1), which holds every gcd(b, q) in [1, q].
         """
         if self.is_full:
-            return lambda q: (1, q + 1)
-        lo_at, hi_at = _ceil_qpow_walk(self.eps), _ceil_qpow_walk(self.eps + self.delta)
-        return lambda q: (lo_at(q), hi_at(q))
+            return 1, q + 1
+        return _ceil_qpow(q, self.eps), _ceil_qpow(q, self.eps + self.delta)
 
     def cut_arrays(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cuts (lo, hi) of ``cut_walk`` at every entry of a
-        nondecreasing int64 array q >= 1, as two int64 arrays
-        (``_ceil_qpow_array``)."""
+        """The cuts (lo, hi) of ``cuts`` at every entry of a nondecreasing
+        array q >= 1, as two arrays of q's dtype (``_ceil_qpow_array``):
+        int64 while q[-1] + 1 < 2^63, object for any q."""
         if self.is_full:
             return np.ones_like(q), q + 1
         return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self.eps + self.delta)
-
-    def cuts(self, q: int) -> tuple[int, int]:
-        """The cuts (lo, hi) of ``cut_walk`` at one q >= 1."""
-        return self.cut_walk()(q)
 
     def contains(self, g: int, q: int) -> bool:
         """Is gcd value g admissible for modulus q?"""
@@ -329,12 +292,14 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
 
     The full band over at least TABLE_MIN moduli with Q < TABLE_QMAX reads
     the sieve-built count table, one block of at most COUNT_BLOCK moduli at
-    a time (``_count_block``).  Every other range takes one per-q pass:
-    each q is factorized once, from the shared sieve only when the range
-    is long enough to pay for it (``arithmetic.factor_pairs_over``), the
-    nonzero branches (p^s, N_p(s)) of each p^k are worked out once per
-    call, divisors with a zero count are never tested for band membership,
-    and the band cuts are walked (``GcdBand.cut_walk``).  Validates like
+    a time (``_count_block``).  Every other range takes one per-q pass
+    over the same blocks: each q is factorized once, from the shared sieve
+    only when the range is long enough to pay for it
+    (``arithmetic.factor_pairs_over``), the nonzero branches (p^s, N_p(s))
+    of each p^k are worked out once per call, divisors with a zero count
+    are never tested for band membership, and each block takes its band
+    cuts from one ``GcdBand.cut_arrays`` call, on an int64 array or, where
+    a cut could reach 2^63, an object one.  Validates like
     ``scaled_power_residue_count`` at q = N, before it yields; an empty
     range (N > Q) yields nothing.  Checked against enumeration and the
     per-q oracle in the test suite.
@@ -347,21 +312,23 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
             yield lo, _count_block(lo, hi, d, abs(a_d), primes).tolist()
         return
     factor_pairs = factor_pairs_over(N, Q)
-    cuts_at = band.cut_walk()
     branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    out = []
-    for q in range(N, Q + 1):
-        terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
-        for pk in factor_pairs(q):
-            branch = branches.get(pk)
-            if branch is None:
-                p, k = pk
-                counts = _valuation_counts(p, k, d, a_d)
-                branch = branches[pk] = [(p**s, n) for s, n in enumerate(counts) if n]
-            terms = [(g * ps, t * n) for g, t in terms for ps, n in branch]
-        lo, hi = cuts_at(q)
-        out.append(sum(t for g, t in terms if lo <= g < hi))
-    yield N, out
+    for lo, hi in _aligned_blocks(N, Q):
+        # int64 while the full band's upper cut hi + 1 fits it
+        qs = np.arange(lo, hi + 1, dtype=np.int64 if hi + 1 < 1 << 63 else object)
+        cut_lo, cut_hi = (cut.tolist() for cut in band.cut_arrays(qs))
+        out = []
+        for q, g_lo, g_hi in zip(range(lo, hi + 1), cut_lo, cut_hi):
+            terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
+            for pk in factor_pairs(q):
+                branch = branches.get(pk)
+                if branch is None:
+                    p, k = pk
+                    counts = _valuation_counts(p, k, d, a_d)
+                    branch = branches[pk] = [(p**s, n) for s, n in enumerate(counts) if n]
+                terms = [(g * ps, t * n) for g, t in terms for ps, n in branch]
+            out.append(sum(t for g, t in terms if g_lo <= g < g_hi))
+        yield lo, out
 
 
 def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
@@ -415,17 +382,23 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
     return count
 
 
-def _table_blocks(N: int, Q: int):
-    """(lo, hi, primes) for the blocks of at most COUNT_BLOCK moduli,
-    aligned to its multiples, that cover [N, Q] in order; primes are the
-    primes up to isqrt(Q), from the shared sieve."""
-    root = math.isqrt(Q)
-    primes = get_sieve(root).primes(root).tolist()
+def _aligned_blocks(N: int, Q: int):
+    """(lo, hi) for the blocks of at most COUNT_BLOCK moduli, aligned to its
+    multiples, that cover [N, Q] in order."""
     lo = N
     while lo <= Q:
         hi = min(lo | (COUNT_BLOCK - 1), Q)
-        yield lo, hi, primes
+        yield lo, hi
         lo = hi + 1
+
+
+def _table_blocks(N: int, Q: int):
+    """(lo, hi, primes) for the ``_aligned_blocks`` of [N, Q]; primes are
+    the primes up to isqrt(Q), from the shared sieve."""
+    root = math.isqrt(Q)
+    primes = get_sieve(root).primes(root).tolist()
+    for lo, hi in _aligned_blocks(N, Q):
+        yield lo, hi, primes
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ function that takes a_d rejects a_d = 0.
 
 Membership has one rule, ``_solution_class`` per prime power, in two
 forms.  ``_solvable`` takes q's factor pairs and reads ``_solution_class``
-per prime power, keeping the verdicts of the small prime powers in a memo
-its caller owns: the narrow stage of the hit scan calls it with the
-factor pairs it holds and one memo per scan, and ``is_power_residue`` and
+per prime power: the narrow stage of the hit scan calls it with the
+factor pairs it holds, and ``is_power_residue`` and
 ``is_primitive_power_residue`` are its API wrappers, which factorize q.
 ``_solvable_block`` evaluates the same rule in numpy for every (entry,
 p^k || q) row of a block of moduli at once, in integers below 2^63 with
@@ -208,27 +207,13 @@ def _solution_class(b: int, p: int, k: int, d: int, a_d: int):
     return (j, t) if ok else None
 
 
-# prime powers whose verdicts ``_solvable`` keeps: at most the sum of those
-# moduli, a few thousand residues, whatever the scan
-_MEMO_BELOW = 1 << 8
-
-
-def _solvable(b: int, pairs, d: int, a_d: int, unit: bool, memo: dict) -> bool:
+def _solvable(b: int, pairs, d: int, a_d: int, unit: bool) -> bool:
     """Does a_d * x^d = b (mod q) have a solution, a unit x when unit is
     set, for the q with factor pairs (p, k)?  Decided per prime power by
-    ``_solution_class``: a unit solution is one with t = 0.  The verdict
-    at (p^k, b mod p^k) for p^k < _MEMO_BELOW is kept in memo, so a memo
-    serves one (d, a_d, unit) only."""
+    ``_solution_class``: a unit solution is one with t = 0."""
     for p, k in pairs:
-        pk = p**k
-        key = (pk, b % pk)
-        ok = memo.get(key)
-        if ok is None:
-            solution = _solution_class(b, p, k, d, a_d)
-            ok = solution is not None and not (unit and solution[1])
-            if pk < _MEMO_BELOW:
-                memo[key] = ok
-        if not ok:
+        solution = _solution_class(b, p, k, d, a_d)
+        if solution is None or (unit and solution[1]):
             return False
     return True
 
@@ -307,12 +292,12 @@ def _solvable_block(b, pairs, d: int, a_d: int, unit: bool):
 
 def is_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution?  Decided per prime power."""
-    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, False, {})
+    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, False)
 
 
 def is_primitive_power_residue(b: int, q: int, d: int, a_d: int = 1) -> bool:
     """Does a_d * x^d = b (mod q) have a solution with x a unit mod q?"""
-    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, True, {})
+    return _solvable(b, _factor_pairs(q, d, a_d), d, a_d, True)
 
 
 def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:

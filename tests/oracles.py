@@ -223,14 +223,13 @@ def per_q_window_hits(alpha: Fraction, d: int, a_d: int, tau: Fraction, band, qs
     two b nearest t alpha are tested.  Otherwise dmax = iroot(((ad t)^v -
     1) // q^u, v) is the largest D that passes, and the window is every b
     with t an - dmax <= b ad <= t an + dmax.  Each b is then kept when
-    gcd(b, q) lies between the band's walked cuts and b mod q passes
+    gcd(b, q) lies between the band's cuts and b mod q passes
     ``is_power_residue`` (``is_primitive_power_residue`` for unit-class
     numerators).
     """
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     residue_test = is_primitive_power_residue if flags.primitive_only else is_power_residue
-    cuts_at = band.cut_walk()
     hits = []
     for q in qs:
         if flags.coprime_to_d_ad and math.gcd(q, d * abs(a_d)) != 1:
@@ -250,7 +249,7 @@ def per_q_window_hits(alpha: Fraction, d: int, a_d: int, tau: Fraction, band, qs
             continue
         if flags.omega_max is not None and len(factorize(q).factors) > flags.omega_max:
             continue
-        lo, hi = cuts_at(q)
+        lo, hi = band.cuts(q)
         for b in candidates:
             g = math.gcd(b, q)
             if lo <= g < hi and residue_test(b % q, q, d, a_d):

@@ -501,32 +501,23 @@ def test_window_blocks_lay_out_every_window_once(monkeypatch):
         assert laid == [(i, o) for i, R in enumerate(radius) for o in range(1 - R, R + 1)], radius
 
 
-def test_window_pieces_keep_summed_lengths_below_2_62():
-    # radii near 2^61: each piece's windows sum to less than 2^62 (one
-    # window alone once R >= 2^61), each piece is as long as that allows,
-    # and the first block comes from the first window without any window
-    # laid out in full
-    top = 1 << 61
-    cases = [
-        [top - 1] * 3,
-        [top // 2 - 1, top // 2 - 1, top // 2, top - 2, top, (1 << 62) - 1],
-        [top // 3] * 2 + [top // 3 + 1] * 2,
-        [1 << 40] * 5000 + [1 << 49] * 3,
-    ]
-    for radius in cases:
-        r = np.array(radius, dtype=np.int64)
-        start = 0
-        while start < len(radius):
-            m = counting._piece_len(r[start:])
-            piece = radius[start : start + m]
-            assert 2 * sum(piece) < 1 << 62 or (m == 1 and piece[0] >= top), (radius, start)
-            if start + m < len(radius):
-                assert (m + 1) * radius[start + m] >= top, (radius, start)
-            start += m
-        seg, off = next(counting._window_blocks(r))
-        first = 1 - radius[0]
-        assert seg.tolist() == [0] * counting._WIDE_BLOCK
-        assert off.tolist() == list(range(first, first + counting._WIDE_BLOCK))
+def test_wide_scan_refuses_radius_at_2_50(capsys, monkeypatch):
+    # d = 3, tau = 1/2: ceil(q^(5/2)) is 2^50 at q = 2^20 (refused, exit 2)
+    # and below 2^50 at q = 2^20 - 1, where the scan starts; the windows
+    # of a chunk of _WIDE_BLOCK // 2 q then sum to less than 2^63
+    assert counting._WIDE_LIMIT == 1 << 50
+    assert (counting._WIDE_BLOCK // 2) * 2 * (counting._WIDE_LIMIT - 1) < 1 << 63
+    started = []
+    monkeypatch.setattr(counting, "_exact_hits", lambda *args: started.append(args[-2]) or [])
+    tau, qmax = Fraction(1, 2), 1 << 20
+    with pytest.raises(ValueError, match="below 2\\^50"):
+        find_hits(Fraction(1, 3), 3, 1, tau, FULL, qmax)
+    argv = ["scan", "--poly", "0,0,0,-1", "--tau", "1/2", "--alpha", "1/3", "--qmax", str(qmax)]
+    assert main(argv) == 2
+    assert "below 2^50" in capsys.readouterr().err
+    assert started == []
+    assert find_hits(Fraction(1, 3), 3, 1, tau, FULL, qmax - 1) == []
+    assert started == [range(1, qmax)]
 
 
 def test_find_hits_refuses_degree_below_two():
@@ -537,14 +528,14 @@ def test_find_hits_refuses_degree_below_two():
 
 
 def test_wide_scan_refuses_int64_overflow(capsys):
-    # at tau <= d the radius ceil(qmax^(d - tau)) or qmax itself reaching
-    # 2^62 is refused before anything is allocated
+    # at tau <= d the radius ceil(qmax^(d - tau)) reaching 2^50, or qmax
+    # itself 2^62, is refused before anything is allocated
     for tau, qmax in ((Fraction(1, 2), 1 << 42), (Fraction(2), 1 << 62)):
-        with pytest.raises(ValueError, match="below 2\\^62"):
+        with pytest.raises(ValueError, match="below 2\\^50"):
             find_hits(Fraction(1, 3), 2, 1, tau, FULL, qmax)
     argv = ["scan", "--poly", "0,0,-1", "--tau", "1/2", "--alpha", "1/3", "--qmax", str(1 << 42)]
     assert main(argv) == 2
-    assert "below 2^62" in capsys.readouterr().err
+    assert "below 2^50" in capsys.readouterr().err
 
 
 def test_wide_scan_refuses_moduli_past_the_powmod_bound(capsys, monkeypatch):

@@ -107,87 +107,45 @@ def test_band_cuts_match_cmp_frac_qpow():
     assert GcdBand.full().cuts(12) == (1, 13)
 
 
-def _walked(band, qs):
-    cuts_at = band.cut_walk()
-    return [cuts_at(q) for q in qs]
-
-
-def test_cut_walk_matches_ceil_qpow():
-    bands = [GcdBand.parse(t) for t in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20")]
+def test_cut_arrays_match_ceil_qpow():
+    # consecutive runs from several starts, sparse q with gaps, every 7th
+    # sieve prime, squares (a cut can rise by more than 1 between entries),
+    # repeated q, more steps than entries, and an object array past 2^63
     rng = random.Random(20)
     gaps, q = [], 1
     while q <= 1 << 20:
         gaps.append(q)
         q += rng.randrange(1, 1 << 14)
-    sequences = [range(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
-    sequences += [
-        [n * n for n in range(1, 1 << 10)],  # squares: a cut can rise by more than 1
-        get_sieve(1 << 16).primes(1 << 16)[::7].tolist(),
-        gaps,
-    ]
-    for band in bands:
-        upper = band.eps + band.delta
-        for qs in sequences:
-            expected = [(_ceil_qpow(q, band.eps), _ceil_qpow(q, upper)) for q in qs]
-            assert _walked(band, qs) == expected, (band.format(), qs[0])
-    full = GcdBand.full()
-    assert _walked(full, range(1, 50)) == [(1, q + 1) for q in range(1, 50)]
-    b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
-    assert _walked(b2, (15, 16, 16, 17)) == [(4, 8), (4, 8), (4, 8), (5, 9)]
-    assert _walked(b2, (16,)) == [(4, 8)] == [b2.cuts(16)]
-    edge = GcdBand(Fraction(0), Fraction(1))  # eps = 0 and eps + delta = 1
-    assert _walked(edge, (1, 2, 3, 100, 101)) == [(1, q) for q in (1, 2, 3, 100, 101)]
-    for band in bands:
-        assert band.cuts(1) == _walked(band, (1,))[0]
-    assert GcdBand.parse("1/2,1/4").cuts(1) == (1, 1)
-    cuts_at = b2.cut_walk()
-    cuts_at(17)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        cuts_at(16)
-
-
-def test_cut_walk_seeds_once_over_consecutive_q(monkeypatch):
-    # ceil(q^x) rises by at most 1 from q to q + 1 for x <= 1, so a walk
-    # over consecutive q takes an integer root at its first q only
-    seeds = []
-
-    def counting_seed(q, x):
-        seeds.append(q)
-        return _ceil_qpow(q, x)
-
-    monkeypatch.setattr(covers, "_ceil_qpow", counting_seed)
-    for text in ("1/2,1/4", "1/4,1/2", "0,1/3", "1/3,2/3", "0,1"):
-        band = GcdBand.parse(text)
-        for start in (1, 2, 1000, 4097):
-            seeds.clear()
-            _walked(band, range(start, start + 2000))
-            assert len(seeds) <= 2 and set(seeds) <= {start}, (text, start)
-    # squares n^2: both cuts seed at the first; then ceil(q^(1/2)) = n steps
-    # by 1, and ceil(q^(3/4)) rises by more, so it seeds again at each one
-    seeds.clear()
-    squares = [n * n for n in range(2, 200)]
-    assert [lo for lo, _ in _walked(GcdBand.parse("1/2,1/4"), squares)] == list(range(2, 200))
-    assert seeds == [4] + squares
-
-
-def test_cut_arrays_match_ceil_qpow():
-    # consecutive, sparse and repeated q, and squares, where a cut rises
-    # by more than 1 between entries
-    arrays = [
-        np.arange(1, 3000),
-        np.arange((1 << 20) - 7, (1 << 20) + 500),
+    arrays = [np.arange(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
+    arrays += [
         np.array([n * n for n in range(1, 1 << 10)]),
+        get_sieve(1 << 16).primes(1 << 16)[::7],
+        np.array(gaps),
         np.array([5, 5, 5, 6, 1000, 1000, 5000]),
         np.array([1, 2, 1 << 20, 1 << 30]),  # more steps than entries
         np.array([1]),
     ]
-    for text in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20", "0,1", "full"):
+    arrays = [a.astype(np.int64) for a in arrays]
+    arrays.append(np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63, 2**63 + 5, 2**64 + 1], dtype=object))
+    arrays.append(np.arange(2**63 - 3, 2**63 + 3, dtype=object))  # steps past 2^63
+    for text in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20", "full"):
         band = GcdBand.parse(text)
         for q in arrays:
-            lo, hi = band.cut_arrays(q.astype(np.int64))
-            assert lo.dtype == hi.dtype == np.int64
-            expected = [band.cuts(x) for x in q.tolist()]
+            if band.is_full:
+                expected = [(1, n + 1) for n in q.tolist()]
+            else:
+                upper = band.eps + band.delta
+                expected = [(_ceil_qpow(n, band.eps), _ceil_qpow(n, upper)) for n in q.tolist()]
+            lo, hi = band.cut_arrays(q)
+            assert lo.dtype == hi.dtype == q.dtype
             assert list(zip(lo.tolist(), hi.tolist())) == expected, (text, q[0])
+            assert [band.cuts(n) for n in q.tolist()] == expected, (text, q[0])
+    b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
+    lo, hi = b2.cut_arrays(np.array([15, 16, 16, 17]))
+    assert lo.tolist() == [4, 4, 4, 5] and hi.tolist() == [8, 8, 8, 9]
+    edge = GcdBand(Fraction(0), Fraction(1))  # eps = 0 and eps + delta = 1
+    assert [edge.cuts(q) for q in (1, 2, 3, 100, 101)] == [(1, q) for q in (1, 2, 3, 100, 101)]
+    assert GcdBand.parse("1/2,1/4").cuts(1) == (1, 1)
 
 
 def test_ceil_qpow_array_matches_ceil_qpow_for_any_exponent():
@@ -208,11 +166,13 @@ def test_ceil_qpow_array_matches_ceil_qpow_for_any_exponent():
 
 def _counts(N, Q, band, d, a_d):
     """``center_counts`` over [N, Q] as one list, checking that its blocks
-    are consecutive and hold Python ints."""
+    are consecutive, aligned to COUNT_BLOCK and hold Python ints."""
     out = []
     for lo, counts in center_counts(N, Q, band, d, a_d):
         assert lo == N + len(out)
-        assert all(type(c) is int for c in counts)
+        assert lo == N or lo % COUNT_BLOCK == 0
+        assert lo // COUNT_BLOCK == (lo + len(counts) - 1) // COUNT_BLOCK
+        assert 0 < len(counts) <= COUNT_BLOCK and all(type(c) is int for c in counts)
         out += counts
     assert len(out) == max(Q - N + 1, 0)
     return out
@@ -367,6 +327,24 @@ def test_banded_center_counts_match_per_q_oracle():
                 oracle = [banded_center_count_per_q(q, band, d, a_d) for q in range(1, 4701)]
                 for N, Q in ranges:
                     assert _counts(N, Q, band, d, a_d) == oracle[N - 1 : Q], (text, d, a_d, N)
+
+
+def test_per_q_counts_match_oracle_across_block_edges_and_past_2_63():
+    # the per-q pass takes each aligned block's cuts as one array: across a
+    # COUNT_BLOCK edge, across 2^63 (int64 cuts below the block that ends at
+    # 2^63 - 1, object cuts from there), and at q = 2^64 + 1
+    ranges = (
+        (COUNT_BLOCK - 300, COUNT_BLOCK + 300),
+        (2**63 - 3, 2**63 + 2),
+        (2**64 + 1, 2**64 + 1),
+    )
+    for text in ("1/2,1/4", "1/4,1/2", "0,1", "full"):
+        band = GcdBand.parse(text)
+        for N, Q in ranges:
+            for d, a_d in ((2, 1), (3, 12)):
+                want = [banded_center_count_per_q(q, band, d, a_d) for q in range(N, Q + 1)]
+                assert _counts(N, Q, band, d, a_d) == want, (text, N, d)
+                assert any(want), (text, N, d)
 
 
 def test_banded_center_count_validates():

@@ -175,8 +175,7 @@ def test_block_class_test_matches_solvable_below_300(d):
     pairs = {q: factorize(q).factors for q in range(1, 301)}
     for a_d in BLOCK_COEFFICIENTS:
         for unit in (False, True):
-            memo = {}
-            want = [_solvable(b, pairs[q], d, a_d, unit, memo) for q, b in zip(qs, bs)]
+            want = [_solvable(b, pairs[q], d, a_d, unit) for q, b in zip(qs, bs)]
             assert block_verdicts(qs, bs, d, a_d, unit) == want, (a_d, unit)
 
 
@@ -200,7 +199,7 @@ def test_block_class_test_matches_solvable_at_edge_moduli():
                 bs |= {a_d * pow(x, d, q) % q for x in xs}
                 bs = sorted(bs)
                 for unit in (False, True):
-                    want = [_solvable(b, pairs, d, a_d, unit, {}) for b in bs]
+                    want = [_solvable(b, pairs, d, a_d, unit) for b in bs]
                     got = block_verdicts([q] * len(bs), bs, d, a_d, unit)
                     assert got == want, (q, d, a_d, unit)
 
