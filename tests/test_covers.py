@@ -107,27 +107,8 @@ def test_band_cuts_match_cmp_frac_qpow():
     assert GcdBand.full().cuts(12) == (1, 13)
 
 
-def test_cut_arrays_match_ceil_qpow():
-    # consecutive runs from several starts, sparse q with gaps, every 7th
-    # sieve prime, squares (a cut can rise by more than 1 between entries),
-    # repeated q, more steps than entries, and an object array past 2^63
-    rng = random.Random(20)
-    gaps, q = [], 1
-    while q <= 1 << 20:
-        gaps.append(q)
-        q += rng.randrange(1, 1 << 14)
-    arrays = [np.arange(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
-    arrays += [
-        np.array([n * n for n in range(1, 1 << 10)]),
-        get_sieve(1 << 16).primes(1 << 16)[::7],
-        np.array(gaps),
-        np.array([5, 5, 5, 6, 1000, 1000, 5000]),
-        np.array([1, 2, 1 << 20, 1 << 30]),  # more steps than entries
-        np.array([1]),
-    ]
-    arrays = [a.astype(np.int64) for a in arrays]
-    arrays.append(np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63, 2**63 + 5, 2**64 + 1], dtype=object))
-    arrays.append(np.arange(2**63 - 3, 2**63 + 3, dtype=object))  # steps past 2^63
+def _check_cut_arrays(arrays):
+    """``cut_arrays`` and ``cuts`` of every band against ``_ceil_qpow``."""
     for text in CUT_BANDS + ("0,1/3", "2/3,1/3", "9/20,1/20", "full"):
         band = GcdBand.parse(text)
         for q in arrays:
@@ -140,6 +121,36 @@ def test_cut_arrays_match_ceil_qpow():
             assert lo.dtype == hi.dtype == q.dtype
             assert list(zip(lo.tolist(), hi.tolist())) == expected, (text, q[0])
             assert [band.cuts(n) for n in q.tolist()] == expected, (text, q[0])
+
+
+def test_cut_arrays_match_ceil_qpow_over_q_runs():
+    # consecutive runs from several starts, sparse q with gaps, every 7th
+    # sieve prime, and squares (a cut can rise by more than 1 between entries)
+    rng = random.Random(20)
+    gaps, q = [], 1
+    while q <= 1 << 20:
+        gaps.append(q)
+        q += rng.randrange(1, 1 << 14)
+    arrays = [np.arange(start, start + 3000) for start in (1, 2, 15, 1000, 4097, (1 << 20) - 7)]
+    arrays += [
+        np.array([n * n for n in range(1, 1 << 10)]),
+        get_sieve(1 << 16).primes(1 << 16)[::7],
+        np.array(gaps),
+    ]
+    _check_cut_arrays([a.astype(np.int64) for a in arrays])
+
+
+def test_cut_arrays_match_ceil_qpow():
+    # repeated q, more steps than entries, and object arrays past 2^63
+    arrays = [
+        np.array([5, 5, 5, 6, 1000, 1000, 5000]),
+        np.array([1, 2, 1 << 20, 1 << 30]),  # more steps than entries
+        np.array([1]),
+    ]
+    arrays = [a.astype(np.int64) for a in arrays]
+    arrays.append(np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63, 2**63 + 5, 2**64 + 1], dtype=object))
+    arrays.append(np.arange(2**63 - 3, 2**63 + 3, dtype=object))  # steps past 2^63
+    _check_cut_arrays(arrays)
     b2 = GcdBand(Fraction(1, 2), Fraction(1, 4))
     lo, hi = b2.cut_arrays(np.array([15, 16, 16, 17]))
     assert lo.tolist() == [4, 4, 4, 5] and hi.tolist() == [8, 8, 8, 9]
