@@ -14,11 +14,11 @@ Quantities of the form q^(u/v) are never materialised as floats.  Order
 comparisons against them are decided by raising both sides to the v-th
 power in exact integers, and certified rational enclosures come from
 integer v-th roots at a configurable precision.  Every integer root of
-degree 3 or more above 2^52 ends in the same exact descent
-(``_root_descent``): ``iroot`` starts it from its own float seed, and the
-certified sums of ``covers`` from float seeds worked out for a whole block
-of moduli at once.  A float only ever starts the descent; the floor it
-stops at is decided in integers.
+degree 3 or more ends in the same exact descent (``_root_descent``):
+``iroot`` starts it from its own float seed, and the certified sums of
+``covers`` from float seeds worked out for a whole block of moduli at once.
+A float only ever starts the descent; the floor it stops at is decided in
+integers.
 """
 
 from __future__ import annotations
@@ -122,6 +122,12 @@ def get_sieve(need: int = _MIN_SIEVE_LIMIT) -> SpfSieve:
             limit <<= 1
         _sieve = SpfSieve(limit)
     return _sieve
+
+
+def _primes_to_root(n: int) -> list[int]:
+    """The primes up to isqrt(n), ascending, as ints, from the shared sieve."""
+    root = math.isqrt(n)
+    return get_sieve(root).primes(root).tolist()
 
 
 def is_probable_prime(n: int) -> bool:
@@ -270,9 +276,10 @@ def divisors(f: Union[int, Factorization]) -> list[int]:
 
 
 def _root_seed(n: int, k: int) -> int:
-    """One past the float root of n >> shift, times 2^(shift/k), for n >= 2^52,
-    k >= 3: shift is 0 below 2^1000 (float(n) overflows at 2^1024), else the
-    least multiple of k that brings n under 2^1000."""
+    """One past the float root of n >> shift, times 2^(shift/k), for n >= 1
+    and k >= 3: shift is 0 below 2^1000 (float(n) overflows at 2^1024), else
+    the least multiple of k that brings n under 2^1000.  At least 1, so any
+    n may start ``_root_descent`` from it."""
     if n.bit_length() <= 1000:
         return int(float(n) ** (1.0 / k)) + 1
     shift = n.bit_length() - 1000
@@ -301,10 +308,10 @@ def _root_descent(n: int, k: int, x: int) -> int:
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) in exact integers, n >= 0, k >= 1.
 
-    Below 2^52, n is an exact float and its float root is within one of
-    the answer, which the fix-up loops settle.  Above, ``_root_descent``
-    starts from ``_root_seed``: all 53 bits of the float root plus one,
-    which puts it above the root or at most a float error below it.
+    Degree 2 is ``math.isqrt``; every degree of 3 or more is
+    ``_root_descent`` from ``_root_seed``, all 53 bits of the float root
+    plus one, which puts the seed above the root or at most a float error
+    below it.
     """
     if n < 0 or k < 1:
         raise ValueError("iroot requires n >= 0 and k >= 1")
@@ -312,13 +319,6 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    if n.bit_length() <= 52:
-        x = int(n ** (1.0 / k))
-        while x**k > n:
-            x -= 1
-        while (x + 1) ** k <= n:
-            x += 1
-        return x
     return _root_descent(n, k, _root_seed(n, k))
 
 

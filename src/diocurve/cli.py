@@ -147,11 +147,6 @@ def _thread_count(text: str) -> int:
     return n
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    parser.add_argument("--output", help="write to this path instead of stdout")
-
-
 def _option(p, command: str, flag: str, help: str, **kw) -> None:
     """Add an option that only some forms of `command` read; its help names them."""
     served = _served(command, flag[2:].replace("-", "_"))
@@ -166,9 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"diocurve {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's output options
+    common.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    common.add_argument("--output", help="write to this path instead of stdout")
 
-    p = sub.add_parser("residues", help="power-residue profiles and sets")
-    _common(p)
+    p = sub.add_parser("residues", parents=[common], help="power-residue profiles and sets")
     p.add_argument("--q", type=int)
     p.add_argument("--qlo", type=int)
     p.add_argument("--qhi", type=int)
@@ -176,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", action="store_true", help="also list the residue set")
     p.add_argument("--ad", type=int, help="leading coefficient a_d, default 1")
 
-    p = sub.add_parser("congruence", help="solution counts and Hensel lifts")
-    _common(p)
+    p = sub.add_parser("congruence", parents=[common], help="solution counts and Hensel lifts")
     p.add_argument("--mode", choices=("count", "lift"), default="count")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -186,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "congruence", "--poly", "coefficients, constant first")
     _option(p, "congruence", "--ptilde", "base solution mod q", type=int)
 
-    p = sub.add_parser("reduce", help="simultaneous-to-constrained round trip")
-    _common(p)
+    p = sub.add_parser("reduce", parents=[common], help="simultaneous-to-constrained round trip")
     p.add_argument("--poly", required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--x", type=_fraction, required=True)
@@ -197,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_fraction, required=True)
     p.add_argument("--M", type=int, default=0)
 
-    p = sub.add_parser("cover", help="cover measures, tail sums, L series")
-    _common(p)
+    p = sub.add_parser("cover", parents=[common], help="cover measures, tail sums, L series")
     p.add_argument("--mode", choices=("measures", "tail", "series"), default="measures")
     _option(p, "cover", "--tau", "approximation exponent", type=_fraction)
     _option(p, "cover", "--d", "power degree", type=int)
@@ -212,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "cover", "--n", "series coprimality modulus, default 1", type=int)
     _option(p, "cover", "--qmax", "series cutoff", type=int)
 
-    p = sub.add_parser("scan", help="constrained hit scan / counting curve")
-    _common(p)
+    p = sub.add_parser("scan", parents=[common], help="constrained hit scan / counting curve")
     p.add_argument("--poly", required=True)
     p.add_argument("--tau", type=_fraction, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
@@ -230,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _option(p, "scan", "--dump-gnuplot", "also write PREFIX_curve.dat", metavar="PREFIX")
 
-    p = sub.add_parser("experiment", help="the five experiment drivers")
-    _common(p)
+    p = sub.add_parser("experiment", parents=[common], help="the five experiment drivers")
     p.add_argument(
         "--kind",
         choices=("threshold", "growth", "critical-band", "svolume", "stabilization"),

@@ -47,10 +47,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .arithmetic import Rational, factor_pairs_over, get_sieve, iroot
+from .arithmetic import Rational, _primes_to_root, factor_pairs_over, iroot
 from .covers import GcdBand, _ceil_qpow, _ceil_qpow_array
 from .curve import ConstrainedHit
-from .residues import _solvable, _solvable_block
+from .residues import _check, _solvable, _solvable_block
 
 
 MIN_ALPHA_BITS = 128
@@ -132,8 +132,8 @@ def _exact_hits(
     <= d.  FULL's cuts admit every gcd.  --coprime drops a q here, before
     either stage, by a gcd in Python (a_d has no bound).
     When tau > d, a q is factorized once, after the band keeps a candidate,
-    from ``arithmetic.factor_pairs_over`` on the range scanned so far; when
-    tau <= d, the class stage of ``_wide_hits`` factors batches of q.
+    from ``arithmetic.factor_pairs_over`` on [1, q]; when tau <= d, the
+    class stage of ``_wide_hits`` factors batches of q.
     """
     if flags.coprime_to_d_ad:
         dad = d * abs(a_d)
@@ -143,10 +143,7 @@ def _exact_hits(
     an, ad = alpha.numerator, alpha.denominator
     u, v = tau.numerator, tau.denominator
     hits: list[ConstrainedHit] = []
-    first_q = None
     for q in qs:
-        if first_q is None:
-            first_q = q
         t = q**d
         num = t * an
         rhs = (ad * t) ** v
@@ -160,7 +157,8 @@ def _exact_hits(
         kept = [(b, g) for b in candidates if lo <= (g := math.gcd(b, q)) < hi]
         if not kept:
             continue
-        pairs = factor_pairs_over(first_q, q)(q)
+        # a scan starts at q = 1, which the prefilter and --coprime keep
+        pairs = factor_pairs_over(1, q)(q)
         if flags.omega_max is not None and len(pairs) > flags.omega_max:
             continue
         for b, g in kept:
@@ -237,8 +235,7 @@ def _wide_hits(
         while len(held) >= least:
             batch, held = held[:_CLASS_BATCH], held[_CLASS_BATCH:]
             q = batch[:, 0]
-            root = math.isqrt(int(q[-1]))
-            pairs = _kernels.factor_pairs_block(q, get_sieve(root).primes(root).tolist())
+            pairs = _kernels.factor_pairs_block(q, _primes_to_root(int(q[-1])))
             keep = _solvable_block(batch[:, 2], pairs, d, a_d, flags.primitive_only)
             if flags.omega_max is not None:
                 keep &= np.bincount(pairs[0], minlength=len(q)) <= flags.omega_max
@@ -386,10 +383,7 @@ def find_hits(
         raise ValueError(f"alpha must lie in [0, 1], got {value}")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    if d < 2:
-        raise ValueError(f"power degree must be >= 2, got {d}")
-    if a_d == 0:
-        raise ValueError("a_d must be nonzero")
+    _check(qmax, d, a_d)
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")

@@ -63,12 +63,12 @@ from . import _kernels
 from .arithmetic import (
     DEFAULT_SIEVE_LIMIT,
     Rational,
+    _primes_to_root,
     _root_descent,
     _root_seed,
     divisors,
     factor_pairs_over,
     factorize,
-    get_sieve,
     iroot,
     root_enclosure,
 )
@@ -88,9 +88,9 @@ def _ceil_qpow(q: int, x: Fraction) -> int:
 def _ceil_qpow_array(q: np.ndarray, x: Fraction) -> np.ndarray:
     """ceil(q^x) at every entry of a nondecreasing array q >= 1, for any x
     >= 0, in q's dtype: int64 when ceil(q[-1]^x) < 2^63, object (Python
-    ints) for any q.  One integer root at each end of q and one per step of
-    ceil(q^x) between them, or one per entry when there are more steps than
-    entries.
+    ints) for any q.  One integer root at each end of q (one when both ends
+    hold the same q) and one per step of ceil(q^x) between them, or one per
+    entry when there are more steps than entries.
 
     With x = num/den, an integer q has q^x > c exactly when q^num > c^den,
     that is when q > s_c = iroot(c^den, num).  So with ca and cb the values
@@ -102,7 +102,8 @@ def _ceil_qpow_array(q: np.ndarray, x: Fraction) -> np.ndarray:
     most arrays take the per-entry roots.
     """
     num, den = x.numerator, x.denominator
-    ca, cb = _ceil_qpow(int(q[0]), x), _ceil_qpow(int(q[-1]), x)
+    ca = _ceil_qpow(int(q[0]), x)
+    cb = ca if q[-1] == q[0] else _ceil_qpow(int(q[-1]), x)
     if cb - ca > len(q):
         return np.array([_ceil_qpow(n, x) for n in q.tolist()], dtype=q.dtype)
     steps = np.array([iroot(c**den, num) for c in range(ca, cb)], dtype=q.dtype)
@@ -308,7 +309,8 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
         return
     _check(N, d, a_d)
     if band.is_full and Q - N + 1 >= TABLE_MIN and Q < TABLE_QMAX:
-        for lo, hi, primes in _table_blocks(N, Q):
+        primes = _primes_to_root(Q)
+        for lo, hi in _aligned_blocks(N, Q):
             yield lo, _count_block(lo, hi, d, abs(a_d), primes).tolist()
         return
     factor_pairs = factor_pairs_over(N, Q)
@@ -390,15 +392,6 @@ def _aligned_blocks(N: int, Q: int):
         hi = min(lo | (COUNT_BLOCK - 1), Q)
         yield lo, hi
         lo = hi + 1
-
-
-def _table_blocks(N: int, Q: int):
-    """(lo, hi, primes) for the ``_aligned_blocks`` of [N, Q]; primes are
-    the primes up to isqrt(Q), from the shared sieve."""
-    root = math.isqrt(Q)
-    primes = get_sieve(root).primes(root).tolist()
-    for lo, hi in _aligned_blocks(N, Q):
-        yield lo, hi, primes
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +741,8 @@ def restricted_series_partial(
 
     acc = IntervalSum(bits)
     acc.lo = acc.hi = weight[0] << bits  # q = 1 term, exact
-    for lo, hi, primes in _table_blocks(2, Q):
+    primes = _primes_to_root(Q)
+    for lo, hi in _aligned_blocks(2, Q):
         omega = _kernels.omega_table(lo, hi, primes)
         for p in n_primes:
             omega[(-lo) % p :: p] = W + 1

@@ -202,7 +202,7 @@ def _solution_class(b: int, p: int, k: int, d: int, a_d: int):
     if p == 2 and j >= 3:
         ok = d % 2 or y % (1 << min((d & -d).bit_length() + 1, j)) == 1
     else:
-        phi = p ** (j - 1) * (p - 1)
+        phi = _phi_pp(p, j)
         ok = y == 1 or pow(y, phi // math.gcd(d, phi), pj) == 1
     return (j, t) if ok else None
 

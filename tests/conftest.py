@@ -1,14 +1,19 @@
 """The CLI tests start ``python -m diocurve.cli`` in child processes; give
 them the package from ./src, as ``pythonpath`` in pyproject.toml gives it to
-the test process, so the suite needs no PYTHONPATH set."""
+the test process, so the suite needs no PYTHONPATH set.  Neither the test
+process nor its children write bytecode, so a run leaves no ``__pycache__``
+under src for a later timing of the checkout to pick up."""
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+sys.dont_write_bytecode = True
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from diocurve.arithmetic import (
 )
 from diocurve.covers import GcdBand
 from diocurve.residues import count_solutions, is_power_residue, scaled_power_residue_count
-from oracles import trial_division
+from oracles import floor_root, trial_division
 
 
 def test_factorize_examples():
@@ -390,6 +390,28 @@ def test_iroot_shift_path_exact_powers_and_neighbours():
     for n, k, r in ((1 << 53, 60, 1), (1 << 53, 200, 1), (3**60 - 1, 60, 2),
                     (1 << 1000, 1500, 1), (1 << 1500, 1200, 2)):
         assert iroot(n, k) == r, (n, k)
+
+
+def test_iroot_matches_floor_root_on_small_n_and_around_2_52():
+    # one path for every root of degree >= 3: _root_descent from _root_seed,
+    # also where n is an exact float and where it stops being one
+    for k in range(3, 9):
+        small = range(1, 1 << 16)
+        assert [iroot(n, k) for n in small] == [floor_root(n, k) for n in small], k
+        for centre in (1 << 52, 1 << 53):
+            for n in range(centre - 512, centre + 512):
+                assert iroot(n, k) == floor_root(n, k), (n, k)
+
+
+def test_iroot_matches_floor_root_on_random_n_to_1100_bits():
+    # 200 n of each bit length 53..1100, k = 3..8 in turn: the float seed of
+    # n < 2^1000 and the shifted seed above
+    rng = random.Random(29)
+    for bits in range(53, 1101):
+        for i in range(200):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            k = 3 + i % 6
+            assert iroot(n, k) == floor_root(n, k), (n, k)
 
 
 def test_iroot_known():

@@ -141,11 +141,12 @@ def test_cut_arrays_match_ceil_qpow_over_q_runs():
 
 
 def test_cut_arrays_match_ceil_qpow():
-    # repeated q, more steps than entries, and object arrays past 2^63
+    # repeated q, more steps than entries, two entries, and object arrays past 2^63
     arrays = [
         np.array([5, 5, 5, 6, 1000, 1000, 5000]),
         np.array([1, 2, 1 << 20, 1 << 30]),  # more steps than entries
         np.array([1]),
+        *(np.array([n, n + 1]) for n in (1, 7, 8, 15, 16, 63, 64)),  # two ends, one step apart
     ]
     arrays = [a.astype(np.int64) for a in arrays]
     arrays.append(np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63, 2**63 + 5, 2**64 + 1], dtype=object))
@@ -173,6 +174,26 @@ def test_ceil_qpow_array_matches_ceil_qpow_for_any_exponent():
             got = _ceil_qpow_array(near, x)
             assert got.dtype == np.int64
             assert got.tolist() == [_ceil_qpow(n, x) for n in near.tolist()], x
+
+
+def test_one_q_takes_one_root_per_cut(monkeypatch):
+    # an array whose ends hold the same q roots it once per cut, so a one-q
+    # count or measure takes 2 roots, not 4
+    q, band = 10**12 + 39, GcdBand.parse("1/4,1/2")
+    count = banded_center_count_per_q(q, band, 2, 1)
+    cuts = [(q, band.eps), (q, band.eps + band.delta)]
+    roots = []
+    ceil_qpow = covers._ceil_qpow
+    monkeypatch.setattr(covers, "_ceil_qpow", lambda n, x: roots.append((n, x)) or ceil_qpow(n, x))
+    assert banded_center_count(q, band, 2, 1) == count
+    assert roots == cuts
+    roots.clear()
+    assert cover_measure(q, 3, 2, 1, band).center_count == count * q
+    assert roots == cuts
+    roots.clear()
+    lo, hi = band.cut_arrays(np.full(5, q, dtype=np.int64))
+    assert lo.tolist() == [ceil_qpow(*cuts[0])] * 5 and hi.tolist() == [ceil_qpow(*cuts[1])] * 5
+    assert roots == cuts
 
 
 def _counts(N, Q, band, d, a_d):
@@ -435,11 +456,14 @@ def test_count_table_large_a_d_and_tiny_ranges():
 
 
 def _probe_table_blocks(monkeypatch):
-    """A list that records the (N, Q) of each ``_table_blocks`` call."""
+    """A list that records the (lo, hi) of each ``_count_block`` call: the
+    count table's blocks."""
     blocks = []
-    table_blocks = covers._table_blocks
+    count_block = covers._count_block
     monkeypatch.setattr(
-        covers, "_table_blocks", lambda N, Q: blocks.append((N, Q)) or table_blocks(N, Q)
+        covers,
+        "_count_block",
+        lambda lo, hi, *args: blocks.append((lo, hi)) or count_block(lo, hi, *args),
     )
     return blocks
 
