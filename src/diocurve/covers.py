@@ -50,6 +50,7 @@ default 96 bits no tail-sum block passes that width rule below q of about
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -651,42 +652,64 @@ def tail_sums(
     d: int,
     a_d: int,
     N: int,
-    Q: int,
+    ends,
     band: GcdBand,
     *,
     bits: int = SUM_BITS,
-) -> list[tuple[Fraction, Fraction]]:
-    """``tail_sum`` at each tau of taus, from one count pass over [N, Q].
+) -> list[list[tuple[Fraction, Fraction]]]:
+    """``tail_sum`` at each tau of taus over each segment of a schedule, from
+    one count pass over [N, ends[-1]]: one list of per-tau enclosures per
+    segment.
 
-    Every tau is checked before any count is taken.  A term 2 count(q)
-    q^(d-1) / q^tau is summed as 2 count(q) / q^a, a = tau - d + 1 > 1:
-    q^(d-1) divides its numerator and both of its rounding divisors q^k R
-    and q^k (R + 1), so each rounded bound is the same integer, from a
-    smaller numerator.  The counts come from ``center_counts``, one block
-    at a time, kept for the q with a nonzero count.  The taus with the same
-    fractional part w/v are rounded together, at most ROOT_CHUNK terms per
-    ``_add_terms`` call: they share the chunk's roots floor(2^bits
-    q^(w/v)) (5/2, 7/2 and 9/2 all take isqrt(q << 2 bits)) and each
-    term's big division.
+    The ends ascend; segment 0 holds the q in [N, ends[0]] and segment i >
+    0 the q in [N, ends[i]] above ends[i-1], so a segment wholly below N is
+    empty and sums to zero.  Every tau and the order of the ends are
+    checked before any count is taken.  A term 2 count(q) q^(d-1) /
+    q^tau is summed as 2 count(q) / q^a, a = tau - d + 1 > 1: q^(d-1)
+    divides its numerator and both of its rounding divisors q^k R and q^k
+    (R + 1), so each rounded bound is the same integer, from a smaller
+    numerator.  The counts come from ``center_counts``, one block at a
+    time, kept for the q with a nonzero count.  Within a segment the taus
+    with the same fractional part w/v are rounded together, at most
+    ROOT_CHUNK terms per ``_add_terms`` call: they share the chunk's roots
+    floor(2^bits q^(w/v)) (5/2, 7/2 and 9/2 all take isqrt(q << 2 bits))
+    and each term's big division.  Each term is rounded into its own
+    segment's sums, so every segment's bounds are the integers a separate
+    call over that segment alone gives.
     """
     taus = [Fraction(t) for t in taus]
     for tau in taus:
         if tau <= d:
             raise ValueError(f"needs tau > d, got tau={tau}, d={d}")
-    accs = [IntervalSum(bits) for _ in taus]
-    groups: dict[tuple[int, int], list[tuple[int, IntervalSum]]] = {}
-    for tau, acc in zip(taus, accs):
-        a = tau - (d - 1)
-        k, w = divmod(a.numerator, a.denominator)
-        groups.setdefault((w, a.denominator), []).append((k, acc))
-    for lo, counts in center_counts(N, Q, band, d, a_d):
-        qs = list(itertools.compress(range(lo, lo + len(counts)), counts))
-        nums = [2 * c for c in counts if c]
-        for start in range(0, len(qs), ROOT_CHUNK):
-            part = slice(start, start + ROOT_CHUNK)
-            for (w, v), group in groups.items():
-                _add_terms(group, nums[part], qs[part], w, v)
-    return [acc.interval() for acc in accs]
+    ends = list(ends)
+    for prev, end in zip(ends, ends[1:]):
+        if end <= prev:
+            raise ValueError(f"segment ends must ascend, got {end} after {prev}")
+    if not ends:
+        return []
+    accs = [[IntervalSum(bits) for _ in taus] for _ in ends]
+    groups = []  # per segment, {(w, v): [(k, acc), ...]}
+    for seg_accs in accs:
+        seg_groups: dict[tuple[int, int], list[tuple[int, IntervalSum]]] = {}
+        for tau, acc in zip(taus, seg_accs):
+            a = tau - (d - 1)
+            k, w = divmod(a.numerator, a.denominator)
+            seg_groups.setdefault((w, a.denominator), []).append((k, acc))
+        groups.append(seg_groups)
+    for lo, counts in center_counts(N, ends[-1], band, d, a_d):
+        first, last = lo, lo + len(counts) - 1
+        while first <= last:  # the part of the block in each segment it meets
+            i = bisect.bisect_left(ends, first)
+            end = min(ends[i], last)
+            part = counts[first - lo : end - lo + 1]
+            qs = list(itertools.compress(range(first, end + 1), part))
+            nums = [2 * c for c in part if c]
+            for start in range(0, len(qs), ROOT_CHUNK):
+                chunk = slice(start, start + ROOT_CHUNK)
+                for (w, v), group in groups[i].items():
+                    _add_terms(group, nums[chunk], qs[chunk], w, v)
+            first = end + 1
+    return [[acc.interval() for acc in seg_accs] for seg_accs in accs]
 
 
 def tail_sum(
@@ -703,9 +726,10 @@ def tail_sum(
     2 * count(q) * q^(d-1) / q^tau, count(q) = banded_center_count(q, ...),
     taken from ``center_counts``; the q with no center are skipped.  The
     terms are rounded by ``_add_terms``, ROOT_CHUNK at a time.  Empty
-    range (N > Q) sums to zero.  Monotone nondecreasing in Q.
+    range (N > Q) sums to zero.  Monotone nondecreasing in Q.  The one-tau,
+    one-segment case of ``tail_sums``.
     """
-    return tail_sums([tau], d, a_d, N, Q, band, bits=bits)[0]
+    return tail_sums([tau], d, a_d, N, [Q], band, bits=bits)[0][0]
 
 
 def restricted_series_partial(

@@ -249,11 +249,8 @@ def threshold_experiment(
     alpha draw, which the report therefore does not echo."""
     schedule = cfg.schedule(DEFAULT_THRESHOLD_SCHEDULE)
     taus = [Fraction(t) for t in taus]
-    # one count pass per schedule segment serves every tau
-    segments = [
-        tail_sums(taus, cfg.d, cfg.a_d, prev_q + 1, Q, cfg.band)
-        for prev_q, Q in zip((0, *schedule), schedule)
-    ]
+    # one count pass over [1, schedule[-1]] serves every segment and every tau
+    segments = tail_sums(taus, cfg.d, cfg.a_d, 1, schedule, cfg.band)
     rows = []
     verdicts = {}
     for i, tau in enumerate(taus):

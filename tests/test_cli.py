@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -318,6 +319,51 @@ def test_reads_table_names_parser_options():
             assert hasattr(args, dest), (command, dest)  # no typo in _READS
 
 
+def test_one_command_parser_parses_like_the_full_one():
+    full = build_parser()
+    for commands in _FORM_COMMANDS.values():
+        for line in commands:
+            argv = line.format(tmp="t").split()
+            assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv), line
+    # the other subcommands are registered without their options
+    with pytest.raises(SystemExit):
+        build_parser("scan").parse_args(["cover", "--tau", "3", "--d", "2", "--q", "5"])
+
+
+# sha256 of stdout + stderr at 80 columns, recorded before main built only
+# the invoked subcommand's options: help, usage and parse errors keep their bytes
+_PARSER_OUTPUT = {
+    "": "6aa15294093a601fd9de91bf31ec4ac3053576e205d1898736b72669f97d68ce",
+    "--help": "4e9173bfe05018c7b4903afdc0329d6a7111b2763944897993f2775c87a9173b",
+    "residues --help": "5e849e185ba50450a9f1a31b137234d5fa58fe77ac551d01327bfa99497c53e5",
+    "congruence --help": "25a9123e87f68342cf3e6204cf30425f4507381c8241f95c31659456bda7ef77",
+    "reduce --help": "ea44a2f2273ea10b0247895bde6d1aa8e95d7322c1abe810dfd68c80b0d16e69",
+    "cover --help": "bfeec7424112e3c28a06981754bbc548b78c0a78dfb7daf0f7021d67df930657",
+    "scan --help": "3a847fa7d14eb9e5d973c5237c5f7e9ea77a9a22eaca825d75bb0dd54ef81488",
+    "experiment --help": "0e152f343c9df30421e79aa7a105058ff9c6207a56623b375d8358e82a944a2f",
+    "frobnicate": "330890764781c5e9b229ee24f2adcb6b48022855b5f014a7c8de5ce5962bb575",
+    # an unrecognized argument is reported with the usage of all six commands
+    "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4 extra":
+        "8787bbfa9b7730011c08d3bb58ed9db4c7333259e2ba1c79290460f4a0c85f79",
+    "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax x":
+        "636bb59dd71df4d16300613185c3c848bb80b894b3cb71672546c11ceeb9518e",
+    "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 0":
+        "45e762cb38360476b92389c46f0132ff7b448f418415997faa9c4e18205d22ca",
+}
+
+
+@pytest.mark.parametrize("line", _PARSER_OUTPUT)
+def test_help_usage_and_errors_keep_their_bytes(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(line.split())
+    except SystemExit as exc:
+        code = exc.code
+    assert code == (0 if line.endswith("--help") else 2)
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == _PARSER_OUTPUT[line]
+
+
 def test_every_form_runs_with_every_option_it_reads(capsys, tmp_path):
     for (command, form), commands in _FORM_COMMANDS.items():
         given = set()
@@ -442,12 +488,15 @@ def test_tail_validates_like_per_q_path(capsys):
 
 
 def test_threads_below_one_rejected(capsys):
-    for bad in ("0", "-3"):
+    for bad in ("0", "-3", "x", "1.5"):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--kind", "stabilization", "--qlo", "1", "--qhi", "4",
                   "--threads", bad])
         assert exc.value.code == 2
-        assert "thread count must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --threads: thread count must be an integer >= 1, got {bad!r}\n"
+        )
 
 
 _NO_DRAW = {

@@ -621,11 +621,11 @@ def test_tail_sums_equal_tail_sum_per_tau(band, d, a_d):
     taus = _TAILS_TAUS[d, a_d]
     ranges = [(1, 300), (97, 1024), (COUNT_BLOCK - 40, COUNT_BLOCK + 40)]
     for N, Q in ranges:
-        sums = tail_sums(taus, d, a_d, N, Q, band)
+        [sums] = tail_sums(taus, d, a_d, N, [Q], band)
         assert all(isinstance(x, Fraction) for pair in sums for x in pair)
         assert sums == [tail_sum(t, d, a_d, N, Q, band) for t in taus], (N, Q)
-    assert tail_sums(taus, d, a_d, 12, 11, band) == [(0, 0)] * len(taus)
-    assert tail_sums([], d, a_d, 1, 50, band) == []
+    assert tail_sums(taus, d, a_d, 12, [11], band) == [[(0, 0)] * len(taus)]
+    assert tail_sums([], d, a_d, 1, [50], band) == [[]]
 
 
 _SHARED_TAUS = [Fraction(5, 2), Fraction(7, 2), Fraction(9, 2), Fraction(3), Fraction(13, 4)]
@@ -639,7 +639,7 @@ def test_tail_sums_share_roots_across_taus(monkeypatch):
     ):
         band = GcdBand.parse(band)
         for N, Q in ranges:
-            sums = tail_sums(_SHARED_TAUS, 2, 1, N, Q, band)
+            [sums] = tail_sums(_SHARED_TAUS, 2, 1, N, [Q], band)
             assert sums == [tail_sum(t, 2, 1, N, Q, band) for t in _SHARED_TAUS], (N, Q)
     calls = []
     split_roots = covers._split_roots
@@ -649,7 +649,7 @@ def test_tail_sums_share_roots_across_taus(monkeypatch):
         return split_roots(qs, w, v, bits)
 
     monkeypatch.setattr(covers, "_split_roots", counted)
-    tail_sums(_SHARED_TAUS, 2, 1, COUNT_BLOCK - 40, COUNT_BLOCK + 3 * ROOT_CHUNK, GcdBand.full())
+    tail_sums(_SHARED_TAUS, 2, 1, COUNT_BLOCK - 40, [COUNT_BLOCK + 3 * ROOT_CHUNK], GcdBand.full())
     chunks = [40, ROOT_CHUNK, ROOT_CHUNK, ROOT_CHUNK, 1]  # two blocks, chunked
     assert sorted(calls) == sorted((n, w, v) for n in chunks for w, v in ((1, 2), (1, 4)))
 
@@ -681,22 +681,75 @@ def test_tail_sums_share_divisions_within_a_split(monkeypatch):
     monkeypatch.setattr(covers, "_add_terms", record)
     for (taus, d, groups), want in zip(cases, expected):
         seen.clear()
-        assert tail_sums(taus, d, 1, 1, 700, GcdBand.full()) == want, taus
+        assert tail_sums(taus, d, 1, 1, [700], GcdBand.full()) == [want], taus
         assert sorted(seen) == sorted(group + (700,) for group in groups), taus
 
 
 def test_tail_sums_nest_outside_unsplit_rounding():
     # over the threshold schedule 2^2..2^14 each segment's sum contains the
     # unsplit rounding's sum and is at most twice as wide
-    prev = 0
-    for e in range(2, 15):
-        Q = 1 << e
-        sums = tail_sums(_SHARED_TAUS, 2, 1, prev + 1, Q, GcdBand.full())
+    schedule = [1 << e for e in range(2, 15)]
+    segments = tail_sums(_SHARED_TAUS, 2, 1, 1, schedule, GcdBand.full())
+    assert len(segments) == len(schedule)
+    for prev, Q, sums in zip([0, *schedule], schedule, segments):
         for tau, (lo, hi) in zip(_SHARED_TAUS, sums):
             ulo, uhi = _per_q_tail_sum(tau, 2, 1, prev + 1, Q, unsplit_ratio_bounds)
             assert lo <= ulo <= uhi <= hi, (tau, Q)
             assert hi - lo <= 2 * (uhi - ulo), (tau, Q)
-        prev = Q
+
+
+# (N, ends): segments of the doubling schedule from 4 (the first ones
+# shorter than TABLE_MIN, so one pass reads the count table where a call per
+# segment factors each q, the last ones longer than ROOT_CHUNK); segments
+# around a COUNT_BLOCK boundary, one of a single q, one crossing the
+# boundary and longer than ROOT_CHUNK, one ending where a block starts;
+# segments wholly below N
+_SCHEDULES = (
+    (1, [1 << e for e in range(2, 13)]),
+    (COUNT_BLOCK - 1500, [COUNT_BLOCK - 1495, COUNT_BLOCK - 1494, COUNT_BLOCK - 1400,
+                          COUNT_BLOCK, COUNT_BLOCK + 40, COUNT_BLOCK + 1100]),
+    (40, [10, 39, 45, 100]),
+)
+
+
+@pytest.mark.parametrize("band", ("full", "1/4,1/2"))
+@pytest.mark.parametrize("d,a_d", ((2, 1), (2, 6), (3, -6)))
+def test_tail_sums_over_a_schedule_equal_one_call_per_segment(monkeypatch, band, d, a_d):
+    band = GcdBand.parse(band)
+    taus = _TAILS_TAUS[2, 1] if d == 2 else _TAILS_TAUS[3, -6]
+    passes = []
+    counts = covers.center_counts
+
+    def recorded(N, Q, *args):
+        passes.append((N, Q))
+        return counts(N, Q, *args)
+
+    for N, ends in _SCHEDULES:
+        want = [
+            tail_sums(taus, d, a_d, max(N, prev + 1), [end], band)[0]
+            for prev, end in zip([N - 1, *ends], ends)
+        ]
+        monkeypatch.setattr(covers, "center_counts", recorded)
+        passes.clear()
+        assert tail_sums(taus, d, a_d, N, ends, band) == want, (N, ends)
+        assert passes == [(N, ends[-1])]
+        monkeypatch.setattr(covers, "center_counts", counts)
+
+
+def test_tail_sums_refuse_ends_that_do_not_ascend(monkeypatch):
+    # like a bad tau, refused before any count is taken or any term rounded
+    calls = []
+    for name in ("_add_terms", "center_counts"):
+        monkeypatch.setattr(covers, name, lambda *args, name=name: calls.append(name))
+    for ends, message in (
+        ([8, 4], "got 4 after 8"),
+        ([4, 4], "got 4 after 4"),
+        ([4, 8, 6, 16], "got 6 after 8"),
+    ):
+        with pytest.raises(ValueError, match=f"segment ends must ascend, {message}"):
+            tail_sums([Fraction(7, 2)], 2, 1, 1, ends, GcdBand.full())
+    assert tail_sums([Fraction(7, 2)], 2, 1, 1, [], GcdBand.full()) == []
+    assert calls == []
 
 
 def test_tail_sums_check_every_tau_before_summing(monkeypatch):
@@ -707,7 +760,7 @@ def test_tail_sums_check_every_tau_before_summing(monkeypatch):
     for band in (GcdBand.full(), GcdBand.parse("1/4,1/2")):
         for d, second in ((2, Fraction(2)), (2, Fraction(3, 2)), (3, Fraction(3))):
             with pytest.raises(ValueError, match=f"needs tau > d, got tau={second}, d={d}"):
-                tail_sums([Fraction(9, 2), second, Fraction(5)], d, 1, 1, 100, band)
+                tail_sums([Fraction(9, 2), second, Fraction(5)], d, 1, 1, [100], band)
     assert calls == []
 
 
