@@ -2,7 +2,7 @@
 function N(Q) read from its hits.
 
 Every hit predicate is decided in exact integer arithmetic: alpha is an
-exact rational (dyadic when randomly drawn, with enough bits that no
+exact rational (the drivers draw dyadic ones, with enough bits that no
 scanned q can produce a boundary tie), and comparisons against q^(u/v)
 use the integer power rule.  When tau > d the approximation radius
 r = q^(d - tau) is at most 1, and the scan tests only the two integers b
@@ -27,11 +27,11 @@ stage, --omega-max and the residue class read the q's factor pairs, the
 class through ``residues._solvable``; the wrappers ``is_power_residue``
 and ``is_primitive_power_residue`` serve the API.
 
-In the narrow regime tau > d, when alpha's denominator is a power of two
-and qmax^d < 2^63, a vectorised prefilter (`_dyadic_survivors`) first
-discards, in blocks of q that cross octaves, the q whose q^d alpha lies
-provably too far from every integer; the exact scan then runs on the
-survivors only.  Every other input is scanned exactly at every q.
+In the narrow regime tau > d, when qmax^d < 2^63, a vectorised prefilter
+(`_survivors`) first discards, from floor(2^128 alpha) and in blocks of q
+that cross octaves, the q whose q^d alpha lies provably too far from every
+integer; the exact scan then runs on the survivors only.  A narrow scan
+with qmax^d >= 2^63 is scanned exactly at every q.
 """
 
 from __future__ import annotations
@@ -292,9 +292,9 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
-def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[int]:
+def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[int]:
     """Increasing q <= qmax: a superset of the q with an integer b such that
-    |q^d alpha - b| < q^(d - tau), for alpha = n/2^m in [0, 1], tau > d and
+    |q^d alpha - b| < q^(d - tau), for alpha = n/m in [0, 1], tau > d and
     qmax^d < 2^63.
 
     Proof of the superset property.  Let t = q^d < 2^63, count in units of
@@ -302,7 +302,7 @@ def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iter
     distance from x to the nearest multiple of 2^64; it is 1-Lipschitz.  A
     candidate b exists at q exactly when D = ||2^64 t alpha|| < 2^64 q^(d-tau).
 
-    * Truncating alpha to 128 bits.  A = floor(2^128 alpha) = n 2^128 >> m
+    * Truncating alpha to 128 bits.  A = floor(2^128 alpha) = n 2^128 // m
       gives 2^128 alpha = A + delta with 0 <= delta < 1, so
       2^64 t alpha = t A / 2^64 + t delta / 2^64, and the last term lies in
       [0, t 2^-64), within [0, 1/2): below 1 unit.
@@ -326,8 +326,7 @@ def _dyadic_survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iter
     and that is the keep test, each q of a block of _PREFILTER_BLOCK q
     against the bound of its own octave.  No float enters it.
     """
-    m = alpha.denominator.bit_length() - 1
-    a = alpha.numerator << 128 >> m  # A = floor(2^128 alpha)
+    a = (alpha.numerator << 128) // alpha.denominator  # A = floor(2^128 alpha)
     hi = np.uint64(a >> 64 & _MASK64)  # H of A mod 2^128 (alpha = 1 gives 0)
     lo1 = np.uint64(a >> 32 & _MASK32)  # L = lo1 2^32 + lo0
     lo0 = np.uint64(a & _MASK32)
@@ -366,9 +365,9 @@ def find_hits(
     positive: at tau <= 0 the window holds about 2 q^(d - tau) numerators
     per q.
 
-    For a dyadic alpha with tau > d and qmax^d < 2^63, only the survivors of
-    the prefilter `_dyadic_survivors` are scanned; it keeps every q that can
-    hit, so the result is that of the exact scan over every q <= qmax.
+    For tau > d and qmax^d < 2^63, only the survivors of the prefilter
+    `_survivors` are scanned; it keeps every q that can hit, so the result
+    is that of the exact scan over every q <= qmax.
     For tau <= d the block stage holds q and its window offsets in int64,
     and its class stage multiplies two residues mod p^j <= q, so a scan
     whose qmax exceeds ``_kernels.POWMOD_QMAX`` (about 3.0e9, the largest q
@@ -392,9 +391,8 @@ def find_hits(
             f"tau <= d keeps q <= {_kernels.POWMOD_QMAX} and ceil(q^(d - tau)) "
             f"below 2^50 (int64), got qmax = {qmax} at tau = {tau}, d = {d}"
         )
-    ad = value.denominator
-    if ad & (ad - 1) == 0 and tau > d and qmax**d < 1 << 63:
-        qs: Iterable[int] = _dyadic_survivors(value, d, tau, qmax)
+    if tau > d and qmax**d < 1 << 63:
+        qs: Iterable[int] = _survivors(value, d, tau, qmax)
     else:
         qs = range(1, qmax + 1)
     return _exact_hits(value, d, a_d, tau, band, qs, flags)

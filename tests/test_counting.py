@@ -13,8 +13,8 @@ from diocurve.arithmetic import iroot
 from diocurve.cli import main
 from diocurve.counting import (
     HitFlags,
-    _dyadic_survivors,
     _exact_hits,
+    _survivors,
     count_curve,
     dyadic_alphas,
     find_hits,
@@ -278,21 +278,26 @@ def has_candidate(alpha, d, tau, q):
     b_seed=st.integers(min_value=0, max_value=1 << 64),
     sign=st.sampled_from([-1, 1]),
     offset=st.integers(min_value=-2, max_value=2),
+    m_seed=st.none() | st.integers(min_value=0, max_value=1 << 200),
 )
 @settings(max_examples=300, deadline=None)
-def test_prefilter_keeps_every_q_with_a_candidate(d, excess, bits, q0, b_seed, sign, offset):
-    # alpha sits within a few 2^-bits of the edge b0/q0^d +- q0^-tau,
-    # on either side of it; octave starts 2^k are where the bound is tightest
+def test_prefilter_keeps_every_q_with_a_candidate(
+    d, excess, bits, q0, b_seed, sign, offset, m_seed
+):
+    # alpha = n/m sits within a few 1/m of the edge b0/q0^d +- q0^-tau, on
+    # either side of it, with m = 2^bits or (m_seed given) an odd m of bits
+    # bits; octave starts 2^k are where the bound is tightest
     tau = d + excess
     u, v = tau.numerator, tau.denominator
     q0 = min(q0, iroot((1 << 63) - 1, d))
     t0 = q0**d
     b0 = b_seed % (t0 + 1)
-    radius = iroot((1 << bits * v) // q0**u, v)  # floor(2^bits q0^-tau)
-    num = (b0 << bits) // t0 + sign * (radius + offset)
-    alpha = Fraction(min(max(num, 0), 1 << bits), 1 << bits)
+    m = 1 << bits if m_seed is None else m_seed % (1 << bits) | 1 << (bits - 1) | 1
+    radius = iroot(m**v // q0**u, v)  # floor(m q0^-tau)
+    num = b0 * m // t0 + sign * (radius + offset)
+    alpha = Fraction(min(max(num, 0), m), m)
     qmax = min(q0 + 3, iroot((1 << 63) - 1, d))
-    survivors = list(_dyadic_survivors(alpha, d, tau, qmax))
+    survivors = list(_survivors(alpha, d, tau, qmax))
     assert survivors == sorted(set(survivors))
     kept = set(survivors)
     for q in {*range(1, min(qmax, 64) + 1), *range(max(1, q0 - 3), qmax + 1)}:
@@ -300,27 +305,68 @@ def test_prefilter_keeps_every_q_with_a_candidate(d, excess, bits, q0, b_seed, s
             assert q in kept, (q, alpha, d, tau)
 
 
+def test_prefilter_keeps_a_candidate_one_unit_past_the_octave_bound():
+    # F falls short of 2^64 q^d alpha by eps < 1 + t 2^-64, so where the
+    # radius 2^64 q^(d - tau) lies within t 2^-64 of T_k a q can have a
+    # candidate at ||F|| = T_k + 1: slack 2 keeps it, slack 1 would not.  At
+    # d = 4, tau = 86/11 and q = 2^15 + 1 the radius is 0.060 below T_k = 106
+    # and t 2^-64 is 0.0625.  b makes t (A + 1) / 2^64 pass b 2^64 - T_k by
+    # (t - 1) / 2^64, for the largest A with t A / 2^64 < b 2^64 - T_k, and
+    # alpha = n/m, m = 2^200 + 1, lies just below (A + 1) / 2^128
+    d, tau, q = 4, Fraction(86, 11), (1 << 15) + 1
+    u, v = tau.numerator, tau.denominator
+    t, k = q**d, q.bit_length() - 1
+    bound = iroot(1 << 64 * v + k * (d * v - u), v) + 1
+    b = (1 + (bound << 64)) * pow(1 << 128, -1, t) % t
+    a = -(-((b << 64) - bound << 64) // t) - 1
+    m = (1 << 200) + 1
+    alpha = Fraction(-(-(a + 1) * m >> 128) - 1, m)
+    assert (alpha.numerator << 128) // m == a
+    assert (1 << 64) - (t * a >> 64) % (1 << 64) == bound + 1  # ||F||
+    assert has_candidate(alpha, d, tau, q)
+    assert q in _survivors(alpha, d, tau, q)
+
+
 @pytest.mark.parametrize("block", [4096, 100])
 def test_prefilter_compares_each_q_with_its_own_octave(monkeypatch, block):
     # the survivors are exactly the q with ||F|| < T_k + 2 for the octave
-    # 2^k <= q < 2^(k+1) of each q, F worked out in Python integers; blocks
-    # of 4096 and of 100 q cross octave edges at different places
+    # 2^k <= q < 2^(k+1) of each q, F worked out in Python integers from
+    # A = floor(2^128 alpha); blocks of 4096 and of 100 q cross octave edges
+    # at different places
     monkeypatch.setattr(counting, "_PREFILTER_BLOCK", block)
     rng = random.Random(2027)
     cases = ((2, Fraction(13, 4), 9000), (3, Fraction(7, 2), 5000), (2, Fraction(9, 4), 3000))
     for d, tau, qmax in cases:
         u, v = tau.numerator, tau.denominator
-        for bits in (128, 200):
-            alpha = Fraction(rng.getrandbits(bits) | 1, 1 << bits)
-            a = (alpha.numerator << 128 >> bits) % (1 << 128)
-            expected = []
-            for q in range(1, qmax + 1):
-                t, e = q**d, 64 * v + (q.bit_length() - 1) * (d * v - u)
-                f = (t * (a >> 64) + (t * (a % (1 << 64)) >> 64)) % (1 << 64)
-                if min(f, (1 << 64) - f) < (iroot(1 << e, v) + 1 if e >= 0 else 1) + 2:
-                    expected.append(q)
+
+        def keep_below(q):
+            e = 64 * v + (q.bit_length() - 1) * (d * v - u)
+            return (iroot(1 << e, v) + 1 if e >= 0 else 1) + 2
+
+        def norm_f(a, q):
+            t = q**d
+            f = (t * (a >> 64) + (t * (a % (1 << 64)) >> 64)) % (1 << 64)
+            return min(f, (1 << 64) - f)
+
+        alphas = [Fraction(rng.getrandbits(bits) | 1, 1 << bits) for bits in (128, 200)]
+        for bits in (64, 128, 200):
+            m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            alphas.append(Fraction(rng.randrange(m + 1), m))
+        alphas.append(Fraction(2, 7))
+        # alphas with ||F|| = T_k + 1 (kept) and T_k + 2 (dropped) at an odd
+        # q0: F = t0 H (mod 2^64) from A = H 2^64, which n/m gives when
+        # n = ceil(H m / 2^64) and m = 2^200 + 1
+        q0, m = qmax // 2 | 1, (1 << 200) + 1
+        edge = keep_below(q0) - 1
+        for f0 in (edge, (1 << 64) - edge - 1):
+            h = f0 * pow(q0**d, -1, 1 << 64) % (1 << 64)
+            alphas.append(Fraction(-(-h * m >> 64), m))
+        big_a = [(a.numerator << 128) // a.denominator % (1 << 128) for a in alphas]
+        assert [norm_f(a, q0) for a in big_a[-2:]] == [edge, edge + 1]
+        for alpha, a in zip(alphas, big_a):
+            expected = [q for q in range(1, qmax + 1) if norm_f(a, q) < keep_below(q)]
             assert 0 < len(expected) < qmax / 2
-            assert list(_dyadic_survivors(alpha, d, tau, qmax)) == expected, (d, tau, bits)
+            assert list(_survivors(alpha, d, tau, qmax)) == expected, (d, tau, alpha)
 
 
 def test_find_hits_matches_exact_scan_on_prefilter_cases():
@@ -335,7 +381,21 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
                 cases.append((alpha, d, a_d, d + Fraction(1, 4), qmax))
     for alpha in (Fraction(0), Fraction(1)):
         cases.append((alpha, 2, 1, Fraction(9, 4), 300))
-    cases.append((Fraction(5741, 9973), 2, 1, Fraction(9, 4), 1500))  # not dyadic
+    # alphas that are not dyadic: small denominators, where q^d alpha is
+    # often an integer; a tie |q^d alpha - b| = q^(d - tau) at q = 7 and at
+    # q = 5; a denominator 2^200 + 1, where A truncates
+    cases.append((Fraction(5741, 9973), 2, 1, Fraction(9, 4), 1500))
+    cases.append((Fraction(1, 3), 2, 1, Fraction(9, 4), 1500))
+    cases.append((Fraction(2, 7), 3, -6, Fraction(13, 4), 400))
+    cases.append((Fraction(141, 343), 2, 1, Fraction(3), 1500))
+    cases.append((Fraction(186, 625), 3, 2, Fraction(4), 400))
+    m = (1 << 200) + 1
+    cases.append((Fraction(rng.randrange(m), m), 2, -1, Fraction(5, 2), 1500))
+    cases.append((Fraction(rng.randrange(m), m), 3, 1, Fraction(7, 2), 400))
+    # qmax^4 just below 2^63, the last d = 4 scan that takes the prefilter
+    top = iroot((1 << 63) - 1, 4)
+    m = rng.getrandbits(128) | 1 << 127 | 1
+    cases.append((Fraction(rng.randrange(m), m), 4, 1, Fraction(17, 4), top))
     combos = [
         HitFlags(p, c, m)
         for p in (False, True)
@@ -351,14 +411,13 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
             assert got == expected, (alpha, d, a_d, flags)
     # qmax^4 just below 2^63 takes the prefilter, just above the exact path;
     # d = 4 puts that edge near q = 55108, where scanning every q stays cheap
-    top = iroot((1 << 63) - 1, 4)
-    alpha = Fraction(rng.getrandbits(128) | 1, 1 << 128)
-    for qmax in (top, top + 1):
-        got = find_hits(alpha, 4, 1, Fraction(17, 4), FULL, qmax)
-        expected = _exact_hits(
-            alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags()
-        )
-        assert got == expected, qmax
+    for alpha in (Fraction(rng.getrandbits(128) | 1, 1 << 128), Fraction(rng.randrange(m), m)):
+        for qmax in (top, top + 1):
+            got = find_hits(alpha, 4, 1, Fraction(17, 4), FULL, qmax)
+            expected = _exact_hits(
+                alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags()
+            )
+            assert got == expected, (alpha, qmax)
 
 
 def cmp_band(band):

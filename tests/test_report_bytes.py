@@ -6,8 +6,9 @@ output.  The commands are the README's CLI examples, entry 0 of each
 perfbench workload written out literally, and edge cases: a banded measure
 range near 2^16, a modulus past 2^64, a narrow banded scan, a 128-bit alpha
 with --coprime and --omega-max, the critical-band and svolume drivers, the
-omega series and residue profiles near 2^24.  A change that is meant to
-alter a report updates its digest here and says so in CHANGES.md.
+omega series and residue profiles near 2^24, and narrow scans whose alpha is
+not dyadic.  A change that is meant to alter a report updates its digest
+here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -83,6 +84,22 @@ REPORTS = {
         "3d28493810719a77acada01d1ac10737f33eb649796438d2b7c288526d93389c",
     "residues --qlo 16777200 --qhi 16777300 --d 4 --ad 6":
         "feaddda9ceba8377e5063a5d4807cf45b42872c36748189f3e256f5cc5592b58",
+    # narrow scans whose alpha is not dyadic: a small denominator with every
+    # flag, a denominator of 2^200 + 1 (A truncates), a banded scan, qmax^4
+    # just below 2^63, and a tie |49 alpha - 20| = 1/7 = q^(d - tau) at q = 7
+    "scan --poly 0,0,0,-12 --tau 7/2 --alpha 2/7 --qmax 3000 --primitive --coprime"
+    " --omega-max 2":
+        "ed28dfda73d80f76272e3aa69942a65f0990be9bda46b6da72aacb97931f8fd9",
+    "scan --poly 0,0,-1 --tau 3 --alpha"
+    " 1234567890123456789012345678901234567890123456789012345678901/"
+    "1606938044258990275541962092341162602522202993782792835301377 --qmax 20000":
+        "e57620087197856a9656b3e221556003575fd30ffcd159e06836e85cf465a8f1",
+    "scan --poly 0,0,-1 --tau 5/2 --alpha 9972/9973 --band 1/2,1/4 --qmax 65536":
+        "7d88d129f545ca981c0f97de52e1f9575a5b7dad2983615353f313a1e8b306ba",
+    "scan --poly 0,0,0,0,-1 --tau 17/4 --alpha 1/3 --qmax 55108":
+        "05296b03c5bdbb8cf4fcb8a7b8cf4d118734b12f99f64d97d0e5b4ace903651e",
+    "scan --poly 0,0,-1 --tau 3 --alpha 141/343 --qmax 5000":
+        "7f09f6762b340a5c83202094310c236ee557caaa1c93b69376223325915ebdc6",
 }
 
 
