@@ -6,7 +6,10 @@ exact rational (the drivers draw dyadic ones, with enough bits that no
 scanned q can produce a boundary tie), and comparisons against q^(u/v)
 use the integer power rule.  When tau > d the approximation radius
 r = q^(d - tau) is at most 1, and the scan tests only the two integers b
-nearest q^d alpha.  Band membership of each candidate's gcd is two integer
+nearest q^d alpha, at the q that a vectorised prefilter (`_survivors`)
+keeps: from floor(2^128 alpha), in blocks of q that cross octaves, it
+drops each q with q^d < 2^63 whose q^d alpha lies provably too far from
+every integer.  Band membership of each candidate's gcd is two integer
 comparisons against the band's cuts, taken at each q with a candidate by
 ``GcdBand.cuts``: two integer roots at the sparse q that get that far.
 
@@ -26,12 +29,6 @@ Python, where the three boundary offsets take the exact integer test.
 stage, --omega-max and the residue class read the q's factor pairs, the
 class through ``residues._solvable``; the wrappers ``is_power_residue``
 and ``is_primitive_power_residue`` serve the API.
-
-In the narrow regime tau > d, when qmax^d < 2^63, a vectorised prefilter
-(`_survivors`) first discards, from floor(2^128 alpha) and in blocks of q
-that cross octaves, the q whose q^d alpha lies provably too far from every
-integer; the exact scan then runs on the survivors only.  A narrow scan
-with qmax^d >= 2^63 is scanned exactly at every q.
 """
 
 from __future__ import annotations
@@ -127,10 +124,9 @@ def _exact_hits(
     So only the offsets {1 - R, R - 1, R} take the test D^v q^u < (ad t)^v.
 
     Each admissible b is kept when gcd(b, q) lies between the band's cuts
-    at q: taken by ``GcdBand.cuts`` at each q with a candidate when tau >
-    d, and read for a whole chunk of q by ``GcdBand.cut_arrays`` when tau
-    <= d.  FULL's cuts admit every gcd.  --coprime drops a q here, before
-    either stage, by a gcd in Python (a_d has no bound).
+    at q: ``GcdBand.cuts`` at each q with a candidate when tau > d, and
+    ``GcdBand.cut_arrays`` per chunk of q when tau <= d.  --coprime drops
+    a q here, before either stage, by a gcd in Python (a_d has no bound).
     When tau > d, a q is factorized once, after the band keeps a candidate,
     from ``arithmetic.factor_pairs_over`` on [1, q]; when tau <= d, the
     class stage of ``_wide_hits`` factors batches of q.
@@ -294,8 +290,8 @@ _MASK64 = (1 << 64) - 1
 
 def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[int]:
     """Increasing q <= qmax: a superset of the q with an integer b such that
-    |q^d alpha - b| < q^(d - tau), for alpha = n/m in [0, 1], tau > d and
-    qmax^d < 2^63.
+    |q^d alpha - b| < q^(d - tau), for alpha = n/m in [0, 1] and tau > d.
+    Each q with q^d >= 2^63 is kept untested; the proof covers the rest.
 
     Proof of the superset property.  Let t = q^d < 2^63, count in units of
     2^-64, and let ||x|| = min(x mod 2^64, 2^64 - x mod 2^64) be the
@@ -326,17 +322,18 @@ def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[in
     and that is the keep test, each q of a block of _PREFILTER_BLOCK q
     against the bound of its own octave.  No float enters it.
     """
+    top = min(qmax, iroot((1 << 63) - 1, d))
     a = (alpha.numerator << 128) // alpha.denominator  # A = floor(2^128 alpha)
     hi = np.uint64(a >> 64 & _MASK64)  # H of A mod 2^128 (alpha = 1 gives 0)
     lo1 = np.uint64(a >> 32 & _MASK32)  # L = lo1 2^32 + lo0
     lo0 = np.uint64(a & _MASK32)
     u, v = tau.numerator, tau.denominator
-    exps = [64 * v + k * (d * v - u) for k in range(qmax.bit_length())]
+    exps = [64 * v + k * (d * v - u) for k in range(top.bit_length())]
     t_k = [iroot(1 << e, v) + 1 if e >= 0 else 1 for e in exps]
     # ||F|| <= 2^63, so a bound past 2^64 - 1 keeps the whole octave
     keep_below = np.array([min(t + 2, _MASK64) for t in t_k], dtype=np.uint64)
-    for start in range(1, qmax + 1, _PREFILTER_BLOCK):
-        stop = min(start + _PREFILTER_BLOCK, qmax + 1)
+    for start in range(1, top + 1, _PREFILTER_BLOCK):
+        stop = min(start + _PREFILTER_BLOCK, top + 1)
         q = np.arange(start, stop, dtype=np.uint64)
         t = q**d
         t1, t0 = t >> 32, t & _MASK32
@@ -348,6 +345,7 @@ def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[in
         sizes = [min(stop, 2 << k) - max(start, 1 << k) for k in octaves]
         bound = np.repeat(keep_below[octaves.start : octaves.stop], sizes)
         yield from q[np.minimum(frac, -frac) < bound].tolist()
+    yield from range(top + 1, qmax + 1)
 
 
 def find_hits(
@@ -365,9 +363,8 @@ def find_hits(
     positive: at tau <= 0 the window holds about 2 q^(d - tau) numerators
     per q.
 
-    For tau > d and qmax^d < 2^63, only the survivors of the prefilter
-    `_survivors` are scanned; it keeps every q that can hit, so the result
-    is that of the exact scan over every q <= qmax.
+    For tau > d, only the q kept by the prefilter `_survivors`, a superset
+    of those that hit, are scanned: the result is the exact scan's.
     For tau <= d the block stage holds q and its window offsets in int64,
     and its class stage multiplies two residues mod p^j <= q, so a scan
     whose qmax exceeds ``_kernels.POWMOD_QMAX`` (about 3.0e9, the largest q
@@ -391,10 +388,7 @@ def find_hits(
             f"tau <= d keeps q <= {_kernels.POWMOD_QMAX} and ceil(q^(d - tau)) "
             f"below 2^50 (int64), got qmax = {qmax} at tau = {tau}, d = {d}"
         )
-    if tau > d and qmax**d < 1 << 63:
-        qs: Iterable[int] = _survivors(value, d, tau, qmax)
-    else:
-        qs = range(1, qmax + 1)
+    qs = _survivors(value, d, tau, qmax) if tau > d else range(1, qmax + 1)
     return _exact_hits(value, d, a_d, tau, band, qs, flags)
 
 

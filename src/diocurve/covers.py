@@ -55,6 +55,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -165,6 +166,11 @@ class GcdBand:
     def is_full(self) -> bool:
         return self.eps is None
 
+    @cached_property
+    def _upper(self) -> Fraction:
+        """eps + delta, added once per band; not a field, so == and hash hold."""
+        return self.eps + self.delta
+
     def cuts(self, q: int) -> tuple[int, int]:
         """(lo, hi) = (ceil(q^eps), ceil(q^(eps+delta))) at one q >= 1, so
         that an integer g is in the band at q exactly when lo <= g < hi.
@@ -177,7 +183,7 @@ class GcdBand:
         """
         if self.is_full:
             return 1, q + 1
-        return _ceil_qpow(q, self.eps), _ceil_qpow(q, self.eps + self.delta)
+        return _ceil_qpow(q, self.eps), _ceil_qpow(q, self._upper)
 
     def cut_arrays(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The cuts (lo, hi) of ``cuts`` at every entry of a nondecreasing
@@ -185,7 +191,7 @@ class GcdBand:
         int64 while q[-1] + 1 < 2^63, object for any q."""
         if self.is_full:
             return np.ones_like(q), q + 1
-        return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self.eps + self.delta)
+        return _ceil_qpow_array(q, self.eps), _ceil_qpow_array(q, self._upper)
 
     def contains(self, g: int, q: int) -> bool:
         """Is gcd value g admissible for modulus q?"""

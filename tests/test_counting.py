@@ -392,7 +392,7 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
     m = (1 << 200) + 1
     cases.append((Fraction(rng.randrange(m), m), 2, -1, Fraction(5, 2), 1500))
     cases.append((Fraction(rng.randrange(m), m), 3, 1, Fraction(7, 2), 400))
-    # qmax^4 just below 2^63, the last d = 4 scan that takes the prefilter
+    # qmax^4 just below 2^63, the last d = 4 scan whose every q is prefiltered
     top = iroot((1 << 63) - 1, 4)
     m = rng.getrandbits(128) | 1 << 127 | 1
     cases.append((Fraction(rng.randrange(m), m), 4, 1, Fraction(17, 4), top))
@@ -409,15 +409,32 @@ def test_find_hits_matches_exact_scan_on_prefilter_cases():
             got = find_hits(alpha, d, a_d, tau, b, qmax, flags)
             expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags)
             assert got == expected, (alpha, d, a_d, flags)
-    # qmax^4 just below 2^63 takes the prefilter, just above the exact path;
-    # d = 4 puts that edge near q = 55108, where scanning every q stays cheap
-    for alpha in (Fraction(rng.getrandbits(128) | 1, 1 << 128), Fraction(rng.randrange(m), m)):
-        for qmax in (top, top + 1):
-            got = find_hits(alpha, 4, 1, Fraction(17, 4), FULL, qmax)
-            expected = _exact_hits(
-                alpha, 4, 1, Fraction(17, 4), FULL, range(1, qmax + 1), HitFlags()
-            )
-            assert got == expected, (alpha, qmax)
+    # past the limit q^d < 2^63 the prefilter keeps every q untested: scans
+    # run a few hundred q beyond it, at q = 55,109 for d = 4, 6,209 for d = 5
+    # and 1,449 for d = 6, under every flag combination where the exact scan
+    # over every q stays cheap
+    for d, a_d, past in ((4, 1, 300), (5, 6, 200), (6, -1, 200)):
+        tau, qmax = d + Fraction(1, 4), iroot((1 << 63) - 1, d) + past
+        m = rng.getrandbits(128) | 1 << 127 | 1
+        for alpha in (Fraction(rng.getrandbits(128) | 1, 1 << 128), Fraction(rng.randrange(m), m)):
+            for b in (FULL, band):
+                for flags in combos if d > 4 else [HitFlags()]:
+                    got = find_hits(alpha, d, a_d, tau, b, qmax, flags)
+                    expected = _exact_hits(alpha, d, a_d, tau, b, range(1, qmax + 1), flags)
+                    assert got == expected, (alpha, d, b, flags)
+
+
+def test_find_hits_keeps_a_hit_past_2_64():
+    # q0 = 100,003 is prime and q0^4 > 2^64, so uint64 arithmetic at q0
+    # would wrap; alpha lies q0^-5 / 2 < q0^-tau above the centre b / q0^4,
+    # whose b = 2^4 mod q0 is a fourth power there
+    d, tau, q0 = 4, Fraction(17, 4), 100_003
+    t = q0**d
+    b = t // 3 - (t // 3 - 16) % q0
+    alpha = Fraction(b, t) + Fraction(1, 2 * q0**5)
+    assert t > 1 << 64 and b % q0 == 16
+    assert q0 in _survivors(alpha, d, tau, q0)
+    assert (q0, b) in {(h.q, h.b) for h in find_hits(alpha, d, 1, tau, FULL, q0)}
 
 
 def cmp_band(band):

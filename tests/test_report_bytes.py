@@ -6,9 +6,10 @@ output.  The commands are the README's CLI examples, entry 0 of each
 perfbench workload written out literally, and edge cases: a banded measure
 range near 2^16, a modulus past 2^64, a narrow banded scan, a 128-bit alpha
 with --coprime and --omega-max, the critical-band and svolume drivers, the
-omega series and residue profiles near 2^24, and narrow scans whose alpha is
-not dyadic.  A change that is meant to alter a report updates its digest
-here and says so in CHANGES.md.
+omega series and residue profiles near 2^24, narrow scans whose alpha is
+not dyadic, and narrow scans past the prefilter's limit q^d < 2^63.  A
+change that is meant to alter a report updates its digest here and says so
+in CHANGES.md.
 """
 
 import hashlib
@@ -100,6 +101,17 @@ REPORTS = {
         "05296b03c5bdbb8cf4fcb8a7b8cf4d118734b12f99f64d97d0e5b4ace903651e",
     "scan --poly 0,0,-1 --tau 3 --alpha 141/343 --qmax 5000":
         "7f09f6762b340a5c83202094310c236ee557caaa1c93b69376223325915ebdc6",
+    # narrow scans that cross the limit q^d < 2^63 of the prefilter: d = 4
+    # just past qmax 55108, d = 5 banded, d = 6 with --omega-max, and d = 3
+    # 100 q past 2^21 with --primitive --coprime
+    "scan --poly 0,0,0,0,-1 --tau 17/4 --alpha 1/3 --qmax 55300":
+        "74a942dd0b056409d45ba60811b3c53562305f078485c7ba25fa87a9507f273b",
+    "scan --poly 0,0,0,0,0,6 --tau 23/4 --alpha 5741/9973 --qmax 6400 --band 1/4,1/2":
+        "ce5a5ad28365c92a8b6adc5ef77ddaf9c1ae42842634bc7f72aa14aef4438882",
+    "scan --poly 0,0,0,0,0,0,-1 --tau 13/2 --alpha 1/3 --qmax 1600 --omega-max 2":
+        "5c89b54fa8810c8d232d799753d244942fd32f63ba87565a81a50ad983f681b1",
+    "scan --poly 0,0,0,-12 --tau 7/2 --alpha 2/7 --qmax 2097252 --primitive --coprime":
+        "662f4125f173b62d861e6de4f5cfb27356c93a04ba99d865a89421cd6d6fb9da",
 }
 
 
