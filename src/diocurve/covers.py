@@ -6,12 +6,13 @@ Every count here is a product over the prime powers p^k || q of
 each p-valuation.  Banded center counts keep, at every q, the divisors
 gcd(b, q) in the band.  One function, ``center_counts``, supplies them
 to cover measures and tail sums alike, and makes the one choice between
-two ways of counting a range of q.  The full band over at least TABLE_MIN
-moduli with Q < 2^48 reads a sieve-built table of r_d(q / gcd(q, a_d)),
-one numpy block of at most 2^16 moduli at a time, instead of factorizing
-each q.  Every other range takes one per-q pass over the same blocks:
-each q is factorized once, the valuation branches of each p^k are worked
-out once per range, and each block takes its band cuts from one
+two ways of counting a range of q.  Any band over at least TABLE_MIN
+moduli with Q < 2^48 reads a sieve-built count table, one numpy block of
+at most 2^16 moduli at a time, instead of factorizing each q: the full
+band as r_d(q / gcd(q, a_d)), other bands by expanding each q's divisor
+terms in numpy.  Every other range takes one per-q pass over the same
+blocks: each q is factorized once, the valuation branches of each p^k are
+worked out once per range, and each block takes its band cuts from one
 ``GcdBand.cut_arrays`` call instead of two integer roots per q.
 Enumeration and the per-q form stay in the test suite as oracles.  The
 omega-weighted series walks the table's blocks and takes omega(q) from
@@ -272,19 +273,24 @@ def banded_center_count(q: int, band: GcdBand, d: int, a_d: int) -> int:
     return next(center_counts(q, q, band, d, a_d))[1][0]
 
 
-# A full-band range of at least TABLE_MIN moduli reads the count table;
-# shorter ranges factor each q.  Chosen from a sweep of count-only times,
-# table against per-q pass, in ms, over L moduli from Q + 1000, each in a
-# fresh process (sieve and prime listing built by the call; 2-vCPU box):
+# A range of at least TABLE_MIN moduli reads the count table; shorter
+# ranges factor each q.  Chosen from sweeps of count-only times, table
+# against per-q pass, in ms, over L moduli from Q + 1000, each in a fresh
+# process (sieve and prime listing built by the call; 2-vCPU box), for the
+# full band and for the band 1/4,1/2 at d = 2 (1/2,1/4 read alike):
 #
 #     Q     L = 2      4      8     16     32     64
-#     2^32     4/1    2/1    4/3    4/4   3/16   3/35
+#     2^32     4/1    2/1    4/3    4/4   3/16   3/35     full band
 #     2^40   24/30  30/44  33/89 34/114 36/161 36/250
 #     2^44  119/65 145/81 143/74 115/150 101/225 156/236
 #     2^47  532/43 495/36 474/90 413/171 498/404 507/740
+#     2^32     3/2    3/2    3/2    3/5    4/9   6/32     band 1/4,1/2
+#     2^40   31/26  30/33  31/53 27/142 29/131 37/188
+#     2^44  111/56  99/45 93/102 103/159 99/128 117/324
+#     2^47  428/25 409/38 482/57 446/111 392/297 460/514
 #
-# At 16 the wrong side costs at most about 3x (2^40, L = 15, and 2^47, L =
-# 16); at 8 it costs 5x (2^47, L = 8).
+# At 16 the wrong side costs at most about 4x (2^47, L = 16); at 32 a band
+# would cost 5x (2^40, L = 16), and at 8 the full band 5x (2^47, L = 8).
 TABLE_MIN = 16
 
 
@@ -298,27 +304,26 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
     ``residues._valuation_counts(p, k, d, a_d)``.  Summed over the divisors
     g in the band; over the full band the sum is r_d(q / gcd(q, a_d)).
 
-    The full band over at least TABLE_MIN moduli with Q < TABLE_QMAX reads
-    the sieve-built count table, one block of at most COUNT_BLOCK moduli at
-    a time (``_count_block``).  Every other range takes one per-q pass
-    over the same blocks: each q is factorized once, from the shared sieve
-    only when the range is long enough to pay for it
-    (``arithmetic.factor_pairs_over``), the nonzero branches (p^s, N_p(s))
-    of each p^k are worked out once per call, divisors with a zero count
-    are never tested for band membership, and each block takes its band
-    cuts from one ``GcdBand.cut_arrays`` call, on an int64 array or, where
-    a cut could reach 2^63, an object one.  Validates like
+    Any band over at least TABLE_MIN moduli with Q < TABLE_QMAX reads the
+    count table, one block of at most COUNT_BLOCK moduli at a time
+    (``_count_block``).  Every other range, which includes every one-q
+    count, takes one per-q pass over the same blocks: each q is factorized
+    once, from the shared sieve only when the range is long enough to pay
+    for it (``arithmetic.factor_pairs_over``), the nonzero branches (p^s,
+    N_p(s)) of each p^k are worked out once per call, and each block takes
+    its band cuts from one ``GcdBand.cut_arrays`` call, on an int64 array
+    or, where a cut could reach 2^63, an object one.  Validates like
     ``scaled_power_residue_count`` at q = N, before it yields; an empty
-    range (N > Q) yields nothing.  Checked against enumeration and the
-    per-q oracle in the test suite.
+    range (N > Q) yields nothing.  Both ways are checked against
+    enumeration and the per-q oracle in the test suite.
     """
     if N > Q:
         return
     _check(N, d, a_d)
-    if band.is_full and Q - N + 1 >= TABLE_MIN and Q < TABLE_QMAX:
+    if Q - N + 1 >= TABLE_MIN and Q < TABLE_QMAX:
         primes = _primes_to_root(Q)
         for lo, hi in _aligned_blocks(N, Q):
-            yield lo, _count_block(lo, hi, d, abs(a_d), primes).tolist()
+            yield lo, _count_block(lo, hi, d, abs(a_d), primes, band).tolist()
         return
     factor_pairs = factor_pairs_over(N, Q)
     branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -355,39 +360,99 @@ def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# full-band count table
+# count table
 
 # Blocks are aligned to multiples of COUNT_BLOCK, so memory stays flat for
 # any range.  Below TABLE_QMAX the primes up to isqrt(q) come from a sieve
 # of at most DEFAULT_SIEVE_LIMIT, and every value the builder holds (q, its
-# cofactors, r_d(q~) <= q, the limb steps of ``_kernels._mod_each``) is
-# below 2^63.
+# cofactors, r_d(q~) <= q, divisor terms and weights <= q, the limb steps of
+# ``_kernels._mod_each``) is below 2^63.
 COUNT_BLOCK = 1 << 16
 TABLE_QMAX = DEFAULT_SIEVE_LIMIT**2
+# moduli whose divisor terms a banded block expands at once
+EXPAND_CHUNK = 1 << 11
 
 
-def _count_block(lo: int, hi: int, d: int, a: int, primes) -> np.ndarray:
-    """r_d(q / gcd(q, a)) for q in [lo, hi], a > 0; primes ascend past
-    isqrt(hi).
+def _count_block(lo: int, hi: int, d: int, a: int, primes, band: GcdBand) -> np.ndarray:
+    """The banded center count of each q in [lo, hi], as int64, for a =
+    |a_d| > 0; primes ascend past isqrt(hi), and hi < TABLE_QMAX.  By x ->
+    -x, a_d G_d(q) and -a_d G_d(q) are images under b -> -b, which keeps
+    gcd(b, q), so a serves a_d and -a_d alike.
 
-    Multiplicative: each prime p <= isqrt(q) is divided out of q with its
-    exponent e and contributes r_d(p^(e - min(e, v_p(a)))), the sum of
-    ``residues._valuation_counts(p, e, d, a)``; the cofactor left is 1 or
-    one prime P, which contributes r_d(P) = 1 + (P-1)/gcd(P-1, d), or 1
-    when P | a.
+    One ``_kernels.prime_exponents`` pass divides each prime p <= isqrt(q)
+    out of q with its exponent e; the cofactor left is 1 or one prime P to
+    the first power.  With N_p = ``residues._valuation_counts(p, e, d, a)``:
+    - full band: the count is r_d(q / gcd(q, a)), the product over p of the
+      sum of N_p, r_d(p^(e - min(e, v_p(a)))), times r_d(P) = 1 + (P -
+      1)/gcd(P - 1, d) for P, or 1 when P | a;
+    - other bands: the residues with gcd(b, q) = g number the product over
+      p of N_p(v_p(g)) (``center_counts``), so the count is the sum of
+      those products over the divisors g with cut_lo <= g < cut_hi, the
+      band's ``cut_arrays``.  Each (p, e) gives the branches (p^s, N_p(s))
+      with N_p(s) > 0, and P gives (P, N_P(1) = 1) and, unless P | a, (1,
+      N_P(0) = e_d(P) = (P - 1)/gcd(P - 1, d)).  Each q's terms (g, weight)
+      start at (1, 1) and take one prime of q per rank, P last, each term
+      repeated once per branch of that prime (``np.repeat``); a term with g
+      >= cut_hi is dropped as soon as it appears, since g only grows, and a
+      q with fewer primes than the rank has its terms final.  Positions go
+      EXPAND_CHUNK at a time, so the terms held stay bounded.  A weight and
+      a q's count are at most q < 2^48 (the terms of q split its residues by
+      gcd), so the float64 sums of ``np.bincount``, partial sums of
+      nonnegative integers below 2^53, are exact.
     """
+    n = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    count = np.ones(len(rem), dtype=np.int64)
+    count = np.ones(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=np.int64)  # primes of each q taken so far
+    rows, tab = [], [(1, 1)]  # per prime: positions, ranks, offsets into tab, branches
     for p, start, e in _kernels.prime_exponents(lo, rem, primes):
-        # r_d of the p-part of q / gcd(q, a_d), for each exponent e of p in q
-        lut = [sum(_valuation_counts(p, j, d, a)) for j in range(int(e.max()) + 1)]
-        count[start::p] *= np.array(lut, dtype=np.int64)[e]
+        counts = [_valuation_counts(p, j, d, a) for j in range(int(e.max()) + 1)]
+        if band.is_full:
+            count[start::p] *= np.array([sum(c) for c in counts], dtype=np.int64)[e]
+            continue
+        branches = [[(p**s, n_s) for s, n_s in enumerate(c) if n_s] for c in counts]
+        num = np.array([len(b) for b in branches])
+        off = len(tab) + np.cumsum(num) - num
+        rows.append((np.arange(start, n, p), seen[start::p].copy(), off[e], num[e]))
+        seen[start::p] += 1
+        tab += itertools.chain.from_iterable(branches)
     # what is left above 1 is one prime P > isqrt(hi) to the first power
-    big = rem > 1
+    big = np.flatnonzero(rem > 1)
     P = rem[big]
-    factor = 1 + (P - 1) // np.gcd(P - 1, d)
-    factor[_kernels._mod_each(a, P) == 0] = 1  # P | a_d: q~ loses P
-    count[big] *= factor
+    unit = (P - 1) // np.gcd(P - 1, d)
+    unit[_kernels._mod_each(a, P) == 0] = 0  # P | a_d: q~ loses P, N_P(0) = 0
+    if band.is_full:
+        count[big] *= 1 + unit
+        return count
+    # P takes the last rank, with the branches (P, 1) and, if unit > 0, (1, unit)
+    rows.append((big, seen[big], len(tab) + 2 * np.arange(len(big)), 1 + (unit > 0)))
+    pos, rank, off, num = map(np.concatenate, zip(*rows))
+    ones = np.ones_like(P)
+    pairs = np.column_stack((P, ones, ones, unit)).reshape(-1, 2)
+    g_br, w_br = np.concatenate((np.array(tab, dtype=np.int64), pairs)).T.copy()
+    off_at = np.zeros((int(rank.max(initial=-1)) + 1, n), dtype=np.int64)
+    num_at = np.zeros_like(off_at)  # 0 where q has fewer primes than the rank
+    off_at[rank, pos] = off
+    num_at[rank, pos] = num
+    cut_lo, cut_hi = band.cut_arrays(np.arange(lo, hi + 1, dtype=np.int64))
+    for c0 in range(0, n, EXPAND_CHUNK):
+        where, done = np.arange(c0, min(c0 + EXPAND_CHUNK, n)), []
+        g = w = np.ones(len(where), dtype=np.int64)
+        for off_r, num_r in zip(off_at, num_at):
+            k = num_r[where]
+            last = k == 0  # q has no prime left
+            done.append((where[last], g[last], w[last]))
+            # term i becomes k[i] terms, reading tab at off_r + 0, ..., k[i] - 1
+            rep = np.repeat(np.arange(len(k)), k)
+            br = np.arange(len(rep)) - np.repeat(np.cumsum(k) - k - off_r[where], k)
+            where, g, w = where[rep], g[rep] * g_br[br], w[rep] * w_br[br]
+            keep = g < cut_hi[where]
+            where, g, w = where[keep], g[keep], w[keep]
+        where, g, w = map(np.concatenate, zip(*done, (where, g, w)))
+        keep = (cut_lo[where] <= g) & (g < cut_hi[where])  # q = 1 has no prime
+        count[c0 : c0 + EXPAND_CHUNK] = np.bincount(
+            where[keep] - c0, weights=w[keep], minlength=min(EXPAND_CHUNK, n - c0)
+        )
     return count
 
 

@@ -407,12 +407,11 @@ def test_tail_sum_single_term_and_empty():
     assert tail_sum(3, 2, 1, 9, 3, GcdBand.full()) == (0, 0)
 
 
-def _table(N, Q, d, a_d):
-    """The count table's counts over [N, Q] as one list, read through
-    ``center_counts`` with TABLE_MIN = 1 so that every range takes the
-    table, checking that the blocks are consecutive, aligned to
-    COUNT_BLOCK and built in int64."""
-    count_block, dtypes, out = covers._count_block, [], []
+def _table(N, Q, d, a_d, band=GcdBand.full()):
+    """The count table's counts over [N, Q] as one list (``_counts``),
+    read with TABLE_MIN = 1 so that every range takes the table, checking
+    that every block is built in int64."""
+    count_block, dtypes = covers._count_block, []
 
     def record(*args):
         block = count_block(*args)
@@ -422,14 +421,69 @@ def _table(N, Q, d, a_d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covers, "TABLE_MIN", 1)
         mp.setattr(covers, "_count_block", record)
-        for lo, counts in center_counts(N, Q, GcdBand.full(), d, a_d):
-            assert lo == N + len(out)
-            assert lo == N or lo % COUNT_BLOCK == 0
-            assert 0 < len(counts) <= COUNT_BLOCK and all(type(c) is int for c in counts)
-            out += counts
-            assert dtypes[-1] == np.int64
-    assert len(out) == max(Q - N + 1, 0)
+        out = _counts(N, Q, band, d, a_d)
+    assert len(dtypes) == len(list(covers._aligned_blocks(N, Q)))
+    assert all(dtype == np.int64 for dtype in dtypes)
     return out
+
+
+def _per_q(N, Q, d, a_d, band):
+    """``_counts`` with TABLE_MIN past the range's length, so that every
+    range takes the per-q pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _probe_table_blocks(mp)
+        mp.setattr(covers, "TABLE_MIN", Q - N + 2)
+        out = _counts(N, Q, band, d, a_d)
+    assert blocks == []
+    return out
+
+
+# ranges for banded counts: from q = 1, across a COUNT_BLOCK edge, up to q =
+# 257^2 (257 is the largest prime up to isqrt(Q), divided out of q with e =
+# 2), and across q = 2^20
+_BANDED_RANGES = (
+    (1, 300),
+    (COUNT_BLOCK - 100, COUNT_BLOCK + 100),
+    (257**2 - 60, 257**2),
+    (2**20 - 40, 2**20 + 40),
+)
+
+
+@pytest.mark.parametrize("band", ("0,1", "0,1/3", "1/4,1/2", "1/2,1/4", "1/3,2/3"))
+def test_banded_table_and_per_q_pass_match_oracle(band):
+    band = GcdBand.parse(band)
+    for d in (2, 3, 4):
+        for a_d in (1, -6, 12, 3 * 2**70):
+            for N, Q in _BANDED_RANGES:
+                want = [banded_center_count_per_q(q, band, d, a_d) for q in range(N, Q + 1)]
+                assert any(want), (band, d, a_d, N)
+                assert _table(N, Q, d, a_d, band) == want, (band, d, a_d, N)
+                assert _per_q(N, Q, d, a_d, band) == want, (band, d, a_d, N)
+
+
+def test_banded_table_where_the_cofactor_divides_a_d():
+    # the prime P left after the block's primes divides a_d: 65521 and 65537
+    # past isqrt(Q), and 2 and 3 in ranges too short to divide them out
+    cases = ((-(3**50) * 65537 * 65521, 65000, 66000), (6, 1, 3), (6, 6, 6), (12, 2, 3))
+    for text in ("0,1", "0,1/3", "1/2,1/4"):
+        band = GcdBand.parse(text)
+        for d in (2, 3):
+            for a_d, N, Q in cases:
+                want = [banded_center_count_per_q(q, band, d, a_d) for q in range(N, Q + 1)]
+                assert _table(N, Q, d, a_d, band) == want, (text, d, a_d, N)
+
+
+def test_banded_counts_are_equal_at_a_d_and_minus_a_d():
+    # x -> -x maps a_d G_d(q) onto -a_d G_d(q) and keeps gcd(b, q), so the
+    # table may take |a_d|; the per-q pass takes a_d as given
+    for text in ("0,1/3", "1/4,1/2", "1/3,2/3"):
+        band = GcdBand.parse(text)
+        for d in (2, 3, 4):
+            for a_d in (1, 6, 12, 3 * 2**70):
+                for N, Q in _BANDED_RANGES[:2]:
+                    want = _per_q(N, Q, d, a_d, band)
+                    assert _per_q(N, Q, d, -a_d, band) == want, (text, d, a_d, N)
+                    assert _table(N, Q, d, -a_d, band) == want, (text, d, a_d, N)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
@@ -485,24 +539,17 @@ def test_count_table_refuses_q_past_table_qmax(monkeypatch):
 
 @pytest.mark.parametrize("N", (1000, 1 << 30))
 def test_center_counts_take_the_table_from_table_min_moduli(monkeypatch, N):
-    # below and past 2^24, TABLE_MIN - 1 full-band moduli take the per-q
-    # pass and TABLE_MIN moduli the table; a band never takes the table
+    # below and past 2^24, for the full band and a band alike, TABLE_MIN - 1
+    # moduli take the per-q pass and TABLE_MIN moduli the table
     blocks = _probe_table_blocks(monkeypatch)
-    full = GcdBand.full()
-    for L, used in ((TABLE_MIN - 1, []), (TABLE_MIN, [(N, N + TABLE_MIN - 1)])):
-        Q = N + L - 1
-        blocks.clear()
-        assert _counts(N, Q, full, 2, 1) == [
-            banded_center_count_per_q(q, full, 2, 1) for q in range(N, Q + 1)
-        ]
-        assert blocks == used, L
-    blocks.clear()
-    band = GcdBand.parse("1/4,1/2")
-    Q = N + 4 * TABLE_MIN
-    assert _counts(N, Q, band, 3, 12) == [
-        banded_center_count_per_q(q, band, 3, 12) for q in range(N, Q + 1)
-    ]
-    assert blocks == []
+    for band, d, a_d in ((GcdBand.full(), 2, 1), (GcdBand.parse("1/4,1/2"), 3, 12)):
+        for L, used in ((TABLE_MIN - 1, []), (TABLE_MIN, [(N, N + TABLE_MIN - 1)])):
+            Q = N + L - 1
+            blocks.clear()
+            assert _counts(N, Q, band, d, a_d) == [
+                banded_center_count_per_q(q, band, d, a_d) for q in range(N, Q + 1)
+            ]
+            assert blocks == used, (band, L)
 
 
 def _encloses(lo, hi, numerator, q, u, v, bits):

@@ -7,9 +7,9 @@ perfbench workload written out literally, and edge cases: a banded measure
 range near 2^16, a modulus past 2^64, a narrow banded scan, a 128-bit alpha
 with --coprime and --omega-max, the critical-band and svolume drivers, the
 omega series and residue profiles near 2^24, narrow scans whose alpha is
-not dyadic, and narrow scans past the prefilter's limit q^d < 2^63.  A
-change that is meant to alter a report updates its digest here and says so
-in CHANGES.md.
+not dyadic, narrow scans past the prefilter's limit q^d < 2^63, and banded
+count ranges that read the count table.  A change that is meant to alter
+a report updates its digest here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -112,6 +112,15 @@ REPORTS = {
         "5c89b54fa8810c8d232d799753d244942fd32f63ba87565a81a50ad983f681b1",
     "scan --poly 0,0,0,-12 --tau 7/2 --alpha 2/7 --qmax 2097252 --primitive --coprime":
         "662f4125f173b62d861e6de4f5cfb27356c93a04ba99d865a89421cd6d6fb9da",
+    # banded counts over ranges that read the count table: a tail across the
+    # COUNT_BLOCK edge, measures just below it at d = 3, a_d = 12, and a
+    # threshold schedule with eps = 0
+    "cover --mode tail --tau 7/2 --d 2 --band 1/4,1/2 --qlo 1 --qhi 70000":
+        "5271fd8a392e79f78028423dc33e0e1d51568117069186aed3dbf38f5b06b9c2",
+    "cover --mode measures --tau 7/2 --d 3 --ad 12 --band 1/2,1/4 --qlo 65500 --qhi 65600":
+        "8dd4b09f2d55e05c4a192ab462aca8a7a62496c7dc26756238801bc8632c3760",
+    "experiment --kind threshold --taus '5/2;7/2' --band 0,1/3 --schedule 2:12":
+        "d4459b532e3ccbbabf7431d85e93bd19c11b5cc9c4187de3c5b0f8241178abee",
 }
 
 
