@@ -9,9 +9,12 @@ r = q^(d - tau) is at most 1, and the scan tests only the two integers b
 nearest q^d alpha, at the q that a vectorised prefilter (`_survivors`)
 keeps: from floor(2^128 alpha), in blocks of q that cross octaves, it
 drops each q with q^d < 2^63 whose q^d alpha lies provably too far from
-every integer.  Band membership of each candidate's gcd is two integer
-comparisons against the band's cuts, taken at each q with a candidate by
-``GcdBand.cuts``: two integer roots at the sparse q that get that far.
+every integer.  One wrapping product per q, with the high word of
+floor(2^128 alpha), screens each block first; the two-word product and
+the octave test run only on the q that pass it.  Band membership of each
+candidate's gcd is two integer comparisons against the band's cuts, taken
+at each q with a candidate by ``GcdBand.cuts``: two integer roots at the
+sparse q that get that far.
 
 When tau <= d (the wide regime, r >= 1) the block stage ``_wide_hits``
 takes, around the centre c0 = floor(q^d alpha), the offsets [1 - R, R]
@@ -320,7 +323,20 @@ def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[in
 
     A candidate at q therefore gives ||F|| < T_k + 2, both sides integers,
     and that is the keep test, each q of a block of _PREFILTER_BLOCK q
-    against the bound of its own octave.  No float enters it.
+    against the bound of its own octave.
+
+    * The screen.  F = coarse + mulhi(t, L) (mod 2^64) with coarse = t H
+      mod 2^64 and 0 <= mulhi(t, L) <= t - 1, so a q that the keep test
+      keeps has ||coarse|| <= ||F|| + t - 1 < T_k + 2 + t - 1.  T_k falls
+      as k rises and t rises with q, so for a block [start, stop) the bound
+      of the octave of start plus (stop - 1)^d - 1, capped at 2^64 - 1,
+      holds at each of its q.  Only the q with ||coarse|| below it take
+      the limb product and the keep test, which leaves the survivors as
+      they were.
+
+    Both tests compare integers.  The octave k of a kept q is the exponent
+    of q from frexp, less 1: exact, since q < 2^32 converts to float64
+    exactly.
     """
     top = min(qmax, iroot((1 << 63) - 1, d))
     a = (alpha.numerator << 128) // alpha.denominator  # A = floor(2^128 alpha)
@@ -334,16 +350,20 @@ def _survivors(alpha: Fraction, d: int, tau: Fraction, qmax: int) -> Iterator[in
     keep_below = np.array([min(t + 2, _MASK64) for t in t_k], dtype=np.uint64)
     for start in range(1, top + 1, _PREFILTER_BLOCK):
         stop = min(start + _PREFILTER_BLOCK, top + 1)
-        q = np.arange(start, stop, dtype=np.uint64)
-        t = q**d
+        t = np.arange(start, stop, dtype=np.uint64) ** d
+        coarse = t * hi  # wraps mod 2^64
+        screen = min(int(keep_below[start.bit_length() - 1]) + (stop - 1) ** d - 1, _MASK64)
+        i = np.flatnonzero(np.minimum(coarse, -coarse) < np.uint64(screen))
+        if not i.size:
+            continue
+        t, coarse = t[i], coarse[i]
         t1, t0 = t >> 32, t & _MASK32
         p00, p01, p10 = t0 * lo0, t0 * lo1, t1 * lo0
         mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
         mulhi = t1 * lo1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        frac = t * hi + mulhi  # wraps mod 2^64
-        octaves = range(start.bit_length() - 1, (stop - 1).bit_length())
-        sizes = [min(stop, 2 << k) - max(start, 1 << k) for k in octaves]
-        bound = np.repeat(keep_below[octaves.start : octaves.stop], sizes)
+        frac = coarse + mulhi
+        q = i + start
+        bound = keep_below[np.frexp(q)[1] - 1]
         yield from q[np.minimum(frac, -frac) < bound].tolist()
     yield from range(top + 1, qmax + 1)
 

@@ -398,12 +398,14 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes, band: GcdBand) -> np.
       EXPAND_CHUNK at a time, so the terms held stay bounded.  A weight and
       a q's count are at most q < 2^48 (the terms of q split its residues by
       gcd), so the float64 sums of ``np.bincount``, partial sums of
-      nonnegative integers below 2^53, are exact.
+      nonnegative integers below 2^53, are exact.  Positions (below
+      COUNT_BLOCK), ranks, offsets into the branch table and branch counts
+      are int32; g and the weights stay int64.
     """
     n = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     count = np.ones(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=np.int64)  # primes of each q taken so far
+    seen = np.zeros(n, dtype=np.int32)  # primes of each q taken so far
     rows, tab = [], [(1, 1)]  # per prime: positions, ranks, offsets into tab, branches
     for p, start, e in _kernels.prime_exponents(lo, rem, primes):
         counts = [_valuation_counts(p, j, d, a) for j in range(int(e.max()) + 1)]
@@ -411,9 +413,9 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes, band: GcdBand) -> np.
             count[start::p] *= np.array([sum(c) for c in counts], dtype=np.int64)[e]
             continue
         branches = [[(p**s, n_s) for s, n_s in enumerate(c) if n_s] for c in counts]
-        num = np.array([len(b) for b in branches])
-        off = len(tab) + np.cumsum(num) - num
-        rows.append((np.arange(start, n, p), seen[start::p].copy(), off[e], num[e]))
+        num = np.array([len(b) for b in branches], dtype=np.int32)
+        off = len(tab) + np.cumsum(num, dtype=np.int32) - num
+        rows.append((np.arange(start, n, p, dtype=np.int32), seen[start::p].copy(), off[e], num[e]))
         seen[start::p] += 1
         tab += itertools.chain.from_iterable(branches)
     # what is left above 1 is one prime P > isqrt(hi) to the first power
@@ -425,12 +427,13 @@ def _count_block(lo: int, hi: int, d: int, a: int, primes, band: GcdBand) -> np.
         count[big] *= 1 + unit
         return count
     # P takes the last rank, with the branches (P, 1) and, if unit > 0, (1, unit)
-    rows.append((big, seen[big], len(tab) + 2 * np.arange(len(big)), 1 + (unit > 0)))
+    off_big = len(tab) + 2 * np.arange(len(big), dtype=np.int32)
+    rows.append((big.astype(np.int32), seen[big], off_big, 1 + (unit > 0).astype(np.int32)))
     pos, rank, off, num = map(np.concatenate, zip(*rows))
     ones = np.ones_like(P)
     pairs = np.column_stack((P, ones, ones, unit)).reshape(-1, 2)
     g_br, w_br = np.concatenate((np.array(tab, dtype=np.int64), pairs)).T.copy()
-    off_at = np.zeros((int(rank.max(initial=-1)) + 1, n), dtype=np.int64)
+    off_at = np.zeros((int(rank.max(initial=-1)) + 1, n), dtype=np.int32)
     num_at = np.zeros_like(off_at)  # 0 where q has fewer primes than the rank
     off_at[rank, pos] = off
     num_at[rank, pos] = num

@@ -369,6 +369,43 @@ def test_prefilter_compares_each_q_with_its_own_octave(monkeypatch, block):
             assert list(_survivors(alpha, d, tau, qmax)) == expected, (d, tau, alpha)
 
 
+@pytest.mark.parametrize("d, tau, q0", [(2, Fraction(13, 4), 12287), (4, Fraction(19, 4), 55097)])
+def test_prefilter_screen_keeps_a_q_only_its_slack_keeps(d, tau, q0):
+    # A = H 2^64 + L with L = 2^64 - 1 gives mulhi(t0, L) = t0 - 1, so
+    # coarse = t0 H lies t0 - 1 further from 0 than F = 2^64 - (T_k + 1):
+    # ||coarse|| = T_k + t0, one below the screen's bound T_k + 2 + t0 - 1,
+    # and the keep test keeps q0; at F = 2^64 - (T_k + 2) it drops q0.
+    # q0 = qmax is odd and the last q of its block, which starts in q0's
+    # octave, so the block's bound is q0's own; at d = 4, q0 is 11 below
+    # iroot(2^63 - 1, 4).  alpha = n/m, m = 2^200 + 1, n = ceil(A m / 2^128)
+    u, v = tau.numerator, tau.denominator
+    t0, k = q0**d, q0.bit_length() - 1
+    bound = iroot(1 << 64 * v + k * (d * v - u), v) + 1  # T_k
+    assert (q0 - 1) // counting._PREFILTER_BLOCK * counting._PREFILTER_BLOCK + 1 >= 1 << k
+    assert bound + t0 <= 1 << 63  # so ||coarse|| = T_k + t0
+    m = (1 << 200) + 1
+    for gap, kept in ((bound + 1, True), (bound + 2, False)):
+        f = (1 << 64) - gap
+        h = (f - t0 + 1) * pow(t0, -1, 1 << 64) % (1 << 64)
+        a = ((h + 1) << 64) - 1
+        alpha = Fraction(-(-a * m >> 128), m)
+        assert (alpha.numerator << 128) // m == a
+        assert (t0 * a >> 64) % (1 << 64) == f
+        assert (q0 in _survivors(alpha, d, tau, q0)) == kept, (d, gap - bound)
+
+
+@pytest.mark.parametrize("block", [4096, 100])
+def test_prefilter_keeps_every_q_at_alpha_0_and_1(monkeypatch, block):
+    # A = 0 at alpha = 0, and A = 2^128, taken as 0, at alpha = 1: coarse =
+    # F = 0 at every q, so the screen and the keep test keep every q <=
+    # min(qmax, top), and past top (d = 5) every q is kept untested
+    monkeypatch.setattr(counting, "_PREFILTER_BLOCK", block)
+    cases = ((2, Fraction(13, 4), 9000), (3, Fraction(7, 2), 5000), (5, Fraction(21, 4), 6300))
+    for d, tau, qmax in cases:
+        for alpha in (Fraction(0), Fraction(1)):
+            assert list(_survivors(alpha, d, tau, qmax)) == list(range(1, qmax + 1)), (d, alpha)
+
+
 def test_find_hits_matches_exact_scan_on_prefilter_cases():
     # every input property the prefilter keys on, each compared with the
     # exact scan over every q <= qmax under every flag combination
