@@ -4,9 +4,12 @@ Subcommands: residues, congruence, reduce, cover, scan, experiment.  All
 emit CSV (default) or JSON-lines with a '#'-prefixed config echo block.
 Exit codes: 0 on success, 2 on usage/precondition errors (an unwritable
 --output or --dump-gnuplot path included), 1 on internal errors.  main
-builds the options of the invoked subcommand only: in a fresh process the
-first build of all six took a median 6.3 ms against 4.2-4.7 ms for one (10
-processes each, 2-vCPU x86-64 box, Python 3.11), a share of a
+parses a line that starts with a subcommand by that subcommand's parser
+alone, built as the tree builds it, so its help and errors are the tree's;
+the tree of all six is built only when no subcommand is named or arguments
+are left over.  In a fresh process the first build and parse of a
+stabilization command took a median 2.55 ms alone against 3.24 ms through
+the tree (25 processes each, 2-vCPU x86-64 box, Python 3.11), a share of a
 millisecond-scale command.
 """
 
@@ -16,7 +19,6 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from ._version import __version__
 from .arithmetic import Factorization, PreconditionError, factor_pairs_over
@@ -47,6 +49,8 @@ from .residues import (
     unit_power_count,
     unity_roots_count,
 )
+
+_PROG = "diocurve"
 
 # the (x, y, key) columns that --dump-gnuplot plots, by command or experiment kind
 _PLOT_COLUMNS = {
@@ -121,7 +125,7 @@ def _check_reads(args) -> None:
 
 
 def _echo(args, **extra) -> dict:
-    return {"library": f"diocurve {__version__}", "format": args.format, **extra}
+    return {"library": f"{_PROG} {__version__}", "format": args.format, **extra}
 
 
 def _write_file(path: str, text: str) -> None:
@@ -161,23 +165,25 @@ def _option(p, command: str, flag: str, help: str, **kw) -> None:
     p.add_argument(flag, help=f"{help}; for {served}", **kw)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given `command`, one that adds the
-    options of that subcommand only: the others keep their name and help, so
-    the top-level usage, help and errors are the same either way."""
+def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`p` given --format, --output and the options of command `name`."""
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--output", help="write to this path instead of stdout")
+    _COMMANDS[name][1](p)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for help, usage and errors."""
     ap = argparse.ArgumentParser(
-        prog="diocurve",
+        prog=_PROG,
         description="exact-arithmetic toolkit for constrained Diophantine "
         "approximation on translated polynomial curves",
     )
-    ap.add_argument("--version", action="version", version=f"diocurve {__version__}")
+    ap.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help, add_options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help)
-        if command in (None, name):
-            p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-            p.add_argument("--output", help="write to this path instead of stdout")
-            add_options(p)
+    for name, (help, *_) in _COMMANDS.items():
+        _with_options(sub.add_parser(name, help=help), name)
     return ap
 
 
@@ -476,7 +482,13 @@ def main(argv=None) -> int:
     """Run one command: render its report once, write it to --output or
     stdout, then write the --dump-gnuplot files, one per curve."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = None
+    # the top level refuses "--=..." as an ambiguous option of its own
+    if argv and argv[0] in _COMMANDS and not any(a.startswith("--=") for a in argv):
+        one = _with_options(argparse.ArgumentParser(prog=f"{_PROG} {argv[0]}"), argv[0])
+        args, rest = one.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         _check_reads(args)
         *_, run = _COMMANDS[args.command]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diocurve.cli import _FORM, _READS, build_parser, main
+from diocurve.cli import _FORM, _READS, _with_options, build_parser, main
 from diocurve.residues import scaled_power_residue_count, unit_power_count, unity_roots_count
 
 
@@ -319,19 +320,61 @@ def test_reads_table_names_parser_options():
             assert hasattr(args, dest), (command, dest)  # no typo in _READS
 
 
+def _one_command_parser(name):
+    return _with_options(argparse.ArgumentParser(prog=f"diocurve {name}"), name)
+
+
 def test_one_command_parser_parses_like_the_full_one():
     full = build_parser()
     for commands in _FORM_COMMANDS.values():
         for line in commands:
             argv = line.format(tmp="t").split()
-            assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv), line
-    # the other subcommands are registered without their options
-    with pytest.raises(SystemExit):
-        build_parser("scan").parse_args(["cover", "--tau", "3", "--d", "2", "--q", "5"])
+            args = _one_command_parser(argv[0]).parse_args(argv[1:])
+            args.command = argv[0]
+            assert args == full.parse_args(argv), line
+    # scan's parser has none of cover's options
+    with pytest.raises(SystemExit) as exc:
+        _one_command_parser("scan").parse_args(_FORM_COMMANDS["scan", False][0].split()[1:]
+                                               + ["--qlo", "1"])
+    assert exc.value.code == 2
 
 
-# sha256 of stdout + stderr at 80 columns, recorded before main built only
-# the invoked subcommand's options: help, usage and parse errors keep their bytes
+def _parsers_built(monkeypatch, line):
+    """The prog of each ArgumentParser that main(line) constructs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counted)
+        try:
+            main(line.split())
+        except SystemExit:
+            pass
+    return built
+
+
+def test_a_valid_command_builds_one_parser(capsys, monkeypatch, tmp_path):
+    for commands in _FORM_COMMANDS.values():
+        for line in commands:
+            built = _parsers_built(monkeypatch, line.format(tmp=tmp_path))
+            assert built == [f"diocurve {line.split()[0]}"], line
+    six = "residues congruence reduce cover scan experiment".split()
+    tree = ["diocurve"] + [f"diocurve {name}" for name in six]
+    for line in ("", "--help", "frobnicate"):
+        assert _parsers_built(monkeypatch, line) == tree, line
+    # a leftover argument: the one-command parser, then the tree reports it
+    leftover = "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4 extra"
+    assert _parsers_built(monkeypatch, leftover) == ["diocurve scan"] + tree
+    capsys.readouterr()
+
+
+# sha256 of stdout + stderr at 80 columns, recorded while main still built
+# the subcommand tree for every command line: help, usage and parse errors
+# keep their bytes whether the tree or one command's parser reads the line
 _PARSER_OUTPUT = {
     "": "6aa15294093a601fd9de91bf31ec4ac3053576e205d1898736b72669f97d68ce",
     "--help": "4e9173bfe05018c7b4903afdc0329d6a7111b2763944897993f2775c87a9173b",
@@ -349,6 +392,20 @@ _PARSER_OUTPUT = {
         "636bb59dd71df4d16300613185c3c848bb80b894b3cb71672546c11ceeb9518e",
     "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 0":
         "45e762cb38360476b92389c46f0132ff7b448f418415997faa9c4e18205d22ca",
+    # an unknown option inside a command, reported with all six commands
+    "cover --mode tail --tau 7/2 --d 2 --qlo 1 --qhi 9 --bogus 1":
+        "00133f8a5d600f950165e2ad357021bee11a0c4d71e732a432ea387bfc5ffd9f",
+    "scan --version": "9b8f8873cd48e1296a7046c8276e66ec35b1dc8c25d35611094cb7ceac23b893",
+    "experiment --kind nope": "f55dbb44942a594e217b89ac732ae56fc90a809e3937db83be63aeda6ac4a542",
+    # the missing --kind is reported before the leftover
+    "experiment extra": "b0e7785057605e712a59566f4d96b0bf2694260b39fbeb95fe94ca8eb714eaee",
+    "residues --d 2 --q 7 --format xml":
+        "e5d8d2972f0081d833cb767d6765a34422282c2edc94dc84654af8fa40bc47e2",
+    "scan --poly 0,0,-1 --tau 5/2 --alpha 1/3 --qmax 4 -- extra":
+        "ebabb6617702bfaa77ce3c5519bf82fd5e1eebb8da55523cdc2238a64d505994",
+    # the top level's own error: "--=x" could be --help or --version
+    "scan --poly --=x --tau 5/2 --alpha 1/3 --qmax 4":
+        "8f5a7ddee7321788f456b413f94e50edfef574b3c2c92f13d1edbe7da1eebc17",
 }
 
 
