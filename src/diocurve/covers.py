@@ -10,17 +10,15 @@ two ways of counting a range of q.  Any band over at least TABLE_MIN
 moduli with Q < 2^48 reads a sieve-built count table, one numpy block of
 at most 2^16 moduli at a time, instead of factorizing each q: the full
 band as r_d(q / gcd(q, a_d)), other bands by expanding each q's divisor
-terms in numpy.  Every other range takes one per-q pass over the same
-blocks: each q is factorized once, the valuation branches of each p^k are
-worked out once per range, and each block takes its band cuts from one
-``GcdBand.cut_arrays`` call instead of two integer roots per q.
-Enumeration and the per-q form stay in the test suite as oracles.  The
-omega-weighted series walks the table's blocks and takes omega(q) from
-the same per-prime slice pass (``_kernels.prime_exponents``).  The
-divisor-sum form, an upper bound that over-counts, is kept only as the
-documented reference ``divisor_sum_center_bound``.  The exact union
-measure of a layer and the truncated Euler product, which validate the
-formula measure and the series, live with the test oracles.
+terms in numpy.  Every other range takes the per-q rule: each q is
+factorized once, its divisor terms are expanded from the valuation
+counts, and those between the band's two cuts ``GcdBand.cuts(q)`` are
+summed.  Enumeration checks both in the test suite.  The omega-weighted
+series walks the table's blocks and takes omega(q) from the same
+per-prime slice pass (``_kernels.prime_exponents``).  The exact union
+measure of a layer, the truncated Euler product and the divisor-sum
+upper bound on banded counts, which validate the formula measure, the
+series and the counts, live with the test oracles.
 
 Sums over large q-ranges accumulate in fixed point: each term contributes
 exact integer lower/upper bounds at scale 2^-S, so the reported interval
@@ -69,13 +67,12 @@ from .arithmetic import (
     _primes_to_root,
     _root_descent,
     _root_seed,
-    divisors,
     factor_pairs_over,
     factorize,
     iroot,
     root_enclosure,
 )
-from .residues import _check, _valuation_counts, power_residue_count
+from .residues import _check, _valuation_counts
 
 SUM_BITS = 96
 
@@ -307,15 +304,14 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
     Any band over at least TABLE_MIN moduli with Q < TABLE_QMAX reads the
     count table, one block of at most COUNT_BLOCK moduli at a time
     (``_count_block``).  Every other range, which includes every one-q
-    count, takes one per-q pass over the same blocks: each q is factorized
+    count, takes the per-q rule over the same blocks: each q is factorized
     once, from the shared sieve only when the range is long enough to pay
-    for it (``arithmetic.factor_pairs_over``), the nonzero branches (p^s,
-    N_p(s)) of each p^k are worked out once per call, and each block takes
-    its band cuts from one ``GcdBand.cut_arrays`` call, on an int64 array
-    or, where a cut could reach 2^63, an object one.  Validates like
-    ``scaled_power_residue_count`` at q = N, before it yields; an empty
-    range (N > Q) yields nothing.  Both ways are checked against
-    enumeration and the per-q oracle in the test suite.
+    for it (``arithmetic.factor_pairs_over``), and the terms of the
+    divisors g with lo <= g < hi, (lo, hi) = ``GcdBand.cuts(q)``, are
+    summed.  Validates like ``scaled_power_residue_count`` at q = N,
+    before it yields; an empty range (N > Q) yields nothing.  Both ways
+    are checked against enumeration and the per-q oracle in the test
+    suite.
     """
     if N > Q:
         return
@@ -326,37 +322,16 @@ def center_counts(N: int, Q: int, band: GcdBand, d: int, a_d: int):
             yield lo, _count_block(lo, hi, d, abs(a_d), primes, band).tolist()
         return
     factor_pairs = factor_pairs_over(N, Q)
-    branches: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for lo, hi in _aligned_blocks(N, Q):
-        # int64 while the full band's upper cut hi + 1 fits it
-        qs = np.arange(lo, hi + 1, dtype=np.int64 if hi + 1 < 1 << 63 else object)
-        cut_lo, cut_hi = (cut.tolist() for cut in band.cut_arrays(qs))
         out = []
-        for q, g_lo, g_hi in zip(range(lo, hi + 1), cut_lo, cut_hi):
+        for q in range(lo, hi + 1):
+            g_lo, g_hi = band.cuts(q)
             terms = [(1, 1)]  # (divisor g of the primes so far, count for that g)
-            for pk in factor_pairs(q):
-                branch = branches.get(pk)
-                if branch is None:
-                    p, k = pk
-                    counts = _valuation_counts(p, k, d, a_d)
-                    branch = branches[pk] = [(p**s, n) for s, n in enumerate(counts) if n]
-                terms = [(g * ps, t * n) for g, t in terms for ps, n in branch]
+            for p, k in factor_pairs(q):
+                counts = _valuation_counts(p, k, d, a_d)
+                terms = [(g * p**s, t * n) for g, t in terms for s, n in enumerate(counts) if n]
             out.append(sum(t for g, t in terms if g_lo <= g < g_hi))
         yield lo, out
-
-
-def divisor_sum_center_bound(q: int, band: GcdBand, d: int) -> int:
-    """The divisor-sum count sum_{a | q in band} r_d(q / a) for a_d = 1.
-
-    Over-counts the banded centers: at q=12, d=2 and divisors {2, 3} in
-    the band it gives r_2(6) + r_2(4) = 6 where enumeration (and
-    banded_center_count) give 1.  Only an upper bound; kept as a
-    regression reference, with no production caller.
-    """
-    lo, hi = band.cuts(q)
-    return sum(
-        power_residue_count(q // a, d) for a in divisors(factorize(q)) if lo <= a < hi
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ of it).  Every closed-form count here has a brute-force enumeration twin
 in the test suite's oracles (or ``power_residues``); the formulas are
 trusted only because the tests check them against exhaustive enumeration
 below a large threshold.
-Enumeration is authoritative throughout: one classical-looking count
-fails it (kept as ``zero_class_count_alt`` for regression), as does the
-divisor-sum banded count (``covers.divisor_sum_center_bound``).  Every
-function that takes a_d rejects a_d = 0.
+Enumeration is authoritative throughout: a complement-style zero-class
+count and the divisor-sum banded count both fail it, and the test
+oracles keep them as regression references.  Every function that takes
+a_d rejects a_d = 0.
 
 Membership has one rule, ``_solution_class`` per prime power, in two
 forms.  ``_solvable`` takes q's factor pairs and reads ``_solution_class``
@@ -186,13 +186,11 @@ def _solution_class(b: int, p: int, k: int, d: int, a_d: int):
     mod 2^min(v_2(d) + 2, j) when d is even.
     """
     b %= p**k
-    beta = min(_v_p(a_d, p), k) if a_d % p == 0 else 0
+    beta = min(_v_p(a_d, p), k)
     if b == 0:
         return 0, -((beta - k) // d)
-    s = 0
-    while b % p == 0:
-        b //= p
-        s += 1
+    s = _v_p(b, p)
+    b //= p**s
     t, rest = divmod(s - beta, d)
     if t < 0 or rest:
         return None
@@ -306,8 +304,8 @@ def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:
     Each p^k || q contributes the u_d(p^j) p^(k-j-t) solutions of its
     ``_solution_class`` (j, t); for the zero class that is p^(k - t) with t
     = ceil((k - v_p(a_d)) / d).  This agrees with exhaustive enumeration
-    (the test suite checks it for every modulus below a threshold); see
-    ``zero_class_count_alt`` for a formula that does not.
+    (the test suite checks it for every modulus below a threshold); the
+    test oracles keep ``zero_class_count_alt``, a formula that does not.
     """
     total = 1
     for p, k in _factor_pairs(q, d, a_d):
@@ -317,20 +315,6 @@ def count_solutions(b: int, q: int, d: int, a_d: int = 1) -> int:
         j, t = solution
         total *= _u_pp(p, j, d) * p ** (k - j - t)
     return total
-
-
-def zero_class_count_alt(p: int, k: int, d: int, a_d: int = 1) -> int:
-    """The complement-style count p^k - p^ceil((k - v_p(a_d))+ / d) for the
-    zero class.
-
-    Looks plausible but fails enumeration: for p=2, k=3, d=2, a_d odd it
-    gives 4 while exhaustive search (and count_solutions) give 2.  Kept
-    only as a regression reference.
-    """
-    _check(p**k, d, a_d)
-    beta = _v_p(abs(a_d), p)
-    kd = -((min(beta, k) - k) // d) if beta < k else 0
-    return p**k - p**kd
 
 
 def solution_witness(b: int, q: int, d: int, a_d: int = 1, *, limit: int = 10**5):

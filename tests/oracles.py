@@ -3,8 +3,10 @@ factor pairs and omega by trial division, outward rounding of numerator /
 q^(u/v) with roots found by bisection (split at the integer part of u/v,
 as the sums round, and unsplit), the exact union measure of one cover
 layer, the truncated Euler product of the omega series, gcd-band
-membership by two power comparisons, the per-q banded center count, and
-the hit scan one q at a time with one integer root per wide window.
+membership by two power comparisons, the per-q banded center count, the
+hit scan one q at a time with one integer root per wide window, and two
+regression references that fail enumeration: the divisor-sum banded
+count and a complement-style zero-class count.
 
 Test-side only: no library code calls these.  The residue oracles
 enumerate every m modulo q with the numpy kernels, so they are exact for
@@ -17,14 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from diocurve._kernels import _powmod, residue_set
-from diocurve.arithmetic import Rational, cmp_frac_qpow, factorize, get_sieve, iroot
+from diocurve.arithmetic import Rational, cmp_frac_qpow, divisors, factorize, get_sieve, iroot
 from diocurve.covers import _ceil_qpow
 from diocurve.curve import ConstrainedHit
 from diocurve.residues import (
     _check,
+    _v_p,
     _valuation_counts,
     is_power_residue,
     is_primitive_power_residue,
+    power_residue_count,
     power_residues,
 )
 
@@ -212,6 +216,34 @@ def banded_center_count_per_q(q: int, band, d: int, a_d: int) -> int:
     else:
         lo, hi = _ceil_qpow(q, band.eps), _ceil_qpow(q, band.eps + band.delta)
     return sum(t for g, t in terms if lo <= g < hi)
+
+
+def divisor_sum_center_bound(q: int, band, d: int) -> int:
+    """The divisor-sum count sum_{a | q in band} r_d(q / a) for a_d = 1.
+
+    Over-counts the banded centers: at q=12, d=2 and divisors {2, 3} in
+    the band it gives r_2(6) + r_2(4) = 6 where enumeration (and
+    banded_center_count) give 1.  Only an upper bound; kept as a
+    regression reference, with no production caller.
+    """
+    lo, hi = band.cuts(q)
+    return sum(
+        power_residue_count(q // a, d) for a in divisors(factorize(q)) if lo <= a < hi
+    )
+
+
+def zero_class_count_alt(p: int, k: int, d: int, a_d: int = 1) -> int:
+    """The complement-style count p^k - p^ceil((k - v_p(a_d))+ / d) for the
+    zero class.
+
+    Looks plausible but fails enumeration: for p=2, k=3, d=2, a_d odd it
+    gives 4 while exhaustive search (and count_solutions) give 2.  Kept
+    only as a regression reference.
+    """
+    _check(p**k, d, a_d)
+    beta = _v_p(abs(a_d), p)
+    kd = -((min(beta, k) - k) // d) if beta < k else 0
+    return p**k - p**kd
 
 
 def per_q_window_hits(alpha: Fraction, d: int, a_d: int, tau: Fraction, band, qs, flags):

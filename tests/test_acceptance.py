@@ -24,7 +24,7 @@ from diocurve.arithmetic import (
     frac_lt_qpow,
 )
 from diocurve.counting import find_hits
-from diocurve.covers import GcdBand, banded_center_count, divisor_sum_center_bound
+from diocurve.covers import GcdBand, banded_center_count
 from diocurve.curve import (
     IntPolynomial,
     derivative_sup_bound,
@@ -47,9 +47,13 @@ from diocurve.residues import (
     scaled_power_residue_count,
     unit_power_count,
     unity_roots_count,
+)
+from oracles import (
+    divisor_sum_center_bound,
+    residue_profiles,
+    scaled_counts,
     zero_class_count_alt,
 )
-from oracles import residue_profiles, scaled_counts
 
 SQ = IntPolynomial((0, 0, -1))
 FULL = GcdBand.full()

@@ -32,7 +32,6 @@ from diocurve.covers import (
     center_counts,
     cover_measure,
     cover_measures,
-    divisor_sum_center_bound,
     restricted_series_partial,
     tail_sum,
     tail_sums,
@@ -41,6 +40,7 @@ from diocurve.residues import power_residue_count, scaled_power_residue_count
 from oracles import (
     band_contains_by_powers,
     banded_center_count_per_q,
+    divisor_sum_center_bound,
     euler_product_partial,
     exact_union_measure,
     floor_root,
@@ -362,9 +362,9 @@ def test_banded_center_counts_match_per_q_oracle():
 
 
 def test_per_q_counts_match_oracle_across_block_edges_and_past_2_63():
-    # the per-q pass takes each aligned block's cuts as one array: across a
-    # COUNT_BLOCK edge, across 2^63 (int64 cuts below the block that ends at
-    # 2^63 - 1, object cuts from there), and at q = 2^64 + 1
+    # the per-q rule, each q with its own cuts, in aligned blocks: across a
+    # COUNT_BLOCK edge, across 2^63, where q and its cuts outgrow int64, and
+    # at q = 2^64 + 1
     ranges = (
         (COUNT_BLOCK - 300, COUNT_BLOCK + 300),
         (2**63 - 3, 2**63 + 2),
@@ -377,6 +377,21 @@ def test_per_q_counts_match_oracle_across_block_edges_and_past_2_63():
                 want = [banded_center_count_per_q(q, band, d, a_d) for q in range(N, Q + 1)]
                 assert _counts(N, Q, band, d, a_d) == want, (text, N, d)
                 assert any(want), (text, N, d)
+
+
+def test_per_q_counts_take_no_cut_arrays(monkeypatch):
+    # the per-q rule takes each q's cuts from GcdBand.cuts alone, so it
+    # builds no numpy array: at one q, on a range shorter than TABLE_MIN and
+    # on the range across 2^63
+    calls, cut_arrays = [], GcdBand.cut_arrays
+    monkeypatch.setattr(
+        GcdBand, "cut_arrays", lambda self, q: calls.append(len(q)) or cut_arrays(self, q)
+    )
+    ranges = ((1000, 1000), (1 << 30, (1 << 30) + TABLE_MIN - 2), (2**63 - 3, 2**63 + 2))
+    for band in (GcdBand.parse("1/4,1/2"), GcdBand.full()):
+        for N, Q in ranges:
+            _counts(N, Q, band, 2, 1)
+    assert calls == []
 
 
 def test_banded_center_count_validates():
@@ -535,6 +550,22 @@ def test_count_table_refuses_q_past_table_qmax(monkeypatch):
         want = _per_q_tail_sum(Fraction(tau), 2, 1, TABLE_QMAX, Q)
         assert tail_sum(tau, 2, 1, TABLE_QMAX, Q, GcdBand.full()) == want
     assert blocks == []
+
+
+def test_count_table_at_the_top_of_its_range(monkeypatch):
+    # the TABLE_MIN moduli ending at TABLE_QMAX - 2 read the table where its
+    # int64 values are largest; the 2^24 sieve it builds is dropped
+    # afterwards, so later tests see the sieve they expect
+    monkeypatch.setattr(arithmetic, "_sieve", arithmetic._sieve)
+    blocks = _probe_table_blocks(monkeypatch)
+    Q = TABLE_QMAX - 2
+    N = Q - TABLE_MIN + 1
+    for band in (GcdBand.parse("1/4,1/2"), GcdBand.full()):
+        blocks.clear()
+        want = [banded_center_count_per_q(q, band, 2, 1) for q in range(N, Q + 1)]
+        assert _counts(N, Q, band, 2, 1) == want, band
+        assert blocks == [(N, Q)]
+        assert any(want), band
 
 
 @pytest.mark.parametrize("N", (1000, 1 << 30))

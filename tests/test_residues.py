@@ -21,10 +21,10 @@ from diocurve.residues import (
     solution_witness,
     unit_power_count,
     unity_roots_count,
-    zero_class_count_alt,
     _solvable,
     _solvable_block,
 )
+from oracles import zero_class_count_alt
 
 
 def brute_counts(q, d):
